@@ -57,9 +57,6 @@ class PairTable:
     n_s: dict      # surname -> number of individuals bearing it
     n_total: int   # individuals counted
 
-    def total_weight(self, pair) -> int:
-        return sum(self.weights[pair].values())
-
 
 @dataclass
 class BuildReport:

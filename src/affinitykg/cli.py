@@ -13,74 +13,110 @@ stderr; data only ever goes to files.
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
 
-from affinitykg import builder, evaluator, kg as kgmod, models, snn, synthetic, trainer
+from affinitykg import builder, evaluator, kg as kgmod, snn, synthetic, trainer
 from affinitykg.errors import ConsistencyError, ParseError
 from affinitykg.util import atomic_write_text, canonical_json
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+# Each section's keys fill the fields of one dataclass, which owns their
+# defaults and types.
+_SECTIONS = {
+    "builder": builder.BuilderConfig,
+    "train": trainer.TrainConfig,
+    "grid": trainer.GridSpec,
+    "synth": synthetic.PopulationSpec,
+}
+
+# Section keys whose field has another name; a dotted name is a nested field.
+_FIELD_NAMES = {
+    "synth.communities": "n_communities",
+    "synth.individuals": "n_individuals",
+    "train.dropout_input": "dropout.input_rate",
+    "train.dropout_relation": "dropout.after_relation_rate",
+    "train.dropout_combination": "dropout.after_combination_rate",
+}
+
+# Defaults of the keys no dataclass owns.
+_DEFAULTS = {
+    "seed": 0,
+    "threads": 1,
+    "split.valid_size": 200,
+    "split.test_size": 200,
+    "eval.mode": "filtered",
+    "snn.k": 50,
+    "snn.tau": 0.0,
+    "snn.hit_rank_cutoff": 10,
+}
+
+_HELP = {
+    "seed": "global random seed",
+    "threads": "reserved; has no effect (runs start no worker threads and are bit-reproducible)",
+    "builder.k_security": "security factor over expected random co-occurrence",
+    "builder.min_occurrences": "drop surnames borne by fewer individuals",
+    "builder.kcore_k": "k-core threshold for periphery pruning",
+    "builder.n_deciles": "number of income deciles",
+    "builder.rare_filter_order": "rare-surname pass order: after_mateos|before_mateos",
+    "split.valid_size": "validation fold size (triples)",
+    "split.test_size": "test fold size (triples)",
+    "train.model": "tucker|transe|distmult|complex",
+    "train.epochs": "maximum training epochs",
+    "train.batch_size": "queries per Adam update",
+    "train.learning_rate": "Adam learning rate",
+    "train.decay_rate": "per-epoch learning-rate multiplier",
+    "train.d_e": "entity embedding dim",
+    "train.d_r": "relation embedding dim",
+    "train.dropout_input": "dropout on the head entity row",
+    "train.dropout_relation": "dropout after the core-relation product",
+    "train.dropout_combination": "dropout on the combined query vector",
+    "train.label_smoothing": "label smoothing toward 1/n_e",
+    "train.adam_beta1": "Adam first-moment decay",
+    "train.adam_beta2": "Adam second-moment decay",
+    "train.adam_eps": "Adam denominator epsilon",
+    "train.eval_every": "epochs between validation passes",
+    "train.patience": "non-improving validations tolerated before stopping",
+    "grid.d_r": "relation-dim candidates",
+    "grid.d_e": "entity-dim candidates",
+    "grid.dropout_input": "input dropout candidates",
+    "grid.dropout_relation": "relation dropout candidates",
+    "grid.dropout_combination": "combination dropout candidates",
+    "eval.mode": "ranking mode: filtered|raw",
+    "snn.k": "kNN size in the embedding space",
+    "snn.tau": "SNN threshold for classifying a hit as grounded",
+    "snn.hit_rank_cutoff": "rank cutoff defining a correctly predicted triple",
+    "synth.communities": "planted communities",
+    "synth.surnames_per_community": "surname pool per community",
+    "synth.individuals": "population size",
+    "synth.intra_bias": "probability a record uses a planted pair",
+    "synth.ses_noise": "SES noise standard deviation",
+}
 
 
-def _parse_int_list(text: str) -> tuple:
-    return tuple(int(x) for x in text.split(",") if x.strip())
+def _field_name(key: str) -> str:
+    return _FIELD_NAMES.get(key, key.partition(".")[2])
 
 
-def _parse_float_list(text: str) -> tuple:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+def _key_spec(key: str, help_text: str) -> tuple:
+    """(parser, default, help) of a key; the parser is the default's type, and
+    a tuple default parses as a comma list of its element type."""
+    section = key.partition(".")[0]
+    if section in _SECTIONS:
+        default = functools.reduce(getattr, _field_name(key).split("."), _SECTIONS[section]())
+    else:
+        default = _DEFAULTS[key]
+    if isinstance(default, tuple):
+        element = type(default[0])
+        return (lambda text: tuple(element(x) for x in text.split(",") if x.strip()),
+                default, help_text)
+    return type(default), default, help_text
 
 
 # key -> (parser, default, help)
-CONFIG_KEYS = {
-    "seed": (int, 0, "global random seed"),
-    "threads": (int, 1, "worker threads (1 keeps runs bit-reproducible)"),
-    "builder.k_security": (float, 20.0, "security factor over expected random co-occurrence"),
-    "builder.min_occurrences": (int, 20, "drop surnames borne by fewer individuals"),
-    "builder.kcore_k": (int, 2, "k-core threshold for periphery pruning"),
-    "builder.n_deciles": (int, 10, "number of income deciles"),
-    "builder.rare_filter_order": (str, "after_mateos", "rare-surname pass order: after_mateos|before_mateos"),
-    "split.valid_size": (int, 200, "validation fold size (triples)"),
-    "split.test_size": (int, 200, "test fold size (triples)"),
-    "train.model": (str, "tucker", "tucker|transe|distmult|complex"),
-    "train.epochs": (int, 200, "maximum training epochs"),
-    "train.batch_size": (int, 128, "queries per Adam update"),
-    "train.learning_rate": (float, 0.005, "Adam learning rate"),
-    "train.decay_rate": (float, 1.0, "per-epoch learning-rate multiplier"),
-    "train.d_e": (int, 200, "entity embedding dim"),
-    "train.d_r": (int, 10, "relation embedding dim"),
-    "train.dropout_input": (float, 0.5, "dropout on the head entity row"),
-    "train.dropout_relation": (float, 0.2, "dropout after the core-relation product"),
-    "train.dropout_combination": (float, 0.2, "dropout on the combined query vector"),
-    "train.label_smoothing": (float, 0.0, "label smoothing toward 1/n_e"),
-    "train.adam_beta1": (float, 0.9, "Adam first-moment decay"),
-    "train.adam_beta2": (float, 0.999, "Adam second-moment decay"),
-    "train.adam_eps": (float, 1e-8, "Adam denominator epsilon"),
-    "train.eval_every": (int, 10, "epochs between validation passes"),
-    "train.patience": (int, 20, "non-improving validations tolerated before stopping"),
-    "grid.d_r": (_parse_int_list, (10, 20, 30), "relation-dim candidates"),
-    "grid.d_e": (_parse_int_list, (100, 200, 500, 1000), "entity-dim candidates"),
-    "grid.dropout_input": (_parse_float_list, (0.2, 0.3, 0.4, 0.5), "input dropout candidates"),
-    "grid.dropout_relation": (_parse_float_list, (0.2, 0.3, 0.4, 0.5), "relation dropout candidates"),
-    "grid.dropout_combination": (_parse_float_list, (0.2, 0.3, 0.4, 0.5), "combination dropout candidates"),
-    "eval.mode": (str, "filtered", "ranking mode: filtered|raw"),
-    "snn.k": (int, 50, "kNN size in the embedding space"),
-    "snn.tau": (float, 0.0, "SNN threshold for classifying a hit as grounded"),
-    "snn.hit_rank_cutoff": (int, 10, "rank cutoff defining a correctly predicted triple"),
-    "synth.communities": (int, 2, "planted communities"),
-    "synth.surnames_per_community": (int, 99, "surname pool per community"),
-    "synth.individuals": (int, 10000, "population size"),
-    "synth.intra_bias": (float, 0.8, "probability a record uses a planted pair"),
-    "synth.ses_noise": (float, 8.0, "SES noise standard deviation"),
-}
+CONFIG_KEYS = {key: _key_spec(key, help_text) for key, help_text in _HELP.items()}
 
 
 class RunConfig:
@@ -144,28 +180,21 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _train_config(config: RunConfig) -> trainer.TrainConfig:
-    return trainer.TrainConfig(
-        epochs=config["train.epochs"],
-        batch_size=config["train.batch_size"],
-        learning_rate=config["train.learning_rate"],
-        decay_rate=config["train.decay_rate"],
-        seed=config["seed"],
-        model=config["train.model"],
-        d_e=config["train.d_e"],
-        d_r=config["train.d_r"],
-        dropout=models.DropoutSpec(
-            config["train.dropout_input"],
-            config["train.dropout_relation"],
-            config["train.dropout_combination"],
-        ),
-        label_smoothing=config["train.label_smoothing"],
-        adam_beta1=config["train.adam_beta1"],
-        adam_beta2=config["train.adam_beta2"],
-        adam_eps=config["train.adam_eps"],
-        eval_every=config["train.eval_every"],
-        patience=config["train.patience"],
-    )
+def _section(config: RunConfig, name: str):
+    """The section's dataclass filled from its keys, and from the global seed
+    when the dataclass has a seed field."""
+    cls = _SECTIONS[name]
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    values = {"seed": config["seed"]} if "seed" in types else {}
+    for key in CONFIG_KEYS:
+        if key.startswith(name + "."):
+            field, _, nested = _field_name(key).partition(".")
+            if nested:
+                values.setdefault(field, {})[nested] = config[key]
+            else:
+                values[field] = config[key]
+    return cls(**{field: types[field](**value) if isinstance(value, dict) else value
+                  for field, value in values.items()})
 
 
 def _vocab_hashes(graph: kgmod.KnowledgeGraph) -> dict:
@@ -182,14 +211,7 @@ def _check_vocab(meta: dict, graph: kgmod.KnowledgeGraph) -> None:
 
 def cmd_gen_synthetic(args) -> int:
     config = load_run_config(args)
-    spec = synthetic.PopulationSpec(
-        n_communities=config["synth.communities"],
-        surnames_per_community=config["synth.surnames_per_community"],
-        n_individuals=config["synth.individuals"],
-        intra_bias=config["synth.intra_bias"],
-        ses_noise=config["synth.ses_noise"],
-        seed=config["seed"],
-    )
+    spec = _section(config, "synth")
     records, planted = synthetic.generate_population(spec)
     os.makedirs(args.out, exist_ok=True)
     synthetic.write_records_csv(os.path.join(args.out, "records.csv"), records)
@@ -206,14 +228,7 @@ def cmd_gen_synthetic(args) -> int:
 def cmd_build_network(args) -> int:
     config = load_run_config(args)
     records = builder.read_records_csv(args.records)
-    cfg = builder.BuilderConfig(
-        k_security=config["builder.k_security"],
-        min_occurrences=config["builder.min_occurrences"],
-        kcore_k=config["builder.kcore_k"],
-        n_deciles=config["builder.n_deciles"],
-        rare_filter_order=config["builder.rare_filter_order"],
-    )
-    triples, report = builder.build(records, cfg)
+    triples, report = builder.build(records, _section(config, "builder"))
     os.makedirs(args.out, exist_ok=True)
     atomic_write_text(
         os.path.join(args.out, "triples.tsv"),
@@ -249,7 +264,7 @@ def cmd_split(args) -> int:
 def cmd_train(args) -> int:
     config = load_run_config(args)
     graph = kgmod.load_kg_dir(args.data)
-    tc = _train_config(config)
+    tc = _section(config, "train")
     result = trainer.fit(graph, tc)
     os.makedirs(args.out, exist_ok=True)
     metrics = result.best_val_report.to_dict() if result.best_val_report else {}
@@ -266,15 +281,7 @@ def cmd_train(args) -> int:
 def cmd_grid_search(args) -> int:
     config = load_run_config(args)
     graph = kgmod.load_kg_dir(args.data)
-    base = _train_config(config)
-    grid = trainer.GridSpec(
-        d_r=config["grid.d_r"],
-        d_e=config["grid.d_e"],
-        dropout_input=config["grid.dropout_input"],
-        dropout_relation=config["grid.dropout_relation"],
-        dropout_combination=config["grid.dropout_combination"],
-    )
-    cells = trainer.grid_search(graph, grid, base)
+    cells = trainer.grid_search(graph, _section(config, "grid"), _section(config, "train"))
     rows = [
         {
             "rank": i + 1,

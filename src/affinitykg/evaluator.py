@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from affinitykg.errors import ConsistencyError
-from affinitykg.kg import RECIPROCAL_SUFFIX, KnowledgeGraph, KnownTrueSet
+from affinitykg.kg import KnowledgeGraph, KnownTrueSet
 from affinitykg.models import score_all_tails
 from affinitykg.util import format_float
 
@@ -66,6 +66,8 @@ def rank_of_target(scores, target: int, filter_set=frozenset(), mode: str = "fil
 
     In filtered mode every other known-true candidate is ignored; the target
     itself is always ranked. Filtering out the target is a contract violation.
+    A NaN competitor counts as better than the target, and a NaN target ranks
+    last among the candidates left after filtering.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if not 0 <= target < scores.shape[0]:
@@ -81,9 +83,10 @@ def rank_of_target(scores, target: int, filter_set=frozenset(), mode: str = "fil
             keep = np.ones(scores.shape[0], dtype=bool)
             keep[np.asarray(exclude, dtype=np.int64)] = False
             scores = scores[keep]
-    better = int(np.count_nonzero(scores > target_score))
-    ties = int(np.count_nonzero(scores == target_score)) - 1
-    return 1 + better + ties
+    # Count the candidates not scoring below the target, itself included.
+    # Every comparison with NaN is false, so a NaN competitor is counted and a
+    # NaN target counts every candidate.
+    return int(np.count_nonzero(~(scores < target_score)))
 
 
 def hits_at(ranks, n: int) -> float:
@@ -150,10 +153,7 @@ def evaluate(params, kg: KnowledgeGraph, mode: str = "filtered",
     report = summarize(records, mode)
     by_relation: dict = {}
     for rec in records:
-        label = kg.relations.label_of(rec.r)
-        if label.endswith(RECIPROCAL_SUFFIX):
-            label = label[: -len(RECIPROCAL_SUFFIX)]
-        by_relation.setdefault(label, []).append(rec)
+        by_relation.setdefault(kg.relations.label_of(rec.r), []).append(rec)
     report.per_relation = {
         label: summarize(recs, mode) for label, recs in by_relation.items()
     }

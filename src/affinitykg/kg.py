@@ -97,8 +97,10 @@ class KnowledgeGraph:
     def all_triples(self) -> np.ndarray:
         return np.vstack([self.train, self.valid, self.test])
 
-    def base_relation(self, r: int) -> int:
-        return r - self.n_base_relations if r >= self.n_base_relations else r
+
+def base_relation(r: int, n_base: int) -> int:
+    """The base id of relation r; a reciprocal id r >= n_base maps to r - n_base."""
+    return r - n_base if r >= n_base else r
 
 
 def canonicalize(triple: Triple, entities: Vocab) -> Triple:
@@ -233,24 +235,20 @@ class KnownTrueSet:
         self.undirected = kg.undirected
         fwd: dict[tuple[int, int], set[int]] = {}
         bwd: dict[tuple[int, int], set[int]] = {}
-        for h, r, t in kg.all_triples():
-            base = int(r) - self.n_base if r >= self.n_base else int(r)
-            head, tail = (int(t), int(h)) if r >= self.n_base else (int(h), int(t))
+        for h, r, t in kg.all_triples().tolist():
+            base = base_relation(r, self.n_base)
+            head, tail = (h, t) if base == r else (t, h)
             fwd.setdefault((head, base), set()).add(tail)
             bwd.setdefault((tail, base), set()).add(head)
         self._fwd = fwd
         self._bwd = bwd
 
     def tails_of(self, entity: int, relation: int) -> frozenset:
-        if relation >= self.n_base:
-            base = relation - self.n_base
-            out = set(self._bwd.get((entity, base), ()))
-            if self.undirected:
-                out |= self._fwd.get((entity, base), set())
-        else:
-            out = set(self._fwd.get((entity, relation), ()))
-            if self.undirected:
-                out |= self._bwd.get((entity, relation), set())
+        base = base_relation(relation, self.n_base)
+        known, mirrored = (self._fwd, self._bwd) if base == relation else (self._bwd, self._fwd)
+        out = set(known.get((entity, base), ()))
+        if self.undirected:
+            out |= mirrored.get((entity, base), set())
         return frozenset(out)
 
     def contains(self, h: int, r: int, t: int) -> bool:

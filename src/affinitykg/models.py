@@ -18,7 +18,7 @@ Baselines (TransE, DistMult, ComplEx) expose the same 1:N surface and train
 under the same loss; they have no dropout sites.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,11 +39,7 @@ class DropoutSpec:
                 raise ValueError(f"{name} must lie in [0, 1), got {rate}")
 
     def rates(self) -> dict:
-        return {
-            "input_rate": self.input_rate,
-            "after_relation_rate": self.after_relation_rate,
-            "after_combination_rate": self.after_combination_rate,
-        }
+        return asdict(self)
 
     @property
     def active(self) -> bool:

@@ -15,10 +15,10 @@ float64 array per parameter block (E.bin, R.bin, G.bin) and per Adam moment
 epoch, and the validation metrics of the stored parameters.
 """
 
-import dataclasses
+import itertools
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -246,18 +246,13 @@ class GridSpec:
     dropout_combination: tuple = (0.2, 0.3, 0.4, 0.5)
 
     def __post_init__(self):
-        for name in ("d_r", "d_e", "dropout_input", "dropout_relation", "dropout_combination"):
-            if not getattr(self, name):
-                raise ValueError(f"grid axis {name} is empty")
+        for axis in fields(self):
+            if not getattr(self, axis.name):
+                raise ValueError(f"grid axis {axis.name} is empty")
 
     def cells(self):
-        for d_r in self.d_r:
-            for d_e in self.d_e:
-                for p1 in self.dropout_input:
-                    for p2 in self.dropout_relation:
-                        for p3 in self.dropout_combination:
-                            yield {"d_r": d_r, "d_e": d_e,
-                                   "dropout": DropoutSpec(p1, p2, p3)}
+        for d_r, d_e, *rates in itertools.product(*astuple(self)):
+            yield {"d_r": d_r, "d_e": d_e, "dropout": DropoutSpec(*rates)}
 
 
 @dataclass
@@ -291,12 +286,6 @@ def grid_search(kg: KnowledgeGraph, grid: GridSpec, base: TrainConfig) -> list:
 META_FILE = "meta.json"
 
 
-def _config_to_dict(config: TrainConfig) -> dict:
-    d = dataclasses.asdict(config)
-    d["dropout"] = config.dropout.rates()
-    return d
-
-
 def _config_from_dict(d: dict) -> TrainConfig:
     d = dict(d)
     d["dropout"] = DropoutSpec(**d["dropout"])
@@ -312,7 +301,7 @@ def save_checkpoint(directory: str, params, state: AdamState, config: TrainConfi
         "blocks": {name: list(arr.shape) for name, arr in blocks.items()},
         "n_entities": params.n_entities,
         "n_relations": params.n_relations,
-        "config": _config_to_dict(config),
+        "config": asdict(config),
         "epoch": epoch,
         "adam_step": state.step,
         "metrics": metrics or {},

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from affinitykg import builder, synthetic, trainer
 from affinitykg.cli import CONFIG_KEYS, build_parser, main
 
 FAST_TRAIN = [
@@ -209,3 +210,87 @@ class TestFullDeterminism:
         assert artifacts["one"].keys() == artifacts["two"].keys()
         for rel, blob in artifacts["one"].items():
             assert blob == artifacts["two"][rel], f"{rel} differs between runs"
+
+
+# key -> (value to set, attribute path on the dataclass the command builds,
+# the value that must arrive there); every value differs from the default.
+SECTION_VALUES = {
+    "builder.k_security": ("12.5", "k_security", 12.5),
+    "builder.min_occurrences": ("7", "min_occurrences", 7),
+    "builder.kcore_k": ("3", "kcore_k", 3),
+    "builder.n_deciles": ("5", "n_deciles", 5),
+    "builder.rare_filter_order": ("before_mateos", "rare_filter_order", "before_mateos"),
+    "train.model": ("distmult", "model", "distmult"),
+    "train.epochs": ("17", "epochs", 17),
+    "train.batch_size": ("33", "batch_size", 33),
+    "train.learning_rate": ("0.125", "learning_rate", 0.125),
+    "train.decay_rate": ("0.75", "decay_rate", 0.75),
+    "train.d_e": ("24", "d_e", 24),
+    "train.d_r": ("6", "d_r", 6),
+    "train.dropout_input": ("0.15", "dropout.input_rate", 0.15),
+    "train.dropout_relation": ("0.35", "dropout.after_relation_rate", 0.35),
+    "train.dropout_combination": ("0.45", "dropout.after_combination_rate", 0.45),
+    "train.label_smoothing": ("0.05", "label_smoothing", 0.05),
+    "train.adam_beta1": ("0.8", "adam_beta1", 0.8),
+    "train.adam_beta2": ("0.99", "adam_beta2", 0.99),
+    "train.adam_eps": ("1e-6", "adam_eps", 1e-6),
+    "train.eval_every": ("4", "eval_every", 4),
+    "train.patience": ("9", "patience", 9),
+    "grid.d_r": ("4,8", "d_r", (4, 8)),
+    "grid.d_e": ("16", "d_e", (16,)),
+    "grid.dropout_input": ("0.1,0.6", "dropout_input", (0.1, 0.6)),
+    "grid.dropout_relation": ("0.0", "dropout_relation", (0.0,)),
+    "grid.dropout_combination": ("0.25,0.5,0.75", "dropout_combination", (0.25, 0.5, 0.75)),
+    "synth.communities": ("3", "n_communities", 3),
+    "synth.surnames_per_community": ("30", "surnames_per_community", 30),
+    "synth.individuals": ("1234", "n_individuals", 1234),
+    "synth.intra_bias": ("0.6", "intra_bias", 0.6),
+    "synth.ses_noise": ("2.5", "ses_noise", 2.5),
+}
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestSectionKeysReachTheirFields:
+    """A --set value for each section key reaches its field of the dataclass
+    the command builds; the command is stopped before it does any work."""
+
+    def test_table_covers_every_section_key(self):
+        sections = ("builder.", "train.", "grid.", "synth.")
+        assert set(SECTION_VALUES) == {k for k in CONFIG_KEYS if k.startswith(sections)}
+        for key, (_, _, value) in SECTION_VALUES.items():
+            assert value != CONFIG_KEYS[key][1], key
+
+    @pytest.mark.parametrize("section,module,function,position,command", [
+        ("synth", synthetic, "generate_population", 0, lambda p: ["gen-synthetic"]),
+        ("builder", builder, "build", 1,
+         lambda p: ["build-network", "--records", p["gen"] / "records.csv"]),
+        ("train", trainer, "fit", 1, lambda p: ["train", "--data", p["data"]]),
+        ("grid", trainer, "grid_search", 1, lambda p: ["grid-search", "--data", p["data"]]),
+    ], ids=["synth", "builder", "train", "grid"])
+    def test_set_values_reach_the_built_dataclass(self, pipeline, tmp_path, monkeypatch,
+                                                  section, module, function, position,
+                                                  command):
+        built = []
+
+        def capture(*args):
+            built.append(args[position])
+            raise _Stop
+
+        monkeypatch.setattr(module, function, capture)
+        keys = [key for key in SECTION_VALUES if key.startswith(section + ".")]
+        argv = command(pipeline) + ["--out", tmp_path, "--seed", 21]
+        for key in keys:
+            argv += ["--set", f"{key}={SECTION_VALUES[key][0]}"]
+        assert run(argv) == 4
+        [config] = built
+        for key in keys:
+            _, path, value = SECTION_VALUES[key]
+            actual = config
+            for name in path.split("."):
+                actual = getattr(actual, name)
+            assert actual == value, key
+        if hasattr(config, "seed"):
+            assert config.seed == 21

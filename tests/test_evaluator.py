@@ -52,6 +52,19 @@ class TestRankOfTarget:
     def test_target_in_filter_set_still_ranked(self):
         assert rank_of_target([1.0, 2.0], 0, frozenset({0, 1}), "filtered") == 1
 
+    def test_nan_competitor_counts_as_better(self):
+        nan = float("nan")
+        assert rank_of_target([0.5, nan, 0.9, nan], 2, mode="raw") == 3
+        # A filtered NaN competitor no longer counts.
+        assert rank_of_target([0.5, nan, 0.9, nan], 2, frozenset({1}), "filtered") == 2
+
+    def test_nan_target_ranks_last_among_kept_candidates(self):
+        nan = float("nan")
+        scores = [0.5, 0.1, nan, 2.0, nan]
+        assert rank_of_target(scores, 2, mode="raw") == 5
+        assert rank_of_target(scores, 2, frozenset({0, 4}), "filtered") == 3
+        assert np.isfinite(mrr([rank_of_target([nan], 0, mode="raw")]))
+
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
