@@ -9,9 +9,8 @@ predicted ties.
 
 from affinitykg.kg import KnowledgeGraph, KnownTrueSet, Vocab, add_reciprocals, split
 from affinitykg.models import (
-    BaselineParams,
     DropoutSpec,
-    TuckerParams,
+    ModelParams,
     init_baseline,
     init_params,
 )
@@ -23,9 +22,8 @@ __all__ = [
     "Vocab",
     "add_reciprocals",
     "split",
-    "BaselineParams",
     "DropoutSpec",
-    "TuckerParams",
+    "ModelParams",
     "init_baseline",
     "init_params",
     "TrainConfig",

@@ -10,6 +10,7 @@ under random pairing, so surviving edges indicate genuine affinity.
 """
 
 import csv
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -34,9 +35,6 @@ class BuilderConfig:
     min_occurrences: int = 20
     kcore_k: int = 2
     n_deciles: int = 10
-    # Sentence order in the source method puts the rare-surname pass after
-    # thresholding; both orders are supported.
-    rare_filter_order: str = "after_mateos"
 
     def __post_init__(self):
         if self.k_security <= 1:
@@ -45,8 +43,6 @@ class BuilderConfig:
             raise ValueError("filter thresholds must be non-negative")
         if self.n_deciles < 1:
             raise ValueError("n_deciles must be positive")
-        if self.rare_filter_order not in ("after_mateos", "before_mateos"):
-            raise ValueError(f"unknown rare_filter_order {self.rare_filter_order!r}")
 
 
 @dataclass
@@ -104,6 +100,8 @@ def read_records_csv(path: str) -> list[IndividualRecord]:
                 ses_value = float(ses)
             except ValueError:
                 raise ParseError(f"bad SES value {ses!r}", n, path) from None
+            if not math.isfinite(ses_value):
+                raise ParseError(f"non-finite SES value {ses!r}", n, path)
             records.append(
                 IndividualRecord(paternal.strip().casefold(), maternal.strip().casefold(),
                                  ses_value, block.strip())
@@ -231,19 +229,12 @@ def build(records, config: BuilderConfig = BuilderConfig()):
     table = count_pairs(records, deciles)
     report.n_pairs_counted = len(table.weights)
 
-    stages = [
-        ("mateos", lambda p: mateos_filter(p, table.n_s, table.n_total, config.k_security)),
-        ("rare", lambda p: min_occurrence_filter(p, table.n_s, config.min_occurrences)),
-    ]
-    if config.rare_filter_order == "before_mateos":
-        stages.reverse()
-    pairs = table.weights
-    for name, stage in stages:
-        pairs = stage(pairs)
-        if name == "mateos":
-            report.n_pairs_after_mateos = len(pairs)
-        else:
-            report.n_pairs_after_rare = len(pairs)
+    # Both filters are per-pair predicates over the same n_s marginals, so
+    # their order does not change the surviving pairs.
+    pairs = mateos_filter(table.weights, table.n_s, table.n_total, config.k_security)
+    report.n_pairs_after_mateos = len(pairs)
+    pairs = min_occurrence_filter(pairs, table.n_s, config.min_occurrences)
+    report.n_pairs_after_rare = len(pairs)
 
     pairs, core = kcore_prune(pairs, config.kcore_k)
 

@@ -60,7 +60,6 @@ _HELP = {
     "builder.min_occurrences": "drop surnames borne by fewer individuals",
     "builder.kcore_k": "k-core threshold for periphery pruning",
     "builder.n_deciles": "number of income deciles",
-    "builder.rare_filter_order": "rare-surname pass order: after_mateos|before_mateos",
     "split.valid_size": "validation fold size (triples)",
     "split.test_size": "test fold size (triples)",
     "train.model": "tucker|transe|distmult|complex",
@@ -100,6 +99,10 @@ def _field_name(key: str) -> str:
     return _FIELD_NAMES.get(key, key.partition(".")[2])
 
 
+# Keys whose values are checked beyond their type.
+_PARSERS = {"eval.mode": evaluator.check_mode}
+
+
 def _key_spec(key: str, help_text: str) -> tuple:
     """(parser, default, help) of a key; the parser is the default's type, and
     a tuple default parses as a comma list of its element type."""
@@ -112,7 +115,7 @@ def _key_spec(key: str, help_text: str) -> tuple:
         element = type(default[0])
         return (lambda text: tuple(element(x) for x in text.split(",") if x.strip()),
                 default, help_text)
-    return type(default), default, help_text
+    return _PARSERS.get(key, type(default)), default, help_text
 
 
 # key -> (parser, default, help)

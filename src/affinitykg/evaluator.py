@@ -20,6 +20,13 @@ from affinitykg.models import score_all_tails
 from affinitykg.util import format_float
 
 HIST_MAX_RANK = 10
+MODES = ("filtered", "raw")
+
+
+def check_mode(mode: str) -> str:
+    if mode not in MODES:
+        raise ValueError(f"unknown ranking mode {mode!r}; expected {'|'.join(MODES)}")
+    return mode
 
 
 @dataclass(frozen=True)
@@ -32,7 +39,7 @@ class RankRecord:
     filtered_rank: int
 
     def rank(self, mode: str) -> int:
-        return self.filtered_rank if mode == "filtered" else self.raw_rank
+        return self.filtered_rank if check_mode(mode) == "filtered" else self.raw_rank
 
 
 @dataclass
@@ -72,8 +79,7 @@ def rank_of_target(scores, target: int, filter_set=frozenset(), mode: str = "fil
     scores = np.asarray(scores, dtype=np.float64)
     if not 0 <= target < scores.shape[0]:
         raise IndexError(f"target {target} out of range")
-    if mode not in ("raw", "filtered"):
-        raise ValueError(f"unknown mode {mode!r}")
+    check_mode(mode)
     target_score = scores[target]
     if mode == "filtered" and filter_set:
         # The target may appear in the known-true set; it is never excluded

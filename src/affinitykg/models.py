@@ -9,22 +9,22 @@ Training uses 1:N scoring: one (head, relation) query is scored against every
 entity at once, with a binary label vector marking the known tails. Gradients
 of the mean binary cross-entropy are derived in closed form; no autodiff.
 
-Dropout applies at three sites with inverted scaling, so inference needs no
-rescaling: on the head entity row, on the relation-transformed core matrix,
-and on the combined query vector before the final contraction. A sampled
-DropoutMasks object is reused verbatim by the forward and backward passes.
+Every model, Tucker and the TransE/DistMult/ComplEx baselines, reduces a
+query to one vector q and supplies only q and the map from dL/dq to its
+head-row, relation-row and core gradients; the logits (E q, or -||q - e_t||
+for TransE), the loss, the tail gradient and the scatter are shared.
 
-Baselines (TransE, DistMult, ComplEx) expose the same 1:N surface and train
-under the same loss; they have no dropout sites.
+Dropout applies to the Tucker query at three sites with inverted scaling, so
+inference needs no rescaling: on the head entity row, on the
+relation-transformed core matrix, and on the combined query vector. A sampled
+DropoutMasks object is reused verbatim by the forward and backward passes.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from affinitykg.tensor_ops import require_finite
-
-BASELINE_VARIANTS = ("transe", "distmult", "complex")
 
 
 @dataclass(frozen=True)
@@ -68,21 +68,30 @@ def sample_masks(spec: DropoutSpec, d_e: int, rng: np.random.Generator) -> Dropo
     )
 
 
+def block_names(model: str) -> tuple:
+    """Parameter blocks of a model: the Tucker core G comes on top of E and R."""
+    return ("E", "R", "G") if model == "tucker" else ("E", "R")
+
+
 @dataclass
-class TuckerParams:
+class ModelParams:
+    model: str
     E: np.ndarray  # (n_entities, d_e)
-    R: np.ndarray  # (n_relations, d_r)
-    G: np.ndarray  # (d_e, d_r, d_e) core
+    R: np.ndarray  # (n_relations, d_r); d_r == d_e for the baselines
+    G: np.ndarray | None = None  # (d_e, d_r, d_e) Tucker core
 
     def __post_init__(self):
-        self.E = np.ascontiguousarray(self.E, dtype=np.float64)
-        self.R = np.ascontiguousarray(self.R, dtype=np.float64)
-        self.G = np.ascontiguousarray(self.G, dtype=np.float64)
-        d_e, d_r = self.E.shape[1], self.R.shape[1]
-        if self.G.shape != (d_e, d_r, d_e):
-            raise ValueError(f"core must be ({d_e}, {d_r}, {d_e}), got {self.G.shape}")
+        if self.model not in MODELS or (self.G is None) == ("G" in block_names(self.model)):
+            raise ValueError(f"model {self.model!r}: need one of {MODELS}; a core G iff tucker")
         for name, arr in self.param_blocks().items():
-            require_finite(arr, name)
+            setattr(self, name, require_finite(np.ascontiguousarray(arr, dtype=np.float64), name))
+        core_shape = (self.d_e, self.d_r, self.d_e)
+        if self.G is not None and self.G.shape != core_shape:
+            raise ValueError(f"core must be {core_shape}, got {self.G.shape}")
+        if self.G is None and self.d_e != self.d_r:
+            raise ValueError("entity and relation embedding dims must match")
+        if self.model == "complex" and self.d_e % 2:
+            raise ValueError("complex embeddings need an even dim (real/imag halves)")
 
     @property
     def n_entities(self) -> int:
@@ -101,102 +110,136 @@ class TuckerParams:
         return self.R.shape[1]
 
     def param_blocks(self) -> dict:
-        return {"E": self.E, "R": self.R, "G": self.G}
+        return {name: getattr(self, name) for name in block_names(self.model)}
 
-    def copy(self) -> "TuckerParams":
-        return TuckerParams(self.E.copy(), self.R.copy(), self.G.copy())
-
-
-@dataclass
-class BaselineParams:
-    variant: str
-    E: np.ndarray
-    R: np.ndarray
-
-    def __post_init__(self):
-        if self.variant not in BASELINE_VARIANTS:
-            raise ValueError(f"variant must be one of {BASELINE_VARIANTS}")
-        self.E = np.ascontiguousarray(self.E, dtype=np.float64)
-        self.R = np.ascontiguousarray(self.R, dtype=np.float64)
-        if self.E.shape[1] != self.R.shape[1]:
-            raise ValueError("entity and relation embedding dims must match")
-        if self.variant == "complex" and self.E.shape[1] % 2:
-            raise ValueError("complex embeddings need an even dim (real/imag halves)")
-        for name, arr in self.param_blocks().items():
-            require_finite(arr, name)
-
-    @property
-    def n_entities(self) -> int:
-        return self.E.shape[0]
-
-    @property
-    def n_relations(self) -> int:
-        return self.R.shape[0]
-
-    def param_blocks(self) -> dict:
-        return {"E": self.E, "R": self.R}
-
-    def copy(self) -> "BaselineParams":
-        return BaselineParams(self.variant, self.E.copy(), self.R.copy())
+    def copy(self) -> "ModelParams":
+        return replace(self, **{name: arr.copy() for name, arr in self.param_blocks().items()})
 
 
-def init_params(n_e: int, n_r: int, d_e: int, d_r: int, seed: int) -> TuckerParams:
-    """Uniform(-0.1, 0.1) embeddings, uniform(-1, 1) core; deterministic per seed."""
+def init_params(n_e: int, n_r: int, d_e: int, d_r: int, seed: int,
+                model: str = "tucker") -> ModelParams:
+    """Uniform(-0.1, 0.1) embeddings, uniform(-1, 1) core; deterministic per seed.
+
+    Without a core, relations embed in the entity dim and d_r is ignored.
+    """
+    has_core = "G" in block_names(model)
+    d_r = d_r if has_core else d_e
     if min(n_e, n_r, d_e, d_r) < 1:
         raise ValueError("all dimensions must be positive")
     rng = np.random.default_rng(seed)
     E = rng.uniform(-0.1, 0.1, size=(n_e, d_e))
     R = rng.uniform(-0.1, 0.1, size=(n_r, d_r))
-    G = rng.uniform(-1.0, 1.0, size=(d_e, d_r, d_e))
-    return TuckerParams(E, R, G)
+    G = rng.uniform(-1.0, 1.0, size=(d_e, d_r, d_e)) if has_core else None
+    return ModelParams(model, E, R, G)
 
 
-def init_baseline(variant: str, n_e: int, n_r: int, dim: int, seed: int) -> BaselineParams:
-    if min(n_e, n_r, dim) < 1:
-        raise ValueError("all dimensions must be positive")
-    rng = np.random.default_rng(seed)
-    E = rng.uniform(-0.1, 0.1, size=(n_e, dim))
-    R = rng.uniform(-0.1, 0.1, size=(n_r, dim))
-    return BaselineParams(variant, E, R)
+def init_baseline(variant: str, n_e: int, n_r: int, dim: int, seed: int) -> ModelParams:
+    return init_params(n_e, n_r, dim, dim, seed, model=variant)
 
 
-def relation_matrix(params: TuckerParams, r: int) -> np.ndarray:
+def relation_matrix(params: ModelParams, r: int) -> np.ndarray:
     """Mode-2 contraction of the core with relation r: score(h,r,t) = e_h M_r e_t."""
     if not 0 <= r < params.n_relations:
         raise IndexError(f"relation id {r} out of range")
     return np.einsum("pqj,q->pj", params.G, params.R[r])
 
 
-def _tucker_query_vector(params: TuckerParams, h: int, r: int, masks: DropoutMasks | None):
-    a = params.E[h]
-    if masks is not None and masks.entity is not None:
-        a = a * masks.entity
+# --- per-model query vectors: each returns (q, backward), and backward(dq) maps
+# dL/dq to the head-row, relation-row and core (None without a core) gradients.
+
+def _tucker_query(params: ModelParams, h: int, r: int, masks: DropoutMasks | None):
+    m1, m2, m3 = ((masks.entity, masks.relation_core, masks.combination)
+                  if masks is not None else (None, None, None))
+    a = params.E[h] if m1 is None else params.E[h] * m1
     M = relation_matrix(params, r)
-    if masks is not None and masks.relation_core is not None:
-        M = M * masks.relation_core
-    v = a @ M
-    if masks is not None and masks.combination is not None:
-        v = v * masks.combination
-    return v
+    B = M if m2 is None else M * m2
+    u = a @ B
+    v = u if m3 is None else u * m3
+
+    def backward(dv):
+        du = dv if m3 is None else dv * m3
+        dB = np.outer(a, du)
+        dM = dB if m2 is None else dB * m2
+        da = B @ du
+        if m1 is not None:
+            da = da * m1
+        return (da, np.einsum("pqj,pj->q", params.G, dM),
+                np.einsum("pj,q->pqj", dM, params.R[r]))
+
+    return v, backward
 
 
-def score_tucker(params: TuckerParams, h: int, r: int, t: int,
-                 masks: DropoutMasks | None = None) -> float:
-    if not 0 <= h < params.n_entities or not 0 <= t < params.n_entities:
-        raise IndexError("entity id out of range")
-    return float(_tucker_query_vector(params, h, r, masks) @ params.E[t])
+def _transe_query(params: ModelParams, h: int, r: int, masks):
+    return params.E[h] + params.R[r], lambda dq: (dq, dq, None)
 
 
-def score_all_tails(params, h: int, r: int, masks: DropoutMasks | None = None) -> np.ndarray:
+def _distmult_query(params: ModelParams, h: int, r: int, masks):
+    e_h, w_r = params.E[h], params.R[r]
+    return e_h * w_r, lambda dq: (dq * w_r, dq * e_h, None)
+
+
+def _complex_product(a: np.ndarray, b: np.ndarray, conj_b: bool = False) -> np.ndarray:
+    """Elementwise a * b (or a * conj(b)) of [real half | imaginary half] vectors."""
+    d = a.shape[0] // 2
+    a_re, a_im, b_re, b_im = a[:d], a[d:], b[:d], b[d:]
+    if conj_b:
+        b_im = -b_im
+    return np.concatenate([a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re])
+
+
+def _complex_query(params: ModelParams, h: int, r: int, masks):
+    # score = Re(sum(e_h * w_r * conj(e_t))) = E q with q = e_h * w_r.
+    e_h, w_r = params.E[h], params.R[r]
+    return _complex_product(e_h, w_r), lambda dq: (
+        _complex_product(dq, w_r, conj_b=True), _complex_product(dq, e_h, conj_b=True), None)
+
+
+_QUERIES = {"tucker": _tucker_query, "transe": _transe_query,
+            "distmult": _distmult_query, "complex": _complex_query}
+MODELS = tuple(_QUERIES)
+
+
+# --- shared 1:N head ---
+
+def _query(params: ModelParams, h: int, r: int, masks: DropoutMasks | None):
+    if not (0 <= h < params.n_entities and 0 <= r < params.n_relations):
+        raise IndexError(f"entity {h} or relation {r} out of range")
+    return _QUERIES[params.model](params, h, r, masks)
+
+
+def _logits(params: ModelParams, q: np.ndarray) -> np.ndarray:
+    if params.model == "transe":
+        diff = q[None, :] - params.E
+        return -np.sqrt(np.sum(diff * diff, axis=1))
+    return params.E @ q
+
+
+def score_all_tails(params: ModelParams, h: int, r: int,
+                    masks: DropoutMasks | None = None) -> np.ndarray:
     """Logits of (h, r, t) for every entity t, sharing one dropout mask."""
-    if isinstance(params, BaselineParams):
-        return _baseline_all_tails(params, h, r)
-    if not 0 <= h < params.n_entities:
+    return _logits(params, _query(params, h, r, masks)[0])
+
+
+def score_tucker(params: ModelParams, h: int, r: int, t: int,
+                 masks: DropoutMasks | None = None) -> float:
+    if not 0 <= t < params.n_entities:
         raise IndexError("entity id out of range")
-    if not 0 <= r < params.n_relations:
-        raise IndexError("relation id out of range")
-    v = _tucker_query_vector(params, h, r, masks)
-    return params.E @ v
+    return float(_query(params, h, r, masks)[0] @ params.E[t])
+
+
+def score_baseline(params: ModelParams, h: int, r: int, t: int) -> float:
+    """Scalar plausibility score; higher means more plausible.
+
+    transe: -||e_h + w_r - e_t||_2; distmult: sum(e_h * w_r * e_t);
+    complex: Re(sum(e_h * w_r * conj(e_t))) over paired real/imag halves.
+    """
+    if not 0 <= t < params.n_entities:
+        raise IndexError("entity id out of range")
+    scores = score_all_tails(params, h, r)
+    if params.model == "distmult":
+        # Grouped (e_h * e_t) first so the score is bit-exactly symmetric in h, t.
+        return float(np.sum(params.E[h] * params.E[t] * params.R[r]))
+    return float(scores[t])
 
 
 def predict_sigmoid(logits) -> np.ndarray:
@@ -240,139 +283,38 @@ def smooth_labels(y: np.ndarray, label_smoothing: float) -> np.ndarray:
     return (1.0 - label_smoothing) * y + label_smoothing / y.shape[0]
 
 
-def loss_and_grads(params, h: int, r: int, y, masks: DropoutMasks | None = None,
+def loss_and_grads(params: ModelParams, h: int, r: int, y,
+                   masks: DropoutMasks | None = None,
                    clamp_stats: ClampStats | None = None):
     """Forward 1:N pass and closed-form gradients for one (h, r) query.
 
     Returns (loss, grads) with grads keyed like param_blocks(). Dropout masks,
     when given, are applied identically in the forward and backward passes.
     """
-    if isinstance(params, BaselineParams):
-        return _baseline_loss_and_grads(params, h, r, y, clamp_stats)
-    return grad_tucker(params, h, r, y, masks, clamp_stats)
-
-
-def grad_tucker(params: TuckerParams, h: int, r: int, y,
-                masks: DropoutMasks | None = None,
-                clamp_stats: ClampStats | None = None):
     y = np.asarray(y, dtype=np.float64)
     n_e = params.n_entities
     if y.shape != (n_e,):
         raise ValueError(f"label vector must have length {n_e}")
-
-    a = params.E[h]
-    m1 = masks.entity if masks is not None else None
-    m2 = masks.relation_core if masks is not None else None
-    m3 = masks.combination if masks is not None else None
-    if m1 is not None:
-        a = a * m1
-    M = relation_matrix(params, r)
-    B = M * m2 if m2 is not None else M
-    u = a @ B
-    v = u * m3 if m3 is not None else u
-    logits = params.E @ v
+    q, backward = _query(params, h, r, masks)
+    logits = _logits(params, q)
     p = predict_sigmoid(logits)
     loss = bce_loss(p, y, clamp_stats)
 
     delta = (p - y) / n_e              # dL/dlogits
-    dv = delta @ params.E              # dL/dv
-    grad_E = np.outer(delta, v)        # every entity as a candidate tail
-    du = dv * m3 if m3 is not None else dv
-    dB = np.outer(a, du)
-    dM = dB * m2 if m2 is not None else dB
-    da = B @ du
-    if m1 is not None:
-        da = da * m1
-    grad_E[h] += da
-    grad_R = np.zeros_like(params.R)
-    grad_R[r] = np.einsum("pqj,pj->q", params.G, dM)
-    grad_G = np.einsum("pj,q->pqj", dM, params.R[r])
-    return loss, {"E": grad_E, "R": grad_R, "G": grad_G}
-
-
-# --- baselines ---
-
-def _complex_halves(row: np.ndarray):
-    d = row.shape[-1] // 2
-    return row[..., :d], row[..., d:]
-
-
-def score_baseline(params: BaselineParams, h: int, r: int, t: int) -> float:
-    """Scalar plausibility score; higher means more plausible.
-
-    transe: -||e_h + w_r - e_t||_2; distmult: sum(e_h * w_r * e_t);
-    complex: Re(sum(e_h * w_r * conj(e_t))) over paired real/imag halves.
-    """
-    if not 0 <= h < params.n_entities or not 0 <= t < params.n_entities:
-        raise IndexError("entity id out of range")
-    if not 0 <= r < params.n_relations:
-        raise IndexError("relation id out of range")
-    if params.variant == "distmult":
-        # Grouped (e_h * e_t) first so the score is bit-exactly symmetric in h, t.
-        return float(np.sum(params.E[h] * params.E[t] * params.R[r]))
-    return float(_baseline_all_tails(params, h, r)[t])
-
-
-def _baseline_all_tails(params: BaselineParams, h: int, r: int) -> np.ndarray:
-    if not 0 <= h < params.n_entities:
-        raise IndexError("entity id out of range")
-    if not 0 <= r < params.n_relations:
-        raise IndexError("relation id out of range")
-    e_h, w_r, E = params.E[h], params.R[r], params.E
-    if params.variant == "transe":
-        diff = (e_h + w_r)[None, :] - E
-        return -np.sqrt(np.sum(diff * diff, axis=1))
-    if params.variant == "distmult":
-        return E @ (e_h * w_r)
-    h_re, h_im = _complex_halves(e_h)
-    r_re, r_im = _complex_halves(w_r)
-    E_re, E_im = _complex_halves(E)
-    hr_re = h_re * r_re - h_im * r_im
-    hr_im = h_re * r_im + h_im * r_re
-    return E_re @ hr_re + E_im @ hr_im
-
-
-def _baseline_loss_and_grads(params: BaselineParams, h: int, r: int, y,
-                             clamp_stats: ClampStats | None = None):
-    y = np.asarray(y, dtype=np.float64)
-    n_e = params.n_entities
-    if y.shape != (n_e,):
-        raise ValueError(f"label vector must have length {n_e}")
-    logits = _baseline_all_tails(params, h, r)
-    p = predict_sigmoid(logits)
-    loss = bce_loss(p, y, clamp_stats)
-    delta = (p - y) / n_e
-    grad_E = np.zeros_like(params.E)
-    grad_R = np.zeros_like(params.R)
-    e_h, w_r, E = params.E[h], params.R[r], params.E
-
-    if params.variant == "transe":
-        diff = (e_h + w_r)[None, :] - E
-        norms = np.sqrt(np.sum(diff * diff, axis=1))
-        unit = diff / np.maximum(norms, 1e-12)[:, None]
-        grad_E += delta[:, None] * unit          # tails
-        pull = -(delta[:, None] * unit).sum(axis=0)
-        grad_E[h] += pull
-        grad_R[r] = pull
-    elif params.variant == "distmult":
-        q = e_h * w_r
-        grad_E += np.outer(delta, q)
-        dq = delta @ E
-        grad_E[h] += dq * w_r
-        grad_R[r] = dq * e_h
+    if params.model == "transe":
+        # d logit_t / d e_t = (q - e_t) / ||q - e_t|| = -d logit_t / dq
+        unit = (q[None, :] - params.E) / np.maximum(-logits, 1e-12)[:, None]
+        grad_E = delta[:, None] * unit  # every entity as a candidate tail
+        dq = -grad_E.sum(axis=0)
     else:
-        d = params.E.shape[1] // 2
-        h_re, h_im = _complex_halves(e_h)
-        r_re, r_im = _complex_halves(w_r)
-        E_re, E_im = _complex_halves(E)
-        hr_re = h_re * r_re - h_im * r_im
-        hr_im = h_re * r_im + h_im * r_re
-        grad_E[:, :d] += np.outer(delta, hr_re)
-        grad_E[:, d:] += np.outer(delta, hr_im)
-        g_re = delta @ E_re
-        g_im = delta @ E_im
-        grad_E[h, :d] += g_re * r_re + g_im * r_im
-        grad_E[h, d:] += -g_re * r_im + g_im * r_re
-        grad_R[r, :d] = g_re * h_re + g_im * h_im
-        grad_R[r, d:] = -g_re * h_im + g_im * h_re
-    return loss, {"E": grad_E, "R": grad_R}
+        grad_E = np.outer(delta, q)
+        dq = delta @ params.E
+    d_head, d_relation, d_core = backward(dq)
+    grad_E[h] += d_head
+    grad_R = np.zeros_like(params.R)
+    grad_R[r] = d_relation
+    # zip stops at the model's blocks, so a baseline drops the (None) core.
+    return loss, dict(zip(block_names(params.model), (grad_E, grad_R, d_core)))
+
+
+grad_tucker = loss_and_grads

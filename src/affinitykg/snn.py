@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from affinitykg.evaluator import check_mode
 from affinitykg.kg import KnowledgeGraph
-from affinitykg.models import TuckerParams, relation_matrix
+from affinitykg.models import ModelParams, relation_matrix
 from affinitykg.util import format_float
 
 
@@ -61,7 +62,7 @@ def neighbors_near_deciles(kg: KnowledgeGraph, entity: int, decile: int,
     return out
 
 
-def transform_embeddings(params: TuckerParams, relation_id: int) -> np.ndarray:
+def transform_embeddings(params: ModelParams, relation_id: int) -> np.ndarray:
     """Every entity row mapped through the relation matrix: row e -> e M_r.
 
     Row h of the result dotted with the raw row of t reproduces the model
@@ -135,6 +136,7 @@ class SNNReport:
 
 def select_hits(records, cutoff: int = 10, mode: str = "filtered") -> list:
     """Distinct fold triples whose rank in either direction is within cutoff."""
+    check_mode(mode)
     hits = []
     seen = set()
     for rec in records:
@@ -150,7 +152,7 @@ def _decile_of_label(label: str) -> int:
     return int(label[1:])
 
 
-def analyze_predictions(params: TuckerParams, kg: KnowledgeGraph, hits,
+def analyze_predictions(params: ModelParams, kg: KnowledgeGraph, hits,
                         knn_k: int = 50, tau: float = 0.0) -> SNNReport:
     """SNN per source for each hit (h, r, t), aggregated per decile.
 
@@ -158,6 +160,8 @@ def analyze_predictions(params: TuckerParams, kg: KnowledgeGraph, hits,
     SNN exceeds tau, else embedding-grounded when the embedding SNN exceeds
     tau, else unexplained. Per decile the three fractions sum to one.
     """
+    if np.isnan(tau):
+        raise ValueError("snn tau must be a number, got nan")
     report = SNNReport(knn_k=knn_k, tau=tau)
     if not hits:
         return report
@@ -233,7 +237,7 @@ def parse_relation_matrix_csv(text: str) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def export_relation_heatmaps(params: TuckerParams, kg: KnowledgeGraph, out_dir: str) -> dict:
+def export_relation_heatmaps(params: ModelParams, kg: KnowledgeGraph, out_dir: str) -> dict:
     """Write relmat_d<k>.csv per base decile; returns label -> asymmetry index."""
     import os
 

@@ -39,6 +39,8 @@ class PopulationSpec:
             raise ValueError("intra_bias must lie in [0, 1]")
         if self.n_individuals < 1:
             raise ValueError("n_individuals must be positive")
+        if not 0.0 <= self.ses_noise < np.inf:
+            raise ValueError(f"ses_noise must be finite and non-negative, got {self.ses_noise}")
 
 
 def _surname(community: int, index: int) -> str:

@@ -27,11 +27,9 @@ from affinitykg import models
 from affinitykg.errors import ConsistencyError
 from affinitykg.kg import KnowledgeGraph, add_reciprocals
 from affinitykg.models import (
-    BaselineParams,
     ClampStats,
     DropoutSpec,
-    TuckerParams,
-    init_baseline,
+    ModelParams,
     init_params,
     loss_and_grads,
     sample_masks,
@@ -65,7 +63,7 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 < self.decay_rate <= 1.0:
             raise ValueError("decay_rate must lie in (0, 1]")
-        if self.model not in ("tucker",) + models.BASELINE_VARIANTS:
+        if self.model not in models.MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
@@ -124,12 +122,6 @@ def group_queries(train_triples: np.ndarray):
     ]
 
 
-def _init_for(config: TrainConfig, n_entities: int, n_relations: int):
-    if config.model == "tucker":
-        return init_params(n_entities, n_relations, config.d_e, config.d_r, config.seed)
-    return init_baseline(config.model, n_entities, n_relations, config.d_e, config.seed)
-
-
 def train_epoch(kg_train, params, state: AdamState, config: TrainConfig,
                 rng: np.random.Generator, lr: float | None = None,
                 groups=None, clamp_stats: ClampStats | None = None) -> float:
@@ -147,7 +139,8 @@ def train_epoch(kg_train, params, state: AdamState, config: TrainConfig,
         lr = config.learning_rate
     n_e = params.n_entities
     order = rng.permutation(len(groups))
-    use_dropout = config.model == "tucker" and config.dropout.active
+    # Only a query through a core has dropout sites.
+    use_dropout = params.G is not None and config.dropout.active
     total_loss = 0.0
     for start in range(0, len(order), config.batch_size):
         batch = order[start:start + config.batch_size]
@@ -190,7 +183,8 @@ def fit(kg: KnowledgeGraph, config: TrainConfig) -> TrainResult:
     rate is multiplied by decay_rate after every epoch.
     """
     aug = kg if kg.has_reciprocals else add_reciprocals(kg)
-    params = _init_for(config, aug.n_entities, aug.n_relations)
+    params = init_params(aug.n_entities, aug.n_relations, config.d_e, config.d_r,
+                         config.seed, config.model)
     state = AdamState.for_params(params)
     groups = group_queries(aug.train)
     clamp_stats = ClampStats()
@@ -331,12 +325,15 @@ def load_checkpoint(directory: str):
     """Returns (params, adam_state, meta dict)."""
     with open(os.path.join(directory, META_FILE), "r", encoding="utf-8") as fh:
         meta = json.load(fh)
-    shapes = {name: tuple(shape) for name, shape in meta["blocks"].items()}
-    blocks = {name: _read_block(directory, name, shape) for name, shape in shapes.items()}
-    if meta["model"] == "tucker":
-        params = TuckerParams(blocks["E"], blocks["R"], blocks["G"])
-    else:
-        params = BaselineParams(meta["model"], blocks["E"], blocks["R"])
+    model, blocks = meta.get("model"), meta.get("blocks") or {}
+    if model not in models.MODELS:
+        raise ConsistencyError(f"{directory}: unknown model {model!r} in {META_FILE}")
+    if sorted(blocks) != sorted(models.block_names(model)):
+        raise ConsistencyError(f"{directory}: {META_FILE} lists blocks {sorted(blocks)}, "
+                               f"but {model} has {sorted(models.block_names(model))}")
+    shapes = {name: tuple(shape) for name, shape in blocks.items()}
+    params = ModelParams(model, **{name: _read_block(directory, name, shape)
+                                   for name, shape in shapes.items()})
     state = AdamState(
         m={name: _read_block(directory, f"adam_m_{name}", shape) for name, shape in shapes.items()},
         v={name: _read_block(directory, f"adam_v_{name}", shape) for name, shape in shapes.items()},

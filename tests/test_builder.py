@@ -234,13 +234,6 @@ class TestBuildPipeline:
         _, report = build(records)
         assert sum(report.decile_fractions.values()) == pytest.approx(1.0)
 
-    def test_rare_filter_order_configurable(self):
-        records, _ = generate_population(PopulationSpec(seed=8, n_individuals=5000))
-        after = build(records, BuilderConfig(rare_filter_order="after_mateos"))
-        before = build(records, BuilderConfig(rare_filter_order="before_mateos"))
-        # Both orders are valid pipelines over the same population.
-        assert after[1].n_nodes > 0 and before[1].n_nodes > 0
-
     def test_filter_stages_idempotent(self):
         records, _ = generate_population(PopulationSpec(seed=10, n_individuals=5000))
         from affinitykg.builder import assign_deciles, normalize_ses, quantile_boundaries
@@ -259,8 +252,11 @@ class TestBuildPipeline:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BuilderConfig(k_security=1.0)
+
+    @pytest.mark.parametrize("noise", [float("nan"), -0.5, float("inf")])
+    def test_population_rejects_bad_ses_noise(self, noise):
         with pytest.raises(ValueError):
-            BuilderConfig(rare_filter_order="never")
+            PopulationSpec(ses_noise=noise)
 
 
 class TestRecordsCsv:
@@ -283,6 +279,14 @@ class TestRecordsCsv:
         with pytest.raises(ParseError) as err:
             read_records_csv(str(path))
         assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("ses", ["nan", "inf", "-inf"])
+    def test_non_finite_ses_reports_line(self, tmp_path, ses):
+        path = tmp_path / "records.csv"
+        path.write_text(f"paternal,maternal,ses,block\nperez,soto,1.5,b1\nruiz,diaz,{ses},b2\n")
+        with pytest.raises(ParseError) as err:
+            read_records_csv(str(path))
+        assert err.value.line_no == 3
 
     def test_surnames_casefolded(self, tmp_path):
         path = tmp_path / "records.csv"

@@ -141,6 +141,29 @@ class TestEvaluateAnalyzeExport:
             "decile,snn_grounded,snn_near,snn_embedding,frac_network_grounded,n_hits"
         )
 
+    def test_checkpoint_meta_without_core_exits_3(self, pipeline, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        for name in os.listdir(pipeline["ckpt"]):
+            (ckpt / name).write_bytes((pipeline["ckpt"] / name).read_bytes())
+        meta = json.loads((ckpt / "meta.json").read_text())
+        del meta["blocks"]["G"]
+        (ckpt / "meta.json").write_text(json.dumps(meta))
+        assert run(["evaluate", "--checkpoint", ckpt, "--data", pipeline["data"],
+                    "--out", tmp_path / "out"]) == 3
+        assert "blocks" in capsys.readouterr().err
+
+    def test_misspelled_eval_mode_exits_2(self, pipeline, tmp_path, capsys):
+        assert run(["evaluate", "--checkpoint", pipeline["ckpt"], "--data", pipeline["data"],
+                    "--out", tmp_path / "out", "--set", "eval.mode=filterd"]) == 2
+        assert "eval.mode" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_nan_snn_tau_exits_2(self, pipeline, tmp_path):
+        assert run(["analyze", "--checkpoint", pipeline["ckpt"], "--data", pipeline["data"],
+                    "--out", tmp_path / "out", "--set", "snn.tau=nan"]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_export_heatmaps_one_per_decile(self, pipeline, tmp_path):
         out = tmp_path / "maps"
         assert run(["export-heatmaps", "--checkpoint", pipeline["ckpt"],
@@ -157,6 +180,17 @@ class TestConfigHandling:
     def test_bad_value_exits_2(self, tmp_path):
         assert run(["gen-synthetic", "--out", tmp_path,
                     "--set", "synth.individuals=many"]) == 2
+
+    @pytest.mark.parametrize("noise", ["nan", "-1"])
+    def test_bad_ses_noise_exits_2(self, tmp_path, noise):
+        assert run(["gen-synthetic", "--out", tmp_path / "out",
+                    "--set", f"synth.ses_noise={noise}"]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_removed_rare_filter_order_key_exits_2(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("builder.rare_filter_order=after_mateos\n")
+        assert run(["gen-synthetic", "--config", cfg, "--out", tmp_path / "out"]) == 2
 
     def test_config_file_and_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -219,7 +253,6 @@ SECTION_VALUES = {
     "builder.min_occurrences": ("7", "min_occurrences", 7),
     "builder.kcore_k": ("3", "kcore_k", 3),
     "builder.n_deciles": ("5", "n_deciles", 5),
-    "builder.rare_filter_order": ("before_mateos", "rare_filter_order", "before_mateos"),
     "train.model": ("distmult", "model", "distmult"),
     "train.epochs": ("17", "epochs", 17),
     "train.batch_size": ("33", "batch_size", 33),

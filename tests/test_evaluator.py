@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from affinitykg.errors import ConsistencyError
 from affinitykg.evaluator import (
+    RankRecord,
     compute_ranks,
     evaluate,
     hits_at,
@@ -19,7 +20,7 @@ from affinitykg.evaluator import (
     summarize,
 )
 from affinitykg.kg import KnownTrueSet
-from affinitykg.models import TuckerParams, init_params
+from affinitykg.models import ModelParams, init_params
 from affinitykg.synthetic import two_block_kg
 
 
@@ -92,6 +93,18 @@ class TestRankOfTarget:
             assert filtered <= raw
 
 
+class TestModes:
+    def test_misspelled_mode_rejected(self):
+        record = RankRecord(0, 0, 1, "tail", raw_rank=5, filtered_rank=2)
+        assert record.rank("filtered") == 2 and record.rank("raw") == 5
+        with pytest.raises(ValueError):
+            record.rank("filterd")
+        with pytest.raises(ValueError):
+            summarize([record], mode="filterd")
+        with pytest.raises(ValueError):
+            rank_of_target([0.0, 1.0], 0, mode="filterd")
+
+
 class TestHitsAndMrr:
     def test_hand_counts(self):
         ranks = [1, 4, 12]
@@ -135,7 +148,7 @@ def perfect_params(kg):
         for h in range(n_e):
             for t in known.tails_of(h, r):
                 G[h, r, t] = 1.0
-    return TuckerParams(E, R, G)
+    return ModelParams("tucker", E, R, G)
 
 
 class TestEvaluate:

@@ -6,6 +6,7 @@ import pytest
 from affinitykg.models import (
     ClampStats,
     DropoutSpec,
+    ModelParams,
     bce_loss,
     grad_tucker,
     init_baseline,
@@ -348,4 +349,71 @@ class TestBaselines:
             params = init_baseline(variant, 9, 2, 4, seed=7)
             scores = score_all_tails(params, 3, 1)
             for t in range(9):
-                assert scores[t] == pytest.approx(score_baseline(params, 3, 1, t), abs=1e-12)
+                expected = baseline_oracle(variant, params, 3, 1, t)
+                assert scores[t] == pytest.approx(expected, abs=1e-12)
+                assert score_baseline(params, 3, 1, t) == pytest.approx(expected, abs=1e-12)
+
+    def test_complex_oracle_sees_imaginary_parts(self):
+        # A purely imaginary relation rotates the head by 90 degrees: (a i)(b i) = -ab.
+        params = init_baseline("complex", 2, 1, 2, seed=0)
+        params.E[:] = [[0.0, 1.0], [-1.0, 0.0]]
+        params.R[:] = [[0.0, 1.0]]
+        assert baseline_oracle("complex", params, 0, 0, 1) == pytest.approx(1.0)
+        assert score_all_tails(params, 0, 0)[1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("variant", ["transe", "distmult", "complex"])
+    def test_gradients_carry_no_core(self, variant):
+        params = init_baseline(variant, 6, 2, 4, seed=1)
+        _, grads = loss_and_grads(params, 0, 1, random_labels(np.random.default_rng(2), 6))
+        assert sorted(grads) == ["E", "R"]
+        assert params.G is None and sorted(params.param_blocks()) == ["E", "R"]
+
+
+def baseline_oracle(variant, params, h, r, t):
+    """Per-tail loops with Python floats and complex numbers, no numpy kernels."""
+    e_h, w_r, e_t = (list(map(float, row)) for row in (params.E[h], params.R[r], params.E[t]))
+    if variant == "transe":
+        return -sum((a + b - c) ** 2 for a, b, c in zip(e_h, w_r, e_t)) ** 0.5
+    if variant == "distmult":
+        return sum(a * b * c for a, b, c in zip(e_h, w_r, e_t))
+    d = len(e_h) // 2
+
+    def cx(row):
+        return [complex(row[k], row[d + k]) for k in range(d)]
+
+    return sum(a * b * c.conjugate() for a, b, c in zip(cx(e_h), cx(w_r), cx(e_t))).real
+
+
+class TestModelParams:
+    def test_core_required_for_tucker_only(self):
+        E, R = np.zeros((3, 2)), np.zeros((2, 2))
+        with pytest.raises(ValueError):
+            ModelParams("tucker", E, R)
+        with pytest.raises(ValueError):
+            ModelParams("transe", E, R, np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError):
+            ModelParams("rescal", E, R)
+
+    def test_shapes_validated(self):
+        with pytest.raises(ValueError):
+            ModelParams("tucker", np.zeros((3, 2)), np.zeros((2, 1)), np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError):
+            ModelParams("distmult", np.zeros((3, 2)), np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            ModelParams("complex", np.zeros((3, 3)), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("model", ["tucker", "transe", "distmult", "complex"])
+    def test_copy_is_independent(self, model):
+        params = init_params(5, 2, 4, 3, seed=0, model=model)
+        twin = params.copy()
+        assert twin.model == model and twin.param_blocks().keys() == params.param_blocks().keys()
+        for name, arr in twin.param_blocks().items():
+            np.testing.assert_array_equal(arr, params.param_blocks()[name])
+            arr += 1.0
+            assert not np.array_equal(arr, params.param_blocks()[name])
+
+    def test_init_baseline_matches_init_params(self):
+        a = init_baseline("transe", 7, 3, 4, seed=11)
+        b = init_params(7, 3, 4, 99, seed=11, model="transe")
+        for name, arr in a.param_blocks().items():
+            np.testing.assert_array_equal(arr, b.param_blocks()[name])

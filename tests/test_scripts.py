@@ -1,0 +1,37 @@
+"""Smoke runs of the example scripts as separate processes."""
+
+import os
+import re
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_script(name, *args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_run_pipeline_prints_metrics(tmp_path):
+    done = run_script("run_pipeline.py", "--workdir", str(tmp_path / "run"),
+                      "--individuals", "4000", "--epochs", "2", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert re.search(r"^link prediction:  hits@1=[\d.]+  hits@3=[\d.]+  hits@10=[\d.]+  "
+                     r"MRR=[\d.]+$", done.stdout, re.MULTILINE)
+    assert re.search(r"^decile +\d+: +\d+ hits, SNN grounded=", done.stdout, re.MULTILINE)
+    for stage in ("gen", "net", "data", "ckpt", "eval", "snn", "heatmaps"):
+        assert (tmp_path / "run" / stage / "effective_config.cfg").exists()
+
+
+def test_grid_demo_prints_every_cell(tmp_path):
+    done = run_script("grid_demo.py", "--epochs", "1", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("sweeping 8 cells on ")
+    assert [int(re.match(r"#(\d+): d_r=", line).group(1)) for line in lines[1:]] == list(
+        range(1, 9))
+    assert all(" val MRR=" in line for line in lines[1:])

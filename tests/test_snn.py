@@ -195,6 +195,15 @@ class TestAnalyzePredictions:
         report = analyze_predictions(self.params, self.kg, [])
         assert report.deciles == []
 
+    def test_nan_tau_rejected(self):
+        hits = [(int(h), int(r), int(t)) for h, r, t in self.kg.test[:3]]
+        with pytest.raises(ValueError):
+            analyze_predictions(self.params, self.kg, hits, tau=float("nan"))
+
+    def test_select_hits_rejects_unknown_mode(self):
+        with pytest.raises(ValueError):
+            select_hits([], cutoff=10, mode="filterd")
+
     def test_fractions_partition_hits(self):
         hits = [(int(h), int(r), int(t)) for h, r, t in self.kg.test]
         report = analyze_predictions(self.params, self.kg, hits, knn_k=10)

@@ -1,11 +1,13 @@
 """Optimizer, training loop, early stopping, grid search, checkpoints."""
 
 import dataclasses
+import json
 import os
 
 import numpy as np
 import pytest
 
+from affinitykg.errors import ConsistencyError
 from affinitykg.kg import add_reciprocals, from_label_triples
 from affinitykg.models import DropoutSpec, init_params
 from affinitykg.synthetic import two_block_kg
@@ -262,6 +264,38 @@ class TestCheckpoint:
         for name, arr in result.params.param_blocks().items():
             np.testing.assert_array_equal(arr, params.param_blocks()[name])
         assert meta["model"] == "tucker"
+
+    @pytest.mark.parametrize("model", ["tucker", "transe", "distmult", "complex"])
+    def test_every_model_round_trips(self, tmp_path, model):
+        kg = two_block_kg(seed=9)
+        config = TrainConfig(epochs=2, d_e=6, d_r=3, seed=2, eval_every=1, patience=5,
+                             model=model)
+        result = fit(kg, config)
+        save_checkpoint(str(tmp_path / "ck"), result.params, result.adam_state, config,
+                        result.best_epoch, {}, {})
+        params, state, meta = load_checkpoint(str(tmp_path / "ck"))
+        assert params.model == meta["model"] == model
+        assert params.param_blocks().keys() == result.params.param_blocks().keys()
+        for name, arr in result.params.param_blocks().items():
+            np.testing.assert_array_equal(arr, params.param_blocks()[name])
+            np.testing.assert_array_equal(result.adam_state.m[name], state.m[name])
+            np.testing.assert_array_equal(result.adam_state.v[name], state.v[name])
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta["blocks"].pop("G"),
+        lambda meta: meta["blocks"].update(X=[1]),
+        lambda meta: meta.update(model="rescal"),
+        lambda meta: meta.update(model="transe"),
+    ], ids=["missing-core", "extra-block", "unknown-model", "wrong-model"])
+    def test_bad_meta_is_a_consistency_error(self, tmp_path, edit):
+        params = init_params(5, 2, 4, 3, seed=0)
+        save_checkpoint(str(tmp_path), params, AdamState.for_params(params),
+                        TrainConfig(), 0, {}, {})
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        edit(meta)
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ConsistencyError):
+            load_checkpoint(str(tmp_path))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
