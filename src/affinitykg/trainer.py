@@ -1,13 +1,15 @@
 """Adam optimization, epoch orchestration, grid search, and checkpoints.
 
 Training groups the (reciprocal-augmented) triples by (head, relation) query;
-batch_size counts queries, not raw triples. One Adam update is applied per
-batch with gradients summed in a fixed order, so a fixed seed reproduces the
-parameter trajectory bit for bit.
+batch_size counts queries, not raw triples. Each batch goes through one
+batched forward/backward (models.batch_loss_and_grads), which sums the
+gradients of its queries with GEMMs in a fixed order; one Adam update is then
+applied in place. A fixed seed reproduces the parameter trajectory bit for bit.
 
 RNG discipline: fit derives one generator per epoch as
 default_rng([seed, epoch]); within an epoch that stream is consumed first by
 the batch shuffle, then by the per-query dropout masks, in iteration order.
+Batching does not change it: each query still draws its own masks.
 
 Checkpoint layout: a directory holding meta.json plus one raw little-endian
 float64 array per parameter block (E.bin, R.bin, G.bin) and per Adam moment
@@ -30,8 +32,8 @@ from affinitykg.models import (
     ClampStats,
     DropoutSpec,
     ModelParams,
+    batch_loss_and_grads,
     init_params,
-    loss_and_grads,
     sample_masks,
     smooth_labels,
 )
@@ -88,7 +90,11 @@ class AdamState:
 
 def adam_step(params, grads: dict, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """One bias-corrected Adam update, in place over the parameter blocks."""
+    """One bias-corrected Adam update, in place over the parameter blocks.
+
+    Each block needs two scratch buffers of its size; the operations run in
+    the order of the textbook formula, so the result is the same bit for bit.
+    """
     state.step += 1
     t = state.step
     for name, arr in params.param_blocks().items():
@@ -97,13 +103,18 @@ def adam_step(params, grads: dict, state: AdamState, lr: float,
             raise ValueError(f"gradient for {name} has shape {g.shape}, expected {arr.shape}")
         m = state.m[name]
         v = state.v[name]
+        a, b = np.empty_like(arr), np.empty_like(arr)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(g, 1.0 - beta1, out=a)
         v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        arr -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        v += np.multiply(np.multiply(g, g, out=a), 1.0 - beta2, out=a)
+        np.divide(m, 1.0 - beta1 ** t, out=a)   # m_hat
+        a *= lr
+        np.divide(v, 1.0 - beta2 ** t, out=b)   # v_hat
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        arr -= a
     return params, state
 
 
@@ -137,28 +148,26 @@ def train_epoch(kg_train, params, state: AdamState, config: TrainConfig,
         raise ValueError("empty training set")
     if lr is None:
         lr = config.learning_rate
-    n_e = params.n_entities
+    heads = np.array([h for h, _, _ in groups], dtype=np.int64)
+    relations = np.array([r for _, r, _ in groups], dtype=np.int64)
     order = rng.permutation(len(groups))
     # Only a query through a core has dropout sites.
-    use_dropout = params.G is not None and config.dropout.active
+    draw_masks = None
+    if params.G is not None and config.dropout.active:
+        def draw_masks():
+            return sample_masks(config.dropout, params.d_e, rng)
     total_loss = 0.0
     for start in range(0, len(order), config.batch_size):
         batch = order[start:start + config.batch_size]
-        summed: dict = {}
-        for gi in batch:
-            h, r, tails = groups[gi]
-            y = np.zeros(n_e)
-            y[tails] = 1.0
-            y = smooth_labels(y, config.label_smoothing)
-            masks = sample_masks(config.dropout, params.d_e, rng) if use_dropout else None
-            loss, grads = loss_and_grads(params, h, r, y, masks, clamp_stats)
+        Y = np.zeros((len(batch), params.n_entities))
+        for row, gi in zip(Y, batch):
+            row[groups[gi][2]] = 1.0
+        Y = smooth_labels(Y, config.label_smoothing)
+        losses, grads = batch_loss_and_grads(params, heads[batch], relations[batch], Y,
+                                             draw_masks, clamp_stats)
+        for loss in losses.tolist():
             total_loss += loss
-            for name, g in grads.items():
-                if name in summed:
-                    summed[name] += g
-                else:
-                    summed[name] = g
-        adam_step(params, summed, state, lr,
+        adam_step(params, grads, state, lr,
                   config.adam_beta1, config.adam_beta2, config.adam_eps)
     return total_loss / len(groups)
 
@@ -178,9 +187,12 @@ class TrainResult:
 def fit(kg: KnowledgeGraph, config: TrainConfig) -> TrainResult:
     """Train on the augmented training fold with periodic validation.
 
-    Keeps the parameters with the best validation MRR (filtered); stops early
-    once `patience` consecutive evaluations fail to improve it. The learning
-    rate is multiplied by decay_rate after every epoch.
+    Validates every `eval_every` epochs, and after the last epoch if no
+    validation has run by then. Keeps the parameters with the best validation
+    MRR (filtered); stops early once `patience` consecutive evaluations fail
+    to improve it. The learning rate is multiplied by decay_rate after every
+    epoch. Each log record counts the probabilities the loss clamped in its
+    epoch.
     """
     aug = kg if kg.has_reciprocals else add_reciprocals(kg)
     params = init_params(aug.n_entities, aug.n_relations, config.d_e, config.d_r,
@@ -198,14 +210,19 @@ def fit(kg: KnowledgeGraph, config: TrainConfig) -> TrainResult:
     lr = config.learning_rate
     epochs_run = 0
     has_validation = len(kg.valid) > 0
+    validated = False
 
     for epoch in range(config.epochs):
         rng = np.random.default_rng([config.seed, epoch])
+        clamped_before = clamp_stats.count
         loss = train_epoch(aug, params, state, config, rng, lr=lr,
                            groups=groups, clamp_stats=clamp_stats)
-        record = {"epoch": epoch, "loss": loss, "lr": lr}
+        record = {"epoch": epoch, "loss": loss, "lr": lr,
+                  "clamped": clamp_stats.count - clamped_before}
         epochs_run = epoch + 1
-        if has_validation and (epoch + 1) % config.eval_every == 0:
+        if has_validation and (epochs_run % config.eval_every == 0
+                               or (epochs_run == config.epochs and not validated)):
+            validated = True
             report = evalmod.evaluate(params, kg, fold="valid")
             record["val_mrr"] = report.mrr
             if report.mrr > best_mrr:
@@ -216,11 +233,9 @@ def fit(kg: KnowledgeGraph, config: TrainConfig) -> TrainResult:
                 bad_evals = 0
             else:
                 bad_evals += 1
-            log.append(record)
-            if bad_evals > config.patience:
-                break
-        else:
-            log.append(record)
+        log.append(record)
+        if bad_evals > config.patience:
+            break
         lr *= config.decay_rate
 
     if best_epoch < 0:
@@ -261,16 +276,18 @@ class GridCell:
 def grid_search(kg: KnowledgeGraph, grid: GridSpec, base: TrainConfig) -> list:
     """Full Cartesian sweep, every cell trained with the base seed.
 
-    Returns cells sorted by validation MRR (descending), ties broken by
-    hits@1 then by grid order.
+    Every cell is validated at least once, so the sweep needs a non-empty
+    validation fold and at least one epoch. Returns cells sorted by
+    validation MRR (descending), ties broken by hits@1 then by grid order.
     """
+    if len(kg.valid) == 0 or base.epochs < 1:
+        raise ValueError("grid search needs a non-empty validation fold and train.epochs >= 1")
     results = []
     for cell in grid.cells():
         config = replace(base, d_r=cell["d_r"], d_e=cell["d_e"], dropout=cell["dropout"])
         outcome = fit(kg, config)
-        hits1 = outcome.best_val_report.hits1 if outcome.best_val_report else 0.0
-        mrr = outcome.best_val_mrr if np.isfinite(outcome.best_val_mrr) else 0.0
-        results.append(GridCell(config, mrr, hits1, outcome.best_epoch, outcome.epochs_run))
+        results.append(GridCell(config, outcome.best_val_mrr, outcome.best_val_report.hits1,
+                                outcome.best_epoch, outcome.epochs_run))
     results.sort(key=lambda c: (-c.val_mrr, -c.val_hits1))
     return results
 

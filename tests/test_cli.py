@@ -104,7 +104,28 @@ class TestSplitAndTrain:
     def test_log_records_loss_and_lr(self, pipeline):
         lines = (pipeline["ckpt"] / "log.jsonl").read_text().strip().split("\n")
         first = json.loads(lines[0])
-        assert {"epoch", "loss", "lr"} <= set(first)
+        assert {"epoch", "loss", "lr", "clamped"} <= set(first)
+
+    def test_log_counts_clamped_probabilities(self, pipeline, tmp_path):
+        def clamped(log_dir):
+            lines = (log_dir / "log.jsonl").read_text().splitlines()
+            return [json.loads(line)["clamped"] for line in lines]
+
+        assert clamped(pipeline["ckpt"]) == [0] * 6
+        assert run(["train", "--data", pipeline["data"], "--out", tmp_path, "--seed", 3,
+                    *FAST_TRAIN, "--set", "train.learning_rate=1e6"]) == 0
+        assert sum(clamped(tmp_path)) > 0
+
+    def test_grid_search_without_validation_fold_exits_2(self, pipeline, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run(["split", "--triples", pipeline["net"] / "triples.tsv", "--out", data,
+                    "--seed", 3, "--set", "split.valid_size=0",
+                    "--set", "split.test_size=100"]) == 0
+        assert run(["grid-search", "--data", data, "--out", tmp_path / "grid",
+                    "--set", "train.epochs=1", "--set", "grid.d_e=8", "--set", "grid.d_r=4",
+                    "--set", "grid.dropout_input=0.5", "--set", "grid.dropout_relation=0.2",
+                    "--set", "grid.dropout_combination=0.2"]) == 2
+        assert "validation fold" in capsys.readouterr().err
 
 
 class TestEvaluateAnalyzeExport:

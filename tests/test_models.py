@@ -7,6 +7,7 @@ from affinitykg.models import (
     ClampStats,
     DropoutSpec,
     ModelParams,
+    batch_loss_and_grads,
     bce_loss,
     grad_tucker,
     init_baseline,
@@ -417,3 +418,129 @@ class TestModelParams:
         b = init_params(7, 3, 4, 99, seed=11, model="transe")
         for name, arr in a.param_blocks().items():
             np.testing.assert_array_equal(arr, b.param_blocks()[name])
+
+
+def per_query_reference(params, h, r, y, masks=None):
+    """One query's loss and dense gradients, written out directly per model.
+
+    Independent of the batched head: the relation matrix is an einsum, the
+    TransE tail gradient uses explicit unit vectors, and ComplEx uses numpy
+    complex arithmetic.
+    """
+    E, R, n_e = params.E, params.R, params.n_entities
+    grads = {name: np.zeros_like(arr) for name, arr in params.param_blocks().items()}
+    if params.model == "tucker":
+        m1, m2, m3 = ((masks.entity, masks.relation_core, masks.combination)
+                      if masks is not None else (1.0, 1.0, 1.0))
+        a = E[h] * m1
+        B = np.einsum("pqj,q->pj", params.G, R[r]) * m2
+        q = (a @ B) * m3
+    elif params.model == "transe":
+        q = E[h] + R[r]
+    elif params.model == "distmult":
+        q = E[h] * R[r]
+    else:
+        d = params.d_e // 2
+        e_c, w_c = E[h, :d] + 1j * E[h, d:], R[r, :d] + 1j * R[r, d:]
+        q_c = e_c * w_c
+        q = np.concatenate([q_c.real, q_c.imag])
+    if params.model == "transe":
+        dist = np.linalg.norm(q - E, axis=1)
+        logits = -dist
+    else:
+        logits = E @ q
+    p = 1.0 / (1.0 + np.exp(-logits))
+    loss = -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+    delta = (p - y) / n_e
+    if params.model == "transe":
+        tail = delta[:, None] * (q - E) / dist[:, None]
+        dq = -tail.sum(axis=0)
+    else:
+        tail = np.outer(delta, q)
+        dq = delta @ E
+    grads["E"] += tail
+    if params.model == "tucker":
+        du = dq * m3
+        dM = np.outer(a, du) * m2
+        grads["E"][h] += (B @ du) * m1
+        grads["R"][r] += np.einsum("pqj,pj->q", params.G, dM)
+        grads["G"] += np.einsum("pj,q->pqj", dM, R[r])
+    elif params.model == "transe":
+        grads["E"][h] += dq
+        grads["R"][r] += dq
+    elif params.model == "distmult":
+        grads["E"][h] += dq * R[r]
+        grads["R"][r] += dq * E[h]
+    else:
+        dq_c = dq[:d] + 1j * dq[d:]
+        for block, row, other in (("E", h, w_c), ("R", r, e_c)):
+            g = dq_c * np.conj(other)
+            grads[block][row] += np.concatenate([g.real, g.imag])
+    return loss, grads
+
+
+# Repeated heads, repeated relations and one repeated (head, relation) pair.
+BATCH_HEADS = [3, 3, 5, 0, 3, 7, 5]
+BATCH_RELATIONS = [1, 1, 2, 1, 0, 2, 0]
+
+
+def batch_case(model, seed=0):
+    """Parameters, a labelled batch and (for Tucker) one dropout draw per query."""
+    rng = np.random.default_rng(seed)
+    params = init_params(9, 3, 6, 4, seed=seed, model=model)
+    Y = np.stack([random_labels(rng, 9, n_pos=2) for _ in BATCH_HEADS])
+    masks = ([sample_masks(DropoutSpec(0.5, 0.2, 0.2), params.d_e, rng) for _ in BATCH_HEADS]
+             if model == "tucker" else None)
+    return params, Y, masks
+
+
+def run_batch(params, hs, rs, Y, masks):
+    draw = iter(masks).__next__ if masks is not None else None
+    return batch_loss_and_grads(params, hs, rs, Y, draw)
+
+
+class TestBatchedHead:
+    @pytest.mark.parametrize("model", ["tucker", "transe", "distmult", "complex"])
+    def test_matches_per_query_reference(self, model):
+        params, Y, masks = batch_case(model)
+        losses, grads = run_batch(params, BATCH_HEADS, BATCH_RELATIONS, Y, masks)
+        ref_loss = 0.0
+        ref = {name: np.zeros_like(arr) for name, arr in params.param_blocks().items()}
+        for i, (h, r) in enumerate(zip(BATCH_HEADS, BATCH_RELATIONS)):
+            loss, g = per_query_reference(params, h, r, Y[i], masks[i] if masks else None)
+            assert losses[i] == pytest.approx(loss, rel=1e-12)
+            ref_loss += loss
+            for name in ref:
+                ref[name] += g[name]
+        assert losses.sum() == pytest.approx(ref_loss, rel=1e-12)
+        assert grads.keys() == ref.keys()
+        for name, g in grads.items():
+            rel = np.max(np.abs(g - ref[name])) / np.max(np.abs(ref[name]))
+            assert rel <= 1e-12, f"block {name}: relative error {rel}"
+
+    @pytest.mark.parametrize("model", ["tucker", "transe", "distmult", "complex"])
+    def test_matches_finite_differences_with_a_repeated_head(self, model):
+        params, Y, masks = batch_case(model, seed=1)
+        hs, rs = [2, 2, 4, 2, 1], [0, 1, 1, 0, 2]
+        Y, masks = Y[:5], masks[:5] if masks else None
+        _, grads = run_batch(params, hs, rs, Y, masks)
+        numeric = finite_difference_grads(
+            lambda: run_batch(params, hs, rs, Y, masks)[0].sum(), params)
+        assert_grads_close(grads, numeric)
+
+    def test_one_query_case_is_loss_and_grads(self):
+        params, Y, masks = batch_case("tucker")
+        losses, grads = run_batch(params, BATCH_HEADS[:1], BATCH_RELATIONS[:1], Y[:1], masks)
+        loss, single = loss_and_grads(params, BATCH_HEADS[0], BATCH_RELATIONS[0], Y[0], masks[0])
+        assert loss == losses[0]
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, single[name])
+
+    def test_bad_batch_shapes_rejected(self):
+        params, Y, _ = batch_case("distmult")
+        with pytest.raises(ValueError):
+            batch_loss_and_grads(params, [0, 1], [0], Y[:2])
+        with pytest.raises(ValueError):
+            batch_loss_and_grads(params, [0, 1], [0, 1], Y[:3])
+        with pytest.raises(IndexError):
+            batch_loss_and_grads(params, [0, 9], [0, 1], Y[:2])

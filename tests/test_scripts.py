@@ -34,4 +34,7 @@ def test_grid_demo_prints_every_cell(tmp_path):
     assert lines[0].startswith("sweeping 8 cells on ")
     assert [int(re.match(r"#(\d+): d_r=", line).group(1)) for line in lines[1:]] == list(
         range(1, 9))
-    assert all(" val MRR=" in line for line in lines[1:])
+    # One epoch is below eval_every, so each cell is validated after its last epoch.
+    cells = [re.search(r" val MRR=([\d.]+) .*\(best epoch (\d+)\)$", line) for line in lines[1:]]
+    assert all(cells), lines
+    assert all(float(cell.group(1)) > 0.0 and cell.group(2) == "0" for cell in cells)

@@ -3,13 +3,15 @@
 import dataclasses
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from affinitykg import models
 from affinitykg.errors import ConsistencyError
 from affinitykg.kg import add_reciprocals, from_label_triples
-from affinitykg.models import DropoutSpec, init_params
+from affinitykg.models import DropoutSpec, init_params, sample_masks
 from affinitykg.synthetic import two_block_kg
 from affinitykg.trainer import (
     AdamState,
@@ -73,6 +75,26 @@ class TestAdamStep:
         state = AdamState.for_params(params)
         with pytest.raises(ValueError):
             adam_step(params, {"x": np.zeros(4)}, state, lr=0.1)
+
+    def test_in_place_update_matches_the_formula(self):
+        rng = np.random.default_rng(3)
+        shape = (7, 5)
+        params = VecParams(rng.normal(size=shape))
+        state = AdamState.for_params(params)
+        x, m, v = params.x.copy(), np.zeros(shape), np.zeros(shape)
+        lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
+        for t in range(1, 31):
+            # Magnitudes from 1e-8 to 1e2, both signs.
+            g = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8, 2, size=shape)
+            adam_step(params, {"x": g}, state, lr, beta1, beta2, eps)
+            m = beta1 * m + (1.0 - beta1) * g
+            v = beta2 * v + (1.0 - beta2) * (g * g)
+            m_hat = m / (1.0 - beta1 ** t)
+            v_hat = v / (1.0 - beta2 ** t)
+            x = x - lr * m_hat / (np.sqrt(v_hat) + eps)
+            np.testing.assert_array_equal(params.x, x)
+            np.testing.assert_array_equal(state.m["x"], m)
+            np.testing.assert_array_equal(state.v["x"], v)
 
     def test_state_shapes_mirror_params(self):
         params = init_params(7, 4, 3, 2, seed=0)
@@ -155,6 +177,48 @@ class TestTrainEpoch:
             train_epoch(np.empty((0, 3), dtype=np.int64), params, state, config,
                         np.random.default_rng(0))
 
+    @pytest.mark.parametrize("model", ["tucker", "transe"])
+    def test_rng_stream_is_shuffle_then_masks_in_iteration_order(self, model):
+        kg = add_reciprocals(two_block_kg(seed=0, valid_size=0, test_size=0))
+        config = TrainConfig(d_e=6, d_r=3, batch_size=16, model=model)
+        params = init_params(kg.n_entities, kg.n_relations, config.d_e, config.d_r, 0, model)
+        rng = np.random.default_rng(11)
+        train_epoch(kg, params, AdamState.for_params(params), config, rng)
+        reference = np.random.default_rng(11)
+        groups = group_queries(kg.train)
+        reference.permutation(len(groups))
+        if model == "tucker":  # only a query through a core draws masks
+            for _ in groups:
+                sample_masks(config.dropout, config.d_e, reference)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_epoch_contracts_relation_matrices_per_batch_not_per_query(self, monkeypatch):
+        def per_query_contraction(*args):
+            raise AssertionError("relation_matrix called during training")
+
+        monkeypatch.setattr(models, "relation_matrix", per_query_contraction)
+        kg = add_reciprocals(two_block_kg(seed=0, valid_size=0, test_size=0))
+        config = TrainConfig(d_e=6, d_r=3)
+        params = init_params(kg.n_entities, kg.n_relations, config.d_e, config.d_r, 0)
+        train_epoch(kg, params, AdamState.for_params(params), config, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("model,d_e,limit_mb", [
+        ("tucker", 200, 24), ("transe", 32, 2), ("distmult", 32, 2), ("complex", 32, 2)])
+    def test_traced_memory_of_one_epoch(self, model, d_e, limit_mb):
+        # A batch must not build a (B, d_e, d_e) mask stack or a (B, n_e, d_e)
+        # TransE difference tensor; either would exceed these limits.
+        kg = add_reciprocals(two_block_kg(seed=404))
+        config = TrainConfig(d_e=d_e, d_r=10, model=model)
+        params = init_params(kg.n_entities, kg.n_relations, d_e, 10, 0, model)
+        state = AdamState.for_params(params)
+        tracemalloc.start()
+        try:
+            train_epoch(kg, params, state, config, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mb * 1e6
+
     def test_group_queries_collapses_tails(self):
         triples = np.array([[0, 0, 1], [0, 0, 2], [1, 0, 2]])
         groups = group_queries(triples)
@@ -194,6 +258,14 @@ class TestFit:
         lrs = [rec["lr"] for rec in result.log]
         assert lrs == [0.005, 0.0025, 0.00125, 0.000625]
 
+    def test_validates_after_the_last_epoch_when_eval_every_is_not_reached(self):
+        kg = two_block_kg(seed=3)
+        config = TrainConfig(epochs=2, d_e=8, d_r=4, seed=0, eval_every=10)
+        result = fit(kg, config)
+        assert ["val_mrr" in rec for rec in result.log] == [False, True]
+        assert result.best_epoch == 1 and result.best_val_mrr > 0.0
+        assert result.best_val_report is not None
+
     def test_fit_deterministic(self):
         kg = two_block_kg(seed=4)
         config = TrainConfig(epochs=12, d_e=8, d_r=4, seed=9, eval_every=5, patience=10)
@@ -226,6 +298,14 @@ class TestGridSearch:
         assert fast[0].val_mrr > slow[0].val_mrr
         merged = sorted(fast + slow, key=lambda c: -c.val_mrr)
         assert merged[0].config.learning_rate == 0.005
+
+    def test_needs_a_validation_fold_and_an_epoch(self):
+        grid = GridSpec(d_r=(4,), d_e=(8,), dropout_input=(0.5,),
+                        dropout_relation=(0.2,), dropout_combination=(0.2,))
+        with pytest.raises(ValueError):
+            grid_search(two_block_kg(seed=5, valid_size=0), grid, TrainConfig(epochs=2))
+        with pytest.raises(ValueError):
+            grid_search(two_block_kg(seed=5), grid, TrainConfig(epochs=0))
 
     def test_reference_cell_representable(self):
         grid = GridSpec()
