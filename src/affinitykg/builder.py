@@ -11,6 +11,7 @@ under random pairing, so surviving edges indicate genuine affinity.
 
 import csv
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -19,6 +20,9 @@ import numpy as np
 from affinitykg.errors import ParseError
 
 RECORDS_HEADER = ["paternal", "maternal", "ses", "block"]
+# A label triples.tsv cannot carry: the file is TAB-separated, one triple per
+# line, and a line starting with '#' is a comment.
+_UNSTORABLE_LABEL = re.compile(r"^#|[\t\r\n]")
 
 
 @dataclass(frozen=True)
@@ -83,8 +87,13 @@ class BuildReport:
 
 
 def read_records_csv(path: str) -> list[IndividualRecord]:
-    """Load `paternal,maternal,ses,block` rows; surnames are case-folded."""
+    """Load `paternal,maternal,ses,block` rows; surnames are case-folded.
+
+    A surname that triples.tsv could not carry (see _UNSTORABLE_LABEL) is a
+    ParseError naming its line.
+    """
     records = []
+    storable = set()  # surnames already checked against _UNSTORABLE_LABEL
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -94,8 +103,15 @@ def read_records_csv(path: str) -> list[IndividualRecord]:
             if len(row) != 4:
                 raise ParseError(f"expected 4 fields, got {len(row)}", n, path)
             paternal, maternal, ses, block = row
-            if not paternal.strip() or not maternal.strip():
+            paternal, maternal = paternal.strip().casefold(), maternal.strip().casefold()
+            if not paternal or not maternal:
                 raise ParseError("empty surname", n, path)
+            if paternal not in storable or maternal not in storable:
+                for surname in (paternal, maternal):
+                    if _UNSTORABLE_LABEL.search(surname):
+                        raise ParseError(f"surname {surname!r} starts with '#' or contains "
+                                         "TAB, CR or LF", n, path)
+                storable.update((paternal, maternal))
             try:
                 ses_value = float(ses)
             except ValueError:
@@ -103,8 +119,7 @@ def read_records_csv(path: str) -> list[IndividualRecord]:
             if not math.isfinite(ses_value):
                 raise ParseError(f"non-finite SES value {ses!r}", n, path)
             records.append(
-                IndividualRecord(paternal.strip().casefold(), maternal.strip().casefold(),
-                                 ses_value, block.strip())
+                IndividualRecord(paternal, maternal, ses_value, block.strip())
             )
     return records
 
@@ -160,7 +175,10 @@ def count_pairs(records, deciles) -> PairTable:
         if record.maternal != record.paternal:
             n_s[record.maternal] += 1
             pair = (min(record.paternal, record.maternal), max(record.paternal, record.maternal))
-            weights.setdefault(pair, Counter())[int(decile)] += 1
+            by_decile = weights.get(pair)
+            if by_decile is None:
+                by_decile = weights[pair] = Counter()
+            by_decile[int(decile)] += 1
     return PairTable(weights=weights, n_s=dict(n_s), n_total=len(records))
 
 

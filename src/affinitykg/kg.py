@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from affinitykg.errors import ParseError
+from affinitykg.errors import ConsistencyError, ParseError
 from affinitykg.util import atomic_write_text, sha256_text
 
 RECIPROCAL_SUFFIX = "_inv"
@@ -307,4 +307,30 @@ def load_kg_dir(directory: str, undirected: bool = True) -> KnowledgeGraph:
                 except KeyError as missing:
                     raise ParseError(f"label {missing} not in vocabulary", n, path) from None
         folds[fold] = np.array(rows, dtype=np.int64).reshape(-1, 3)
-    return KnowledgeGraph(entities, relations, folds["train"], folds["valid"], folds["test"], undirected)
+    kg = KnowledgeGraph(entities, relations, folds["train"], folds["valid"], folds["test"], undirected)
+    check_disjoint_folds(kg)
+    return kg
+
+
+def check_disjoint_folds(kg: KnowledgeGraph) -> None:
+    """Raise ConsistencyError when a valid or test triple is also in train, or
+    valid and test share a triple; undirected triples match in either orientation.
+    """
+    def keys(rows: np.ndarray) -> list:
+        h, r, t = rows.T
+        if kg.undirected:
+            h, t = np.minimum(h, t), np.maximum(h, t)
+        return ((h * kg.n_relations + r) * kg.n_entities + t).tolist()
+
+    # Python sets, not np.isin: its first call grows peak RSS by ~2 MB.
+    earlier = {"train": set(keys(kg.train))}
+    for fold in ("valid", "test"):
+        fold_keys = keys(getattr(kg, fold))
+        for other, other_keys in earlier.items():
+            for i, key in enumerate(fold_keys):
+                if key in other_keys:
+                    h, r, t = getattr(kg, fold)[i]
+                    labels = (kg.entities.label_of(h), kg.relations.label_of(r),
+                              kg.entities.label_of(t))
+                    raise ConsistencyError(f"{fold} triple {labels} is also in the {other} fold")
+        earlier[fold] = set(fold_keys)

@@ -195,11 +195,13 @@ MODELS = ("tucker",) + tuple(_BASELINES)
 
 # --- shared 1:N head ---
 
-def _query(params: ModelParams, h: int, r: int, masks: DropoutMasks | None) -> np.ndarray:
+def _query(params: ModelParams, h: int, r: int, masks: DropoutMasks | None,
+           M: np.ndarray | None = None) -> np.ndarray:
     if not (0 <= h < params.n_entities and 0 <= r < params.n_relations):
         raise IndexError(f"entity {h} or relation {r} out of range")
     if params.G is not None:
-        return _tucker_forward(params.E[h], relation_matrix(params, r), masks)[2]
+        M = relation_matrix(params, r) if M is None else M
+        return _tucker_forward(params.E[h], M, masks)[2]
     return _BASELINES[params.model][0](params.E[h], params.R[r])
 
 
@@ -220,9 +222,14 @@ def _logits(params: ModelParams, q: np.ndarray) -> np.ndarray:
 
 
 def score_all_tails(params: ModelParams, h: int, r: int,
-                    masks: DropoutMasks | None = None) -> np.ndarray:
-    """Logits of (h, r, t) for every entity t, sharing one dropout mask."""
-    return _logits(params, _query(params, h, r, masks))
+                    masks: DropoutMasks | None = None,
+                    M: np.ndarray | None = None) -> np.ndarray:
+    """Logits of (h, r, t) for every entity t, sharing one dropout mask.
+
+    M, when given, is relation_matrix(params, r), contracted once by a caller
+    that scores many queries on r; the baselines ignore it.
+    """
+    return _logits(params, _query(params, h, r, masks, M))
 
 
 def score_tucker(params: ModelParams, h: int, r: int, t: int,

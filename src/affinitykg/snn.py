@@ -10,7 +10,8 @@ A hit counts as network-grounded when the empirical sources share at least one
 neighbor (SNN above the threshold tau, default 0); otherwise it counts as
 embedding-grounded when the kNN sets overlap; otherwise it is unexplained.
 Neighborhoods use the training fold only, so the predicted edge itself never
-leaks into its own explanation.
+leaks into its own explanation. They are read from one (decile, entity)
+adjacency index built in a single pass over the training fold.
 """
 
 from dataclasses import dataclass, field
@@ -32,34 +33,49 @@ def snn(a, b) -> float:
     return len(a & b) / len(union)
 
 
+def decile_adjacency(kg: KnowledgeGraph, deciles) -> dict:
+    """Training-fold adjacency of the given deciles, from one pass over kg.train.
+
+    Maps (decile, entity) to the set of entities joined to it by a d<decile>
+    training edge. A decile label absent from the relation vocabulary has no
+    edges, and no entity is its own neighbor.
+    """
+    rids = {kg.relations.id_of(f"d{d}"): d for d in deciles if f"d{d}" in kg.relations}
+    wanted = np.array(list(rids), dtype=np.int64)
+    rows = kg.train[(kg.train[:, 1:2] == wanted).any(axis=1)]
+    index: dict = {}
+    for h, r, t in rows.tolist():
+        if h != t:
+            index.setdefault((rids[r], h), set()).add(t)
+            index.setdefault((rids[r], t), set()).add(h)
+    return index
+
+
+def _near_deciles(decile: int, n_deciles: int) -> list:
+    return [d for d in (decile - 1, decile, decile + 1) if 1 <= d <= n_deciles]
+
+
+def _neighbors(index: dict, entity: int, deciles) -> set:
+    """Union of the entity's neighbors over the deciles of a decile_adjacency index."""
+    out = set()
+    for d in deciles:
+        out |= index.get((d, entity), set())
+    return out
+
+
 def neighbors_grounded(kg: KnowledgeGraph, entity: int, decile: int) -> set:
     """Training-fold neighbors of `entity` through relation d<decile>.
 
     A decile label absent from the relation vocabulary has no edges.
     """
-    if f"d{decile}" not in kg.relations:
-        return set()
-    rid = kg.relations.id_of(f"d{decile}")
-    out = set()
-    for h, r, t in kg.train:
-        if r != rid:
-            continue
-        if h == entity:
-            out.add(int(t))
-        elif t == entity:
-            out.add(int(h))
-    out.discard(entity)
-    return out
+    return _neighbors(decile_adjacency(kg, [decile]), entity, [decile])
 
 
 def neighbors_near_deciles(kg: KnowledgeGraph, entity: int, decile: int,
                            n_deciles: int = 10) -> set:
     """Union of grounded neighbors over the decile and its two nearest deciles."""
-    out = set()
-    for d in (decile - 1, decile, decile + 1):
-        if 1 <= d <= n_deciles:
-            out |= neighbors_grounded(kg, entity, d)
-    return out
+    near = _near_deciles(decile, n_deciles)
+    return _neighbors(decile_adjacency(kg, near), entity, near)
 
 
 def transform_embeddings(params: ModelParams, relation_id: int) -> np.ndarray:
@@ -177,14 +193,14 @@ def analyze_predictions(params: ModelParams, kg: KnowledgeGraph, hits,
             knn_cache[key] = knn_embedding(transforms[rid], entity, knn_k)
         return knn_cache[key]
 
+    hit_deciles = [_decile_of_label(kg.relations.label_of(r)) for _, r, _ in hits]
+    near_of = {d: _near_deciles(d, n_deciles) for d in hit_deciles}
+    index = decile_adjacency(kg, set(near_of).union(*near_of.values()))
+
     rows: dict[int, list] = {}
-    for h, r, t in hits:
-        decile = _decile_of_label(kg.relations.label_of(r))
-        grounded = snn(neighbors_grounded(kg, h, decile), neighbors_grounded(kg, t, decile))
-        near = snn(
-            neighbors_near_deciles(kg, h, decile, n_deciles),
-            neighbors_near_deciles(kg, t, decile, n_deciles),
-        )
+    for (h, r, t), decile in zip(hits, hit_deciles):
+        grounded = snn(_neighbors(index, h, [decile]), _neighbors(index, t, [decile]))
+        near = snn(_neighbors(index, h, near_of[decile]), _neighbors(index, t, near_of[decile]))
         embedding = snn(knn_of(r, h), knn_of(r, t))
         if grounded > tau or near > tau:
             klass = "network"

@@ -1,9 +1,12 @@
 """Affinity-builder stages against brute-force recounts and a peeling oracle."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from affinitykg.builder import (
+    RECORDS_HEADER,
     BuilderConfig,
     IndividualRecord,
     assign_deciles,
@@ -293,3 +296,19 @@ class TestRecordsCsv:
         path.write_text("paternal,maternal,ses,block\nPerez,SOTO,1.5,b1\n")
         back = read_records_csv(str(path))
         assert back[0].paternal == "perez" and back[0].maternal == "soto"
+
+    @pytest.mark.parametrize("surname", ["#perez", "  #Perez", "pe\tz", "pe\rz", "pe\nz"])
+    def test_unstorable_surname_reports_line(self, tmp_path, surname):
+        path = tmp_path / "records.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerows([RECORDS_HEADER, ["ruiz", "diaz", "1.5", "b1"],
+                              ["soto", surname, "2.5", "b1"]])
+        with pytest.raises(ParseError) as err:
+            read_records_csv(str(path))
+        assert err.value.line_no == 3
+
+    def test_inner_hash_accepted(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("paternal,maternal,ses,block\nper#ez,soto,1.5,b1\n")
+        assert read_records_csv(str(path))[0].paternal == "per#ez"

@@ -1,12 +1,18 @@
 """End-to-end command-line pipeline: exit codes, artifacts, determinism."""
 
+import csv
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from affinitykg import builder, synthetic, trainer
+from affinitykg import kg as kgmod
 from affinitykg.cli import CONFIG_KEYS, build_parser, main
+from affinitykg.errors import ParseError
 
 FAST_TRAIN = [
     "--set", "train.epochs=6",
@@ -150,6 +156,19 @@ class TestEvaluateAnalyzeExport:
         assert run(["evaluate", "--checkpoint", pipeline["ckpt"],
                     "--data", other_data, "--out", tmp_path / "out"]) == 3
 
+    def test_leaky_split_exits_3(self, pipeline, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in os.listdir(pipeline["data"]):
+            (data / name).write_bytes((pipeline["data"] / name).read_bytes())
+        leaked = (data / "train.tsv").read_text().splitlines()[0]
+        with open(data / "test.tsv", "a", encoding="utf-8") as fh:
+            fh.write(leaked + "\n")
+        assert run(["evaluate", "--checkpoint", pipeline["ckpt"],
+                    "--data", data, "--out", tmp_path / "out"]) == 3
+        assert "test triple" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_analyze_outputs(self, pipeline, tmp_path):
         out = tmp_path / "snn"
         assert run(["analyze", "--checkpoint", pipeline["ckpt"],
@@ -192,6 +211,59 @@ class TestEvaluateAnalyzeExport:
         files = sorted(f for f in os.listdir(out) if f.startswith("relmat_"))
         assert len(files) == 10
         assert (out / "asymmetry.json").exists()
+
+
+# Surnames mixing the characters triples.tsv gives meaning to with arbitrary text.
+surname = st.text(st.one_of(st.sampled_from("#\t\r\n ,\"ab"), st.characters()),
+                  min_size=1, max_size=6)
+# Plain pairs: one random pair alone would miss the co-occurrence threshold,
+# and the split needs more triples than its two evaluation folds.
+FILLER = [("filler-a", "filler-b"), ("filler-c", "filler-d"), ("filler-e", "filler-f")]
+KEEP_ALL = {"k_security": 1.0001, "min_occurrences": 0, "kcore_k": 0, "n_deciles": 2}
+
+
+def write_records(path, pairs):
+    """Three bearers of each pair, each with its own SES value."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(builder.RECORDS_HEADER)
+        for i, (paternal, maternal) in enumerate(pairs):
+            for k in range(3):
+                writer.writerow([paternal, maternal, 3 * i + k, "b"])
+
+
+class TestLabelRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(surname, min_size=2, max_size=8))
+    def test_accepted_labels_survive_build_split_load(self, names):
+        """A surname read_records_csv rejects is a ParseError naming its line;
+        the triples built from the accepted ones come back out of the split
+        directory unchanged."""
+        with tempfile.TemporaryDirectory() as tmp:
+            records_csv = os.path.join(tmp, "records.csv")
+            accepted = []
+            for name in names:
+                write_records(records_csv, [(name, "filler-a")])
+                try:
+                    builder.read_records_csv(records_csv)
+                    accepted.append(name)
+                except ParseError as err:
+                    assert err.line_no == 2
+                    event("a surname rejected")
+            write_records(records_csv, list(zip(accepted[::2], accepted[1::2])) + FILLER)
+            built, _ = builder.build(builder.read_records_csv(records_csv),
+                                     builder.BuilderConfig(**KEEP_ALL))
+            net, data = os.path.join(tmp, "net"), os.path.join(tmp, "data")
+            sets = [x for key, value in KEEP_ALL.items() for x in ("--set", f"builder.{key}={value}")]
+            assert run(["build-network", "--records", records_csv, "--out", net, *sets]) == 0
+            assert run(["split", "--triples", os.path.join(net, "triples.tsv"), "--out", data,
+                        "--set", "split.valid_size=1", "--set", "split.test_size=1"]) == 0
+            graph = kgmod.load_kg_dir(data)
+            loaded = {(graph.entities.label_of(h), graph.relations.label_of(r),
+                       graph.entities.label_of(t)) for h, r, t in graph.all_triples().tolist()}
+            assert loaded == set(built)
+            random_labels = [x for x in graph.entities.labels if not x.startswith("filler-")]
+            event(f"{len(random_labels)} random surnames round-tripped")
 
 
 class TestConfigHandling:

@@ -1,5 +1,6 @@
 """Ranking metrics against sort-based and exact-arithmetic oracles."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from affinitykg import evaluator, models
 from affinitykg.errors import ConsistencyError
 from affinitykg.evaluator import (
     RankRecord,
@@ -20,7 +22,7 @@ from affinitykg.evaluator import (
     summarize,
 )
 from affinitykg.kg import KnownTrueSet
-from affinitykg.models import ModelParams, init_params
+from affinitykg.models import MODELS, ModelParams, init_params, relation_matrix, score_all_tails
 from affinitykg.synthetic import two_block_kg
 
 
@@ -218,6 +220,44 @@ class TestEvaluate:
         ranks = [rec.filtered_rank for rec in records]
         for k in range(1, 11):
             assert report.hits_per_rank[k - 1] == ranks.count(k)
+
+
+class TestComputeRanksOracle:
+    def setup_method(self):
+        self.kg = two_block_kg(seed=8, n_entities=40, clique_size=6, valid_size=20, test_size=20)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_matches_per_query_scoring(self, model):
+        kg = self.kg
+        params = init_params(kg.n_entities, 2 * kg.n_base_relations, 6, 3, seed=5, model=model)
+        known = KnownTrueSet(kg)
+        n_base = kg.n_base_relations
+        expected = []
+        for h, r, t in kg.test.tolist():
+            for direction, query, rel, target in (("tail", h, r, t), ("head", t, r + n_base, h)):
+                scores = score_all_tails(params, query, rel)
+                filter_set = known.tails_of(query, rel)
+                expected.append(RankRecord(h, r, t, direction,
+                                           rank_oracle(scores, target, filter_set, "raw"),
+                                           rank_oracle(scores, target, filter_set, "filtered")))
+        assert compute_ranks(params, kg) == expected
+
+    def test_one_relation_matrix_per_relation(self, monkeypatch):
+        kg = self.kg
+        params = init_params(kg.n_entities, 2 * kg.n_base_relations, 6, 3, seed=5)
+        calls = Counter()
+
+        def counted(params, r):
+            calls[r] += 1
+            return relation_matrix(params, r)
+
+        monkeypatch.setattr(models, "relation_matrix", counted)
+        monkeypatch.setattr(evaluator, "relation_matrix", counted, raising=False)
+        records = compute_ranks(params, kg)
+        ranked = {rec.r + (kg.n_base_relations if rec.direction == "head" else 0)
+                  for rec in records}
+        assert set(calls) == ranked
+        assert max(calls.values()) == 1
 
 
 class TestRandomTopN:

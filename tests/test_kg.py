@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from affinitykg.errors import ParseError
+from affinitykg.errors import ConsistencyError, ParseError
 from affinitykg.kg import (
     KnownTrueSet,
     Triple,
@@ -226,3 +226,26 @@ class TestPersistence:
         (tmp_path / "train.tsv").write_text("a\td1\tzz\n")
         with pytest.raises(ParseError):
             load_kg_dir(str(tmp_path))
+
+    @pytest.mark.parametrize("fold,line,other", [
+        ("valid", "a\td1\tb\n", "train"),
+        ("test", "b\td1\ta\n", "train"),   # the train triple in the other orientation
+        ("test", "c\td2\td\n", "valid"),
+    ])
+    def test_fold_leak_rejected(self, tmp_path, fold, line, other):
+        save_kg_dir(str(tmp_path), small_kg([("a", "d1", "b"), ("c", "d2", "d")]))
+        (tmp_path / "train.tsv").write_text("a\td1\tb\n")
+        (tmp_path / "valid.tsv").write_text("c\td2\td\n")
+        load_kg_dir(str(tmp_path))  # disjoint folds load
+        with open(tmp_path / f"{fold}.tsv", "a") as fh:
+            fh.write(line)
+        with pytest.raises(ConsistencyError) as err:
+            load_kg_dir(str(tmp_path))
+        assert f"{fold} triple" in str(err.value) and f"{other} fold" in str(err.value)
+        assert repr(tuple(line.rstrip("\n").split("\t"))) in str(err.value)
+
+    def test_directed_reverse_is_not_a_leak(self, tmp_path):
+        kg = small_kg([("a", "d1", "b")], undirected=False)
+        save_kg_dir(str(tmp_path), kg)
+        (tmp_path / "test.tsv").write_text("b\td1\ta\n")
+        assert len(load_kg_dir(str(tmp_path), undirected=False).test) == 1

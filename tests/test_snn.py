@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from affinitykg.kg import from_label_triples
+from affinitykg.cli import main as cli_main
+from affinitykg.kg import KnowledgeGraph, Vocab, from_label_triples, load_kg_dir
 from affinitykg.models import init_params, score_tucker
 from affinitykg.snn import (
     analyze_predictions,
@@ -51,6 +52,25 @@ class TestSnn:
         assert 0.0 <= value <= 1.0
         if a and a == b:
             assert value == 1.0
+
+
+def scan_grounded(kg, entity, decile):
+    """Brute-force oracle: rescan every training row."""
+    if f"d{decile}" not in kg.relations:
+        return set()
+    rid = kg.relations.id_of(f"d{decile}")
+    out = {t if h == entity else h for h, r, t in kg.train.tolist()
+           if r == rid and entity in (h, t)}
+    out.discard(entity)
+    return out
+
+
+def scan_near(kg, entity, decile, n_deciles):
+    out = set()
+    for d in (decile - 1, decile, decile + 1):
+        if 1 <= d <= n_deciles:
+            out |= scan_grounded(kg, entity, d)
+    return out
 
 
 def star_kg():
@@ -105,14 +125,74 @@ class TestNeighborSets:
         for _ in range(50):
             entity = int(rng.integers(kg.n_entities))
             decile = int(rng.integers(1, 11))
-            rid = kg.relations.id_of(f"d{decile}")
-            expected = set()
-            for h, r, t in kg.train:
-                if r == rid and h == entity:
-                    expected.add(int(t))
-                if r == rid and t == entity:
-                    expected.add(int(h))
-            assert neighbors_grounded(kg, entity, decile) == expected
+            assert neighbors_grounded(kg, entity, decile) == scan_grounded(kg, entity, decile)
+
+
+@st.composite
+def decile_graphs(draw):
+    """Small graphs whose relation vocabulary leaves some decile labels out
+    (and may hold a non-decile label), with self-loops allowed."""
+    n_e = draw(st.integers(2, 8))
+    labels = draw(st.lists(st.sampled_from(["d1", "d2", "d3", "d4", "d5", "x"]),
+                           min_size=1, max_size=5, unique=True))
+    rows = draw(st.lists(st.tuples(st.integers(0, n_e - 1), st.integers(0, len(labels) - 1),
+                                   st.integers(0, n_e - 1)), max_size=30))
+    empty = np.empty((0, 3), dtype=np.int64)
+    return KnowledgeGraph(Vocab([f"e{i}" for i in range(n_e)]), Vocab(labels),
+                          np.array(rows, dtype=np.int64).reshape(-1, 3), empty, empty)
+
+
+class TestAdjacencyIndex:
+    @given(decile_graphs(), st.integers(1, 6))
+    def test_matches_rescan_oracle(self, kg, n_deciles):
+        for entity in range(kg.n_entities):
+            for decile in range(0, 8):
+                assert neighbors_grounded(kg, entity, decile) == scan_grounded(kg, entity, decile)
+                assert (neighbors_near_deciles(kg, entity, decile, n_deciles)
+                        == scan_near(kg, entity, decile, n_deciles))
+
+    def test_analyze_matches_per_hit_oracle(self, tmp_path):
+        gen, net, data = tmp_path / "gen", tmp_path / "net", tmp_path / "data"
+        assert cli_main(["gen-synthetic", "--out", str(gen), "--seed", "8",
+                         "--set", "synth.individuals=4000",
+                         "--set", "synth.surnames_per_community=75"]) == 0
+        assert cli_main(["build-network", "--records", str(gen / "records.csv"),
+                         "--out", str(net)]) == 0
+        assert cli_main(["split", "--triples", str(net / "triples.tsv"), "--out", str(data),
+                         "--seed", "8", "--set", "split.valid_size=40",
+                         "--set", "split.test_size=60"]) == 0
+        kg = load_kg_dir(str(data))
+        params = init_params(kg.n_entities, 2 * kg.n_base_relations, 8, 4, seed=8)
+        hits = [(h, r, t) for h, r, t in kg.test.tolist()]
+        knn_k, n_deciles = 10, kg.n_base_relations
+
+        rows = {}
+        for h, r, t in hits:
+            decile = int(kg.relations.label_of(r)[1:])
+            transformed = transform_embeddings(params, r)
+            grounded = snn(scan_grounded(kg, h, decile), scan_grounded(kg, t, decile))
+            near = snn(scan_near(kg, h, decile, n_deciles), scan_near(kg, t, decile, n_deciles))
+            embedding = snn(knn_embedding(transformed, h, knn_k),
+                            knn_embedding(transformed, t, knn_k))
+            klass = ("network" if grounded > 0 or near > 0
+                     else "embedding" if embedding > 0 else "unexplained")
+            rows.setdefault(decile, []).append((grounded, near, embedding, klass))
+        expected = []
+        for decile, entries in sorted(rows.items()):
+            klasses = [e[3] for e in entries]
+            expected.append({
+                "decile": decile,
+                "n_hits": len(entries),
+                "snn_grounded": float(np.mean([e[0] for e in entries])),
+                "snn_near": float(np.mean([e[1] for e in entries])),
+                "snn_embedding": float(np.mean([e[2] for e in entries])),
+                "frac_network_grounded": klasses.count("network") / len(entries),
+                "frac_embedding_grounded": klasses.count("embedding") / len(entries),
+                "frac_unexplained": klasses.count("unexplained") / len(entries),
+            })
+        report = analyze_predictions(params, kg, hits, knn_k=knn_k)
+        assert len(report.deciles) > 1
+        assert report.to_dict() == {"knn_k": knn_k, "tau": 0.0, "deciles": expected}
 
 
 class TestKnnEmbedding:
