@@ -144,17 +144,8 @@ def quantile_boundaries(normalized, n_deciles: int = 10) -> np.ndarray:
     return boundaries
 
 
-def decile_of(z: float, boundaries) -> int:
-    """Decile 1..n for a normalized score; intervals are [b, b') with the top closed."""
-    boundaries = np.asarray(boundaries, dtype=np.float64)
-    if not np.all(np.diff(boundaries) > 0):
-        raise ValueError("boundaries must be strictly increasing")
-    if z < 0.0 or z > 100.0:
-        raise ValueError(f"normalized score {z} outside [0, 100]")
-    return int(np.searchsorted(boundaries, z, side="right")) + 1
-
-
 def assign_deciles(normalized, boundaries) -> np.ndarray:
+    """Decile 1..n per normalized score; intervals are [b, b') with the top closed."""
     z = np.asarray(normalized, dtype=np.float64)
     if np.any(z < 0.0) or np.any(z > 100.0):
         raise ValueError("normalized scores outside [0, 100]")

@@ -1,8 +1,8 @@
 """Knowledge-graph storage: vocabularies, triple folds, reciprocals, filter sets.
 
-Triples are stored as (head, relation, tail) integer id rows. In undirected
-mode a triple is kept once in canonical form, with the endpoint whose label
-sorts first as the head; direction is re-introduced only by reciprocal
+Triples are stored as (head, relation, tail) integer id rows. The graph is
+undirected: a triple is kept once in canonical form, with the endpoint whose
+label sorts first as the head; direction is re-introduced only by reciprocal
 augmentation at training time.
 
 File format (one triple per line, TAB separated, ``#`` starts a comment)::
@@ -51,13 +51,6 @@ class Vocab:
         return sha256_text("\n".join(self.labels))
 
 
-@dataclass(frozen=True)
-class Triple:
-    h: int
-    r: int
-    t: int
-
-
 @dataclass
 class KnowledgeGraph:
     entities: Vocab
@@ -65,7 +58,6 @@ class KnowledgeGraph:
     train: np.ndarray
     valid: np.ndarray
     test: np.ndarray
-    undirected: bool = True
     # Relation count before reciprocal augmentation; equals len(relations)
     # until add_reciprocals doubles the vocabulary.
     n_base_relations: int = field(default=-1)
@@ -103,14 +95,23 @@ def base_relation(r: int, n_base: int) -> int:
     return r - n_base if r >= n_base else r
 
 
-def canonicalize(triple: Triple, entities: Vocab) -> Triple:
-    """Order the endpoints so the head label sorts first. Idempotent."""
-    if entities.label_of(triple.h) <= entities.label_of(triple.t):
-        return triple
-    return Triple(triple.t, triple.r, triple.h)
+def neighbour_index(rows: np.ndarray, n_base: int) -> dict:
+    """Map (base relation, entity) to the entities joined to it by a row.
+
+    Each row counts in both orientations, and a reciprocal relation id
+    (>= n_base) counts as its base. A self-loop row makes an entity its own
+    neighbour.
+    """
+    heads, relations, tails = rows.T
+    relations = np.where(relations >= n_base, relations - n_base, relations)
+    index: dict[tuple[int, int], set[int]] = {}
+    for h, r, t in zip(heads.tolist(), relations.tolist(), tails.tolist()):
+        index.setdefault((r, h), set()).add(t)
+        index.setdefault((r, t), set()).add(h)
+    return index
 
 
-def from_label_triples(label_triples, undirected: bool = True):
+def from_label_triples(label_triples):
     """Build a KnowledgeGraph from (head, relation, tail) label tuples.
 
     Vocabularies are assigned in first-appearance order (heads and tails both
@@ -127,7 +128,7 @@ def from_label_triples(label_triples, undirected: bool = True):
             raise ParseError("empty label in triple", line_no=n)
         if h_label == t_label:
             raise ParseError(f"self-affinity triple {h_label!r}", line_no=n)
-        if undirected and t_label < h_label:
+        if t_label < h_label:
             h_label, t_label = t_label, h_label
         h = entity_labels.setdefault(h_label, len(entity_labels))
         r = relation_labels.setdefault(r_label, len(relation_labels))
@@ -142,7 +143,7 @@ def from_label_triples(label_triples, undirected: bool = True):
     relations = Vocab(relation_labels)
     train = np.array(rows, dtype=np.int64).reshape(-1, 3)
     empty = np.empty((0, 3), dtype=np.int64)
-    kg = KnowledgeGraph(entities, relations, train, empty.copy(), empty.copy(), undirected)
+    kg = KnowledgeGraph(entities, relations, train, empty.copy(), empty.copy())
     return kg, duplicates
 
 
@@ -159,7 +160,7 @@ def _parse_triple_lines(lines, path=None):
         yield n, tuple(fields)
 
 
-def load_triples(lines, undirected: bool = True, path: str | None = None):
+def load_triples(lines, path: str | None = None):
     """Parse TAB-separated triple lines into a KnowledgeGraph.
 
     Returns (kg, duplicate_count). Malformed lines raise ParseError with the
@@ -170,16 +171,16 @@ def load_triples(lines, undirected: bool = True, path: str | None = None):
             yield fields
 
     try:
-        return from_label_triples(triples(), undirected=undirected)
+        return from_label_triples(triples())
     except ParseError as err:
         if err.line_no is not None and err.path is None and path is not None:
             raise ParseError(str(err), path=path) from err
         raise
 
 
-def load_triples_file(path: str, undirected: bool = True):
+def load_triples_file(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return load_triples(fh, undirected=undirected, path=path)
+        return load_triples(fh, path=path)
 
 
 def split(kg: KnowledgeGraph, valid_size: int, test_size: int, seed: int) -> KnowledgeGraph:
@@ -223,36 +224,19 @@ def add_reciprocals(kg: KnowledgeGraph) -> KnowledgeGraph:
 
 
 class KnownTrueSet:
-    """Membership index over train + valid + test for filtered ranking.
+    """Known neighbours over train + valid + test, for filtered ranking.
 
-    Queries accept reciprocal relation ids (>= n_base_relations) and honour
-    undirected symmetry: for an undirected graph, (a, r, b) known implies
-    (b, r, a) is known too.
+    Queries accept reciprocal relation ids (>= n_base_relations); the graph
+    is undirected, so (a, r, b) known means b is known for (a, r) and a for
+    (b, r).
     """
 
     def __init__(self, kg: KnowledgeGraph):
         self.n_base = kg.n_base_relations
-        self.undirected = kg.undirected
-        fwd: dict[tuple[int, int], set[int]] = {}
-        bwd: dict[tuple[int, int], set[int]] = {}
-        for h, r, t in kg.all_triples().tolist():
-            base = base_relation(r, self.n_base)
-            head, tail = (h, t) if base == r else (t, h)
-            fwd.setdefault((head, base), set()).add(tail)
-            bwd.setdefault((tail, base), set()).add(head)
-        self._fwd = fwd
-        self._bwd = bwd
+        self._index = neighbour_index(kg.all_triples(), self.n_base)
 
     def tails_of(self, entity: int, relation: int) -> frozenset:
-        base = base_relation(relation, self.n_base)
-        known, mirrored = (self._fwd, self._bwd) if base == relation else (self._bwd, self._fwd)
-        out = set(known.get((entity, base), ()))
-        if self.undirected:
-            out |= mirrored.get((entity, base), set())
-        return frozenset(out)
-
-    def contains(self, h: int, r: int, t: int) -> bool:
-        return t in self.tails_of(h, r)
+        return frozenset(self._index.get((base_relation(relation, self.n_base), entity), ()))
 
 
 # --- split-directory persistence (vocab files keep ids stable across loads) ---
@@ -290,7 +274,7 @@ def _read_vocab_file(path: str) -> Vocab:
         return Vocab([line.rstrip("\n") for line in fh if line.rstrip("\n")])
 
 
-def load_kg_dir(directory: str, undirected: bool = True) -> KnowledgeGraph:
+def load_kg_dir(directory: str) -> KnowledgeGraph:
     entities = _read_vocab_file(os.path.join(directory, ENTITIES_FILE))
     relations = _read_vocab_file(os.path.join(directory, RELATIONS_FILE))
     folds = {}
@@ -307,30 +291,40 @@ def load_kg_dir(directory: str, undirected: bool = True) -> KnowledgeGraph:
                 except KeyError as missing:
                     raise ParseError(f"label {missing} not in vocabulary", n, path) from None
         folds[fold] = np.array(rows, dtype=np.int64).reshape(-1, 3)
-    kg = KnowledgeGraph(entities, relations, folds["train"], folds["valid"], folds["test"], undirected)
-    check_disjoint_folds(kg)
+    kg = KnowledgeGraph(entities, relations, folds["train"], folds["valid"], folds["test"])
+    check_folds(kg)
     return kg
 
 
-def check_disjoint_folds(kg: KnowledgeGraph) -> None:
-    """Raise ConsistencyError when a valid or test triple is also in train, or
-    valid and test share a triple; undirected triples match in either orientation.
+def check_folds(kg: KnowledgeGraph) -> None:
+    """Raise ConsistencyError, naming the fold file and the labels, when a fold
+    holds a self-loop or a repeated triple, a valid or test triple is also in
+    train, or valid and test share a triple. Triples match in either orientation.
     """
-    def keys(rows: np.ndarray) -> list:
-        h, r, t = rows.T
-        if kg.undirected:
-            h, t = np.minimum(h, t), np.maximum(h, t)
-        return ((h * kg.n_relations + r) * kg.n_entities + t).tolist()
+    def fail(fold: str, i: int, problem: str):
+        h, r, t = getattr(kg, fold)[i]
+        labels = (kg.entities.label_of(h), kg.relations.label_of(r), kg.entities.label_of(t))
+        raise ConsistencyError(f"{FOLD_FILES[fold]}: {fold} triple {labels} {problem}")
 
     # Python sets, not np.isin: its first call grows peak RSS by ~2 MB.
-    earlier = {"train": set(keys(kg.train))}
-    for fold in ("valid", "test"):
-        fold_keys = keys(getattr(kg, fold))
+    earlier: dict[str, set] = {}
+    for fold in FOLD_FILES:
+        rows = getattr(kg, fold)
+        h, r, t = rows.T
+        loops = np.flatnonzero(h == t)
+        if loops.size:
+            fail(fold, loops[0], "is a self-loop")
+        keys = ((np.minimum(h, t) * kg.n_relations + r) * kg.n_entities
+                + np.maximum(h, t)).tolist()
+        fold_keys = set(keys)
+        if len(fold_keys) < len(keys):
+            seen = set()
+            for i, key in enumerate(keys):
+                if key in seen:
+                    fail(fold, i, "is repeated")
+                seen.add(key)
         for other, other_keys in earlier.items():
-            for i, key in enumerate(fold_keys):
+            for i, key in enumerate(keys):
                 if key in other_keys:
-                    h, r, t = getattr(kg, fold)[i]
-                    labels = (kg.entities.label_of(h), kg.relations.label_of(r),
-                              kg.entities.label_of(t))
-                    raise ConsistencyError(f"{fold} triple {labels} is also in the {other} fold")
-        earlier[fold] = set(fold_keys)
+                    fail(fold, i, f"is also in the {other} fold")
+        earlier[fold] = fold_keys

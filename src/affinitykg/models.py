@@ -24,8 +24,8 @@ Tucker's three dropout sites are worked through one query at a time.
 Dropout applies to the Tucker query at three sites with inverted scaling, so
 inference needs no rescaling: on the head entity row, on the
 relation-transformed core matrix, and on the combined query vector. A sampled
-DropoutMasks object is reused verbatim by the forward and backward passes of
-its query.
+(entity, relation_core, combination) mask tuple is reused verbatim by the
+forward and backward passes of its query.
 """
 
 from dataclasses import asdict, dataclass, replace
@@ -54,16 +54,12 @@ class DropoutSpec:
         return any(rate > 0.0 for rate in self.rates().values())
 
 
-@dataclass
-class DropoutMasks:
-    """Inverted-scaling masks, one per dropout site; None means pass-through."""
-
-    entity: np.ndarray | None = None
-    relation_core: np.ndarray | None = None
-    combination: np.ndarray | None = None
+_NO_MASKS = (None, None, None)
 
 
-def sample_masks(spec: DropoutSpec, d_e: int, rng: np.random.Generator) -> DropoutMasks:
+def sample_masks(spec: DropoutSpec, d_e: int, rng: np.random.Generator) -> tuple:
+    """Inverted-scaling (entity, relation_core, combination) masks, drawn in
+    that order; None means pass-through."""
     def mask(rate, shape):
         if rate <= 0.0:
             return None
@@ -72,11 +68,9 @@ def sample_masks(spec: DropoutSpec, d_e: int, rng: np.random.Generator) -> Dropo
         keep *= 1.0 / (1.0 - rate)
         return keep
 
-    return DropoutMasks(
-        entity=mask(spec.input_rate, d_e),
-        relation_core=mask(spec.after_relation_rate, (d_e, d_e)),
-        combination=mask(spec.after_combination_rate, d_e),
-    )
+    return (mask(spec.input_rate, d_e),
+            mask(spec.after_relation_rate, (d_e, d_e)),
+            mask(spec.after_combination_rate, d_e))
 
 
 def block_names(model: str) -> tuple:
@@ -157,15 +151,9 @@ def relation_matrix(params: ModelParams, r: int) -> np.ndarray:
 
 # --- per-model query vectors ---
 
-def _mask_sites(masks: DropoutMasks | None) -> tuple:
-    if masks is None:
-        return None, None, None
-    return masks.entity, masks.relation_core, masks.combination
-
-
-def _tucker_forward(e_h: np.ndarray, M: np.ndarray, masks: DropoutMasks | None):
+def _tucker_forward(e_h: np.ndarray, M: np.ndarray, masks: tuple | None):
     """Tucker query through its three dropout sites: returns (a, B, q), q = (a B) m3."""
-    m1, m2, m3 = _mask_sites(masks)
+    m1, m2, m3 = masks or _NO_MASKS
     a = e_h if m1 is None else e_h * m1
     B = M if m2 is None else M * m2
     u = a @ B
@@ -195,7 +183,7 @@ MODELS = ("tucker",) + tuple(_BASELINES)
 
 # --- shared 1:N head ---
 
-def _query(params: ModelParams, h: int, r: int, masks: DropoutMasks | None,
+def _query(params: ModelParams, h: int, r: int, masks: tuple | None,
            M: np.ndarray | None = None) -> np.ndarray:
     if not (0 <= h < params.n_entities and 0 <= r < params.n_relations):
         raise IndexError(f"entity {h} or relation {r} out of range")
@@ -222,7 +210,7 @@ def _logits(params: ModelParams, q: np.ndarray) -> np.ndarray:
 
 
 def score_all_tails(params: ModelParams, h: int, r: int,
-                    masks: DropoutMasks | None = None,
+                    masks: tuple | None = None,
                     M: np.ndarray | None = None) -> np.ndarray:
     """Logits of (h, r, t) for every entity t, sharing one dropout mask.
 
@@ -233,25 +221,10 @@ def score_all_tails(params: ModelParams, h: int, r: int,
 
 
 def score_tucker(params: ModelParams, h: int, r: int, t: int,
-                 masks: DropoutMasks | None = None) -> float:
+                 masks: tuple | None = None) -> float:
     if not 0 <= t < params.n_entities:
         raise IndexError("entity id out of range")
     return float(_query(params, h, r, masks) @ params.E[t])
-
-
-def score_baseline(params: ModelParams, h: int, r: int, t: int) -> float:
-    """Scalar plausibility score; higher means more plausible.
-
-    transe: -||e_h + w_r - e_t||_2; distmult: sum(e_h * w_r * e_t);
-    complex: Re(sum(e_h * w_r * conj(e_t))) over paired real/imag halves.
-    """
-    if not 0 <= t < params.n_entities:
-        raise IndexError("entity id out of range")
-    scores = score_all_tails(params, h, r)
-    if params.model == "distmult":
-        # Grouped (e_h * e_t) first so the score is bit-exactly symmetric in h, t.
-        return float(np.sum(params.E[h] * params.E[t] * params.R[r]))
-    return float(scores[t])
 
 
 def predict_sigmoid(logits) -> np.ndarray:
@@ -330,8 +303,8 @@ def _tucker_queries(params: ModelParams, hs, slot, M, head, draw_masks):
     dM = np.empty((params.d_e, params.d_e))
     d_head = np.empty((len(hs), params.d_e))
     for i, (h, k) in enumerate(zip(hs, slot)):
-        masks = draw_masks() if draw_masks is not None else None
-        m1, m2, m3 = _mask_sites(masks)
+        masks = draw_masks() if draw_masks is not None else _NO_MASKS
+        m1, m2, m3 = masks
         a, B, q = _tucker_forward(params.E[h], M[:, k], masks)
         dv = head(slice(i, i + 1), q[None])[0]
         du = dv if m3 is None else dv * m3
@@ -401,7 +374,7 @@ def batch_loss_and_grads(params: ModelParams, hs, rs, Y, draw_masks=None,
 
 
 def loss_and_grads(params: ModelParams, h: int, r: int, y,
-                   masks: DropoutMasks | None = None,
+                   masks: tuple | None = None,
                    clamp_stats: ClampStats | None = None):
     """One (h, r) query of batch_loss_and_grads: returns (loss, grads).
 

@@ -11,7 +11,8 @@ neighbor (SNN above the threshold tau, default 0); otherwise it counts as
 embedding-grounded when the kNN sets overlap; otherwise it is unexplained.
 Neighborhoods use the training fold only, so the predicted edge itself never
 leaks into its own explanation. They are read from one (decile, entity)
-adjacency index built in a single pass over the training fold.
+adjacency index, built by the same kg.neighbour_index that serves filtered
+ranking.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from affinitykg.evaluator import check_mode
-from affinitykg.kg import KnowledgeGraph
+from affinitykg.kg import KnowledgeGraph, neighbour_index
 from affinitykg.models import ModelParams, relation_matrix
 from affinitykg.util import format_float
 
@@ -34,21 +35,17 @@ def snn(a, b) -> float:
 
 
 def decile_adjacency(kg: KnowledgeGraph, deciles) -> dict:
-    """Training-fold adjacency of the given deciles, from one pass over kg.train.
+    """Training-fold adjacency of the given deciles, from kg.neighbour_index.
 
     Maps (decile, entity) to the set of entities joined to it by a d<decile>
     training edge. A decile label absent from the relation vocabulary has no
-    edges, and no entity is its own neighbor.
+    edges.
     """
     rids = {kg.relations.id_of(f"d{d}"): d for d in deciles if f"d{d}" in kg.relations}
     wanted = np.array(list(rids), dtype=np.int64)
     rows = kg.train[(kg.train[:, 1:2] == wanted).any(axis=1)]
-    index: dict = {}
-    for h, r, t in rows.tolist():
-        if h != t:
-            index.setdefault((rids[r], h), set()).add(t)
-            index.setdefault((rids[r], t), set()).add(h)
-    return index
+    return {(rids[r], entity): nbrs
+            for (r, entity), nbrs in neighbour_index(rows, kg.n_base_relations).items()}
 
 
 def _near_deciles(decile: int, n_deciles: int) -> list:
@@ -56,10 +53,12 @@ def _near_deciles(decile: int, n_deciles: int) -> list:
 
 
 def _neighbors(index: dict, entity: int, deciles) -> set:
-    """Union of the entity's neighbors over the deciles of a decile_adjacency index."""
+    """Union of the entity's neighbors over the deciles of a decile_adjacency
+    index; no entity is its own neighbor."""
     out = set()
     for d in deciles:
         out |= index.get((d, entity), set())
+    out.discard(entity)
     return out
 
 

@@ -144,7 +144,7 @@ def two_block_kg(
                 triples.append((a, f"d{d2}", b))
     # Register relations d1..dn in order and every entity (including any
     # leftover isolated ones) before the clique triples fix the vocabulary.
-    graph, _ = kgmod.from_label_triples(triples, undirected=True)
+    graph, _ = kgmod.from_label_triples(triples)
     entity_vocab = kgmod.Vocab(labels)
     relation_vocab = kgmod.Vocab([f"d{d}" for d in range(1, n_deciles + 1)])
     remap_e = np.array([entity_vocab.id_of(lbl) for lbl in graph.entities.labels])

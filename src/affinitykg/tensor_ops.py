@@ -1,9 +1,8 @@
-"""Dense three-way tensor kernel: outer products, mode-n contraction, Tucker entries.
+"""Dense three-way tensor kernel: mode-n contraction and Tucker reconstruction.
 
 Storage convention: plain C-contiguous float64 ``numpy`` arrays, last index
 fastest. Modes are numbered 1..3 to match the product notation (x1 contracts
-the first axis, x3 the last); element indices in the public API are 0-based.
-Everything here is a pure function over its inputs.
+the first axis, x3 the last). Everything here is a pure function over its inputs.
 """
 
 import numpy as np
@@ -24,14 +23,6 @@ def require_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite values")
     return arr
-
-
-def outer_product3(a, b, c) -> np.ndarray:
-    """Rank-one tensor a o b o c with entry (i, j, k) = a_i * b_j * c_k."""
-    a = _as_array(a, 1, "a")
-    b = _as_array(b, 1, "b")
-    c = _as_array(c, 1, "c")
-    return np.einsum("i,j,k->ijk", a, b, c)
 
 
 def mode_n_product(X, U, mode: int) -> np.ndarray:
@@ -69,15 +60,3 @@ def tucker_reconstruct(G, A, B, C) -> np.ndarray:
     out = mode_n_product(G, A, 1)
     out = mode_n_product(out, B, 2)
     return mode_n_product(out, C, 3)
-
-
-def tucker_entry(G, A, B, C, i: int, j: int, k: int) -> float:
-    """Single reconstructed entry: sum_pqr G[p,q,r] * A[i,p] * B[j,q] * C[k,r]."""
-    G = _as_array(G, 3, "G")
-    A = _as_array(A, 2, "A")
-    B = _as_array(B, 2, "B")
-    C = _as_array(C, 2, "C")
-    for idx, factor, name in ((i, A, "i"), (j, B, "j"), (k, C, "k")):
-        if not 0 <= idx < factor.shape[0]:
-            raise IndexError(f"index {name}={idx} out of range [0, {factor.shape[0]})")
-    return float(np.einsum("pqr,p,q,r->", G, A[i], B[j], C[k]))

@@ -59,8 +59,13 @@ class TrainConfig:
     patience: int = 20
 
     def __post_init__(self):
-        if self.learning_rate <= 0 and self.learning_rate != 0.0:
-            raise ValueError("learning_rate must be non-negative")
+        if not 0.0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        for name in ("label_smoothing", "adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not 0.0 < self.adam_eps < np.inf:
+            raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 < self.decay_rate <= 1.0:
@@ -133,21 +138,14 @@ def group_queries(train_triples: np.ndarray):
     ]
 
 
-def train_epoch(kg_train, params, state: AdamState, config: TrainConfig,
-                rng: np.random.Generator, lr: float | None = None,
-                groups=None, clamp_stats: ClampStats | None = None) -> float:
-    """One pass over all (h, r) queries in shuffled batches; returns mean query loss.
-
-    kg_train may be an augmented KnowledgeGraph or a raw (n, 3) triple array;
-    reciprocals must already be applied.
+def train_epoch(groups, params, state: AdamState, config: TrainConfig,
+                rng: np.random.Generator, lr: float,
+                clamp_stats: ClampStats | None = None) -> float:
+    """One pass over the (h, r, tails) queries of group_queries, in shuffled
+    batches at learning rate lr; returns the mean query loss.
     """
-    triples = kg_train.train if isinstance(kg_train, KnowledgeGraph) else np.asarray(kg_train)
-    if groups is None:
-        groups = group_queries(triples)
     if not groups:
         raise ValueError("empty training set")
-    if lr is None:
-        lr = config.learning_rate
     heads = np.array([h for h, _, _ in groups], dtype=np.int64)
     relations = np.array([r for _, r, _ in groups], dtype=np.int64)
     order = rng.permutation(len(groups))
@@ -192,7 +190,8 @@ def fit(kg: KnowledgeGraph, config: TrainConfig) -> TrainResult:
     MRR (filtered); stops early once `patience` consecutive evaluations fail
     to improve it. The learning rate is multiplied by decay_rate after every
     epoch. Each log record counts the probabilities the loss clamped in its
-    epoch.
+    epoch. A parameter block left with a non-finite value after an epoch is
+    a RuntimeError.
     """
     aug = kg if kg.has_reciprocals else add_reciprocals(kg)
     params = init_params(aug.n_entities, aug.n_relations, config.d_e, config.d_r,
@@ -215,8 +214,11 @@ def fit(kg: KnowledgeGraph, config: TrainConfig) -> TrainResult:
     for epoch in range(config.epochs):
         rng = np.random.default_rng([config.seed, epoch])
         clamped_before = clamp_stats.count
-        loss = train_epoch(aug, params, state, config, rng, lr=lr,
-                           groups=groups, clamp_stats=clamp_stats)
+        loss = train_epoch(groups, params, state, config, rng, lr, clamp_stats)
+        for name, arr in params.param_blocks().items():
+            if not np.isfinite(arr).all():
+                raise RuntimeError(f"training diverged: {name} has non-finite values "
+                                   f"after epoch {epoch}")
         record = {"epoch": epoch, "loss": loss, "lr": lr,
                   "clamped": clamp_stats.count - clamped_before}
         epochs_run = epoch + 1
@@ -297,12 +299,6 @@ def grid_search(kg: KnowledgeGraph, grid: GridSpec, base: TrainConfig) -> list:
 META_FILE = "meta.json"
 
 
-def _config_from_dict(d: dict) -> TrainConfig:
-    d = dict(d)
-    d["dropout"] = DropoutSpec(**d["dropout"])
-    return TrainConfig(**d)
-
-
 def save_checkpoint(directory: str, params, state: AdamState, config: TrainConfig,
                     epoch: int, metrics: dict | None, vocab_hashes: dict) -> None:
     os.makedirs(directory, exist_ok=True)
@@ -357,7 +353,3 @@ def load_checkpoint(directory: str):
         step=meta["adam_step"],
     )
     return params, state, meta
-
-
-def load_train_config(meta: dict) -> TrainConfig:
-    return _config_from_dict(meta["config"])

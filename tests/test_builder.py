@@ -12,7 +12,6 @@ from affinitykg.builder import (
     assign_deciles,
     build,
     count_pairs,
-    decile_of,
     kcore_prune,
     mateos_filter,
     min_occurrence_filter,
@@ -45,21 +44,19 @@ class TestDeciles:
     boundaries = np.arange(10.0, 100.0, 10.0)
 
     def test_below_first_boundary(self):
-        assert decile_of(0.0, self.boundaries) == 1
-        assert decile_of(9.99, self.boundaries) == 1
+        assert assign_deciles([0.0, 9.99], self.boundaries).tolist() == [1, 1]
 
     def test_top_is_closed(self):
-        assert decile_of(100.0, self.boundaries) == 10
+        assert assign_deciles([100.0], self.boundaries).tolist() == [10]
 
     def test_boundary_belongs_to_upper_interval(self):
-        assert decile_of(10.0, self.boundaries) == 2
-        assert decile_of(90.0, self.boundaries) == 10
+        assert assign_deciles([10.0, 90.0], self.boundaries).tolist() == [2, 10]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            decile_of(-0.1, self.boundaries)
+            assign_deciles([50.0, -0.1], self.boundaries)
         with pytest.raises(ValueError):
-            decile_of(100.1, self.boundaries)
+            assign_deciles([100.1], self.boundaries)
 
     def test_quantile_boundaries_give_equal_counts(self):
         rng = np.random.default_rng(42)

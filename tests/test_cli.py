@@ -122,6 +122,14 @@ class TestSplitAndTrain:
                     *FAST_TRAIN, "--set", "train.learning_rate=1e6"]) == 0
         assert sum(clamped(tmp_path)) > 0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_training_exits_4_without_a_checkpoint(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "ckpt"
+        assert run(["train", "--data", pipeline["data"], "--out", out, "--seed", 3,
+                    *FAST_TRAIN, "--set", "train.learning_rate=1e300"]) == 4
+        assert "diverged: E has non-finite values after epoch 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_search_without_validation_fold_exits_2(self, pipeline, tmp_path, capsys):
         data = tmp_path / "data"
         assert run(["split", "--triples", pipeline["net"] / "triples.tsv", "--out", data,
@@ -169,6 +177,23 @@ class TestEvaluateAnalyzeExport:
         assert "test triple" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("problem", ["self-loop", "repeated"])
+    def test_malformed_split_exits_3(self, pipeline, tmp_path, capsys, problem):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in os.listdir(pipeline["data"]):
+            (data / name).write_bytes((pipeline["data"] / name).read_bytes())
+        h, r, t = (data / "train.tsv").read_text().splitlines()[-1].split("\t")
+        # A repeat in the other orientation is the same undirected triple.
+        row = f"{h}\t{r}\t{h}" if problem == "self-loop" else f"{t}\t{r}\t{h}"
+        with open(data / "train.tsv", "a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
+        assert run(["evaluate", "--checkpoint", pipeline["ckpt"],
+                    "--data", data, "--out", tmp_path / "out"]) == 3
+        err = capsys.readouterr().err
+        assert "train.tsv: " in err and problem in err and repr(tuple(row.split("\t"))) in err
+        assert not (tmp_path / "out").exists()
+
     def test_analyze_outputs(self, pipeline, tmp_path):
         out = tmp_path / "snn"
         assert run(["analyze", "--checkpoint", pipeline["ckpt"],
@@ -214,7 +239,10 @@ class TestEvaluateAnalyzeExport:
 
 
 # Surnames mixing the characters triples.tsv gives meaning to with arbitrary text.
-surname = st.text(st.one_of(st.sampled_from("#\t\r\n ,\"ab"), st.characters()),
+# Lone surrogates (category Cs) are left out: no UTF-8 file can hold them, so
+# write_records could not write the records.csv they would be read from.
+surname = st.text(st.one_of(st.sampled_from("#\t\r\n ,\"ab"),
+                            st.characters(exclude_categories=("Cs",))),
                   min_size=1, max_size=6)
 # Plain pairs: one random pair alone would miss the co-occurrence threshold,
 # and the split needs more triples than its two evaluation folds.
@@ -279,6 +307,18 @@ class TestConfigHandling:
         assert run(["gen-synthetic", "--out", tmp_path / "out",
                     "--set", f"synth.ses_noise={noise}"]) == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("learning_rate", "nan"), ("learning_rate", "inf"), ("label_smoothing", "-3"),
+        ("label_smoothing", "1"), ("adam_beta1", "1"), ("adam_beta2", "-0.5"),
+        ("adam_eps", "0"), ("adam_eps", "inf"), ("adam_eps", "nan"),
+    ])
+    def test_out_of_range_train_value_exits_2(self, pipeline, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        assert run(["train", "--data", pipeline["data"], "--out", out, *FAST_TRAIN,
+                    "--set", f"train.{key}={value}"]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_removed_rare_filter_order_key_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"

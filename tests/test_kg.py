@@ -2,16 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from affinitykg.errors import ConsistencyError, ParseError
 from affinitykg.kg import (
     KnownTrueSet,
-    Triple,
     Vocab,
     add_reciprocals,
-    canonicalize,
     from_label_triples,
     load_kg_dir,
     load_triples,
@@ -19,11 +15,9 @@ from affinitykg.kg import (
     split,
 )
 
-label = st.text(alphabet="abcdefgh", min_size=1, max_size=6)
 
-
-def small_kg(rows, undirected=True):
-    kg, _ = from_label_triples(rows, undirected=undirected)
+def small_kg(rows):
+    kg, _ = from_label_triples(rows)
     return kg
 
 
@@ -38,12 +32,11 @@ class TestIngestion:
         assert len(kg.train) == 1 and dups == 1
 
     def test_symmetry_collapse(self):
-        kg, dups = from_label_triples([("a", "d1", "b"), ("b", "d1", "a")])
+        kg, dups = from_label_triples([("b", "d1", "a"), ("a", "d1", "b")])
         assert len(kg.train) == 1 and dups == 1
-
-    def test_directed_mode_keeps_both(self):
-        kg, dups = from_label_triples([("a", "d1", "b"), ("b", "d1", "a")], undirected=False)
-        assert len(kg.train) == 2 and dups == 0
+        # Canonical form: the endpoint whose label sorts first is the head.
+        h, _, t = kg.train[0]
+        assert (kg.entities.label_of(h), kg.entities.label_of(t)) == ("a", "b")
 
     def test_first_appearance_vocab_order(self):
         kg, _ = from_label_triples([("m", "d2", "z"), ("a", "d1", "m")])
@@ -73,26 +66,6 @@ class TestIngestion:
         for i, lbl in enumerate(vocab.labels):
             assert vocab.id_of(lbl) == i
             assert vocab.label_of(vocab.id_of(lbl)) == lbl
-
-
-class TestCanonicalize:
-    def test_orders_by_label(self):
-        kg = small_kg([("perez", "d3", "soto")])
-        h, t = kg.entities.id_of("perez"), kg.entities.id_of("soto")
-        out = canonicalize(Triple(t, 0, h), kg.entities)
-        assert (out.h, out.t) == (h, t)
-
-    def test_ordered_is_fixpoint(self):
-        kg = small_kg([("perez", "d3", "soto")])
-        tri = Triple(kg.entities.id_of("perez"), 0, kg.entities.id_of("soto"))
-        assert canonicalize(tri, kg.entities) == tri
-
-    @given(st.lists(label, min_size=2, max_size=2, unique=True))
-    def test_idempotent(self, labels):
-        vocab = Vocab(labels)
-        tri = Triple(0, 0, 1)
-        once = canonicalize(tri, vocab)
-        assert canonicalize(once, vocab) == once
 
 
 def random_kg(n_triples=100, seed=0):
@@ -179,19 +152,19 @@ class TestKnownTrueSet:
         kg = small_kg([("a", "d1", "b")])
         known = KnownTrueSet(kg)
         a, b = kg.entities.id_of("a"), kg.entities.id_of("b")
-        assert known.contains(a, 0, b)
-        assert known.contains(b, 0, a)  # undirected symmetry
+        assert b in known.tails_of(a, 0)
+        assert a in known.tails_of(b, 0)  # undirected symmetry
 
     def test_absent_pair_is_unknown(self):
         kg = small_kg([("a", "d1", "b"), ("c", "d1", "d")])
         known = KnownTrueSet(kg)
-        assert not known.contains(kg.entities.id_of("a"), 0, kg.entities.id_of("d"))
+        assert kg.entities.id_of("d") not in known.tails_of(kg.entities.id_of("a"), 0)
 
     def test_reciprocal_ids_supported(self):
         kg = add_reciprocals(small_kg([("a", "d1", "b")]))
         known = KnownTrueSet(kg)
         a, b = kg.entities.id_of("a"), kg.entities.id_of("b")
-        assert known.contains(b, 1, a) and known.contains(a, 1, b)
+        assert a in known.tails_of(b, 1) and b in known.tails_of(a, 1)
 
     def test_matches_linear_scan(self):
         kg = split(random_kg(1000, seed=3), 100, 100, seed=3)
@@ -208,7 +181,7 @@ class TestKnownTrueSet:
         for _ in range(2000):
             e, x = rng.integers(0, kg.n_entities, size=2)
             r = int(rng.integers(0, 2 * kg.n_base_relations))
-            assert known.contains(int(e), r, int(x)) == scan(int(e), r, int(x))
+            assert (int(x) in known.tails_of(int(e), r)) == scan(int(e), r, int(x))
 
 
 class TestPersistence:
@@ -244,8 +217,20 @@ class TestPersistence:
         assert f"{fold} triple" in str(err.value) and f"{other} fold" in str(err.value)
         assert repr(tuple(line.rstrip("\n").split("\t"))) in str(err.value)
 
-    def test_directed_reverse_is_not_a_leak(self, tmp_path):
-        kg = small_kg([("a", "d1", "b")], undirected=False)
-        save_kg_dir(str(tmp_path), kg)
-        (tmp_path / "test.tsv").write_text("b\td1\ta\n")
-        assert len(load_kg_dir(str(tmp_path), undirected=False).test) == 1
+    @pytest.mark.parametrize("fold,line,problem", [
+        ("train", "a\td1\ta\n", "self-loop"),
+        ("valid", "c\td2\tc\n", "self-loop"),
+        ("train", "a\td1\tb\n", "repeated"),
+        ("train", "b\td1\ta\n", "repeated"),   # the same triple in the other orientation
+        ("valid", "d\td2\tc\n", "repeated"),
+    ])
+    def test_malformed_fold_rejected(self, tmp_path, fold, line, problem):
+        save_kg_dir(str(tmp_path), small_kg([("a", "d1", "b"), ("c", "d2", "d")]))
+        (tmp_path / "train.tsv").write_text("a\td1\tb\n")
+        (tmp_path / "valid.tsv").write_text("c\td2\td\n")
+        with open(tmp_path / f"{fold}.tsv", "a") as fh:
+            fh.write(line)
+        with pytest.raises(ConsistencyError) as err:
+            load_kg_dir(str(tmp_path))
+        assert str(err.value).startswith(f"{fold}.tsv: ") and problem in str(err.value)
+        assert repr(tuple(line.rstrip("\n").split("\t"))) in str(err.value)

@@ -17,7 +17,6 @@ from affinitykg.models import (
     relation_matrix,
     sample_masks,
     score_all_tails,
-    score_baseline,
     score_tucker,
     smooth_labels,
 )
@@ -117,7 +116,7 @@ class TestDropout:
     def test_rate_zero_is_identity(self):
         params = init_params(8, 2, 4, 2, seed=2)
         masks = sample_masks(DropoutSpec(), params.d_e, np.random.default_rng(0))
-        assert masks.entity is None and masks.relation_core is None
+        assert masks == (None, None, None)
         np.testing.assert_array_equal(
             score_all_tails(params, 1, 0, masks), score_all_tails(params, 1, 0)
         )
@@ -129,7 +128,7 @@ class TestDropout:
         samples = []
         for _ in range(3000):
             masks = sample_masks(DropoutSpec(input_rate=rate), 200, rng)
-            samples.append(float(np.mean(x * masks.entity)))
+            samples.append(float(np.mean(x * masks[0])))
         samples = np.array(samples)
         sem = samples.std(ddof=1) / np.sqrt(samples.size)
         assert abs(samples.mean() - 1.0) < 3 * sem
@@ -301,14 +300,14 @@ class TestBaselines:
         params = init_baseline("transe", 2, 1, 2, seed=0)
         params.E[:] = [[0.0, 0.0], [1.0, 1.0]]
         params.R[:] = [[1.0, 1.0]]
-        assert score_baseline(params, 0, 0, 1) == pytest.approx(0.0)
-        assert score_baseline(params, 0, 0, 0) < 0.0
+        assert score_all_tails(params, 0, 0)[1] == pytest.approx(0.0)
+        assert score_all_tails(params, 0, 0)[0] < 0.0
 
     def test_distmult_hand_sum(self):
         params = init_baseline("distmult", 2, 1, 2, seed=0)
         params.E[:] = [[1.0, 2.0], [1.0, 1.0]]
         params.R[:] = [[1.0, 1.0]]
-        assert score_baseline(params, 0, 0, 1) == pytest.approx(3.0)
+        assert score_all_tails(params, 0, 0)[1] == pytest.approx(3.0)
 
     def test_complex_reduces_to_distmult_when_real(self):
         cx = init_baseline("complex", 3, 2, 4, seed=1)
@@ -319,8 +318,8 @@ class TestBaselines:
         dm.R[:] = cx.R[:, :2]
         for h in range(3):
             for t in range(3):
-                assert score_baseline(cx, h, 0, t) == pytest.approx(
-                    score_baseline(dm, h, 0, t), abs=1e-12
+                assert score_all_tails(cx, h, 0)[t] == pytest.approx(
+                    score_all_tails(dm, h, 0)[t], abs=1e-12
                 )
 
     def test_distmult_symmetric_in_head_tail(self):
@@ -329,8 +328,8 @@ class TestBaselines:
         for _ in range(30):
             h, t = rng.integers(0, 8, size=2)
             r = int(rng.integers(0, 3))
-            assert score_baseline(params, int(h), r, int(t)) == score_baseline(
-                params, int(t), r, int(h)
+            assert score_all_tails(params, int(h), r)[int(t)] == pytest.approx(
+                score_all_tails(params, int(t), r)[int(h)], abs=1e-12
             )
 
     @pytest.mark.parametrize("variant", ["transe", "distmult", "complex"])
@@ -352,7 +351,6 @@ class TestBaselines:
             for t in range(9):
                 expected = baseline_oracle(variant, params, 3, 1, t)
                 assert scores[t] == pytest.approx(expected, abs=1e-12)
-                assert score_baseline(params, 3, 1, t) == pytest.approx(expected, abs=1e-12)
 
     def test_complex_oracle_sees_imaginary_parts(self):
         # A purely imaginary relation rotates the head by 90 degrees: (a i)(b i) = -ab.
@@ -430,8 +428,7 @@ def per_query_reference(params, h, r, y, masks=None):
     E, R, n_e = params.E, params.R, params.n_entities
     grads = {name: np.zeros_like(arr) for name, arr in params.param_blocks().items()}
     if params.model == "tucker":
-        m1, m2, m3 = ((masks.entity, masks.relation_core, masks.combination)
-                      if masks is not None else (1.0, 1.0, 1.0))
+        m1, m2, m3 = masks if masks is not None else (1.0, 1.0, 1.0)
         a = E[h] * m1
         B = np.einsum("pqj,q->pj", params.G, R[r]) * m2
         q = (a @ B) * m3

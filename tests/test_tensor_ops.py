@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from affinitykg.tensor_ops import (
-    mode_n_product,
-    outer_product3,
-    tucker_entry,
-    tucker_reconstruct,
-)
+from affinitykg.models import ModelParams, score_tucker
+from affinitykg.tensor_ops import mode_n_product, tucker_reconstruct
 
 
 def mode_product_oracle(X, U, mode):
@@ -39,19 +35,27 @@ def tucker_entry_oracle(G, A, B, C, i, j, k):
     return acc
 
 
+def rank_one(a, b, c):
+    """The outer product a o b o c as a Tucker reconstruction with a unit core."""
+    return tucker_reconstruct(np.ones((1, 1, 1)), *(np.asarray(v, dtype=float)[:, None]
+                                                    for v in (a, b, c)))
+
+
 class TestOuterProduct:
+    """A unit core with one-column factors reconstructs the outer product."""
+
     def test_basis_vectors(self):
-        out = outer_product3([1, 0], [1], [1, 0])
+        out = rank_one([1, 0], [1], [1, 0])
         expected = np.zeros((2, 1, 2))
         expected[0, 0, 0] = 1.0
         np.testing.assert_array_equal(out, expected)
 
     def test_scalar_product(self):
-        np.testing.assert_array_equal(outer_product3([2], [3], [4]), [[[24.0]]])
+        np.testing.assert_array_equal(rank_one([2], [3], [4]), [[[24.0]]])
 
     def test_matches_loop_oracle(self):
         a, b, c = np.array([1.0, 2.0]), np.array([1.0, 1.0]), np.array([1.0, -1.0])
-        out = outer_product3(a, b, c)
+        out = rank_one(a, b, c)
         for i in range(2):
             for j in range(2):
                 for k in range(2):
@@ -59,7 +63,7 @@ class TestOuterProduct:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            outer_product3([], [1.0], [1.0])
+            rank_one([], [1.0], [1.0])
 
 
 class TestModeNProduct:
@@ -147,33 +151,33 @@ class TestTuckerReconstruct:
 
 
 class TestTuckerEntry:
+    """score_tucker(h, r, t) is entry (h, r, t) of the reconstruction G x1 E x2 R x3 E."""
+
     def test_identity_factors_pick_core(self):
         G = np.random.default_rng(5).normal(size=(2, 2, 2))
-        I = np.eye(2)
+        params = ModelParams("tucker", np.eye(2), np.eye(2), G)
         for i in range(2):
             for j in range(2):
                 for k in range(2):
-                    assert tucker_entry(G, I, I, I, i, j, k) == pytest.approx(G[i, j, k])
+                    assert score_tucker(params, i, j, k) == pytest.approx(G[i, j, k])
 
     def test_zero_core(self):
-        I = np.eye(3)
-        assert tucker_entry(np.zeros((3, 3, 3)), I, I, I, 1, 2, 0) == 0.0
+        params = ModelParams("tucker", np.eye(3), np.eye(3), np.zeros((3, 3, 3)))
+        assert score_tucker(params, 1, 2, 0) == 0.0
 
     def test_cross_checks_reconstruct(self):
         rng = np.random.default_rng(23)
-        G = rng.normal(size=(2, 3, 2))
-        A = rng.normal(size=(3, 2))
-        B = rng.normal(size=(4, 3))
-        C = rng.normal(size=(2, 2))
-        full = tucker_reconstruct(G, A, B, C)
+        params = ModelParams("tucker", rng.normal(size=(3, 2)), rng.normal(size=(4, 3)),
+                             rng.normal(size=(2, 3, 2)))
+        full = tucker_reconstruct(params.G, params.E, params.R, params.E)
         for i in range(3):
             for j in range(4):
-                for k in range(2):
-                    assert tucker_entry(G, A, B, C, i, j, k) == pytest.approx(
+                for k in range(3):
+                    assert score_tucker(params, i, j, k) == pytest.approx(
                         full[i, j, k], abs=1e-12
                     )
 
     def test_index_out_of_range(self):
-        I = np.eye(2)
+        params = ModelParams("tucker", np.eye(2), np.eye(2), np.zeros((2, 2, 2)))
         with pytest.raises(IndexError):
-            tucker_entry(np.zeros((2, 2, 2)), I, I, I, 2, 0, 0)
+            score_tucker(params, 2, 0, 0)

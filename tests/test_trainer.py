@@ -22,7 +22,6 @@ from affinitykg.trainer import (
     grid_search,
     group_queries,
     load_checkpoint,
-    load_train_config,
     save_checkpoint,
     train_epoch,
 )
@@ -116,6 +115,12 @@ def no_dropout_config(**kw):
     return TrainConfig(**defaults)
 
 
+def run_epoch(kg, params, state, config, rng):
+    """One train_epoch over the grouped training queries at the configured rate."""
+    return train_epoch(group_queries(kg.train), params, state, config, rng,
+                       config.learning_rate)
+
+
 class TestTrainEpoch:
     def test_single_fact_loss_decreases(self):
         kg = tiny_kg()
@@ -123,7 +128,7 @@ class TestTrainEpoch:
         params = init_params(kg.n_entities, kg.n_relations, config.d_e, config.d_r, 0)
         state = AdamState.for_params(params)
         losses = [
-            train_epoch(kg, params, state, config, np.random.default_rng([0, epoch]))
+            run_epoch(kg, params, state, config, np.random.default_rng([0, epoch]))
             for epoch in range(50)
         ]
         assert all(b < a for a, b in zip(losses, losses[1:]))
@@ -135,7 +140,7 @@ class TestTrainEpoch:
         state = AdamState.for_params(params)
         loss = None
         for epoch in range(500):
-            loss = train_epoch(kg, params, state, config, np.random.default_rng([0, epoch]))
+            loss = run_epoch(kg, params, state, config, np.random.default_rng([0, epoch]))
         assert loss < 1e-2
 
     def test_same_seed_identical_trajectory(self):
@@ -146,7 +151,7 @@ class TestTrainEpoch:
             params = init_params(kg.n_entities, kg.n_relations, config.d_e, config.d_r, 3)
             state = AdamState.for_params(params)
             losses = [
-                train_epoch(kg, params, state, config, np.random.default_rng([3, epoch]))
+                run_epoch(kg, params, state, config, np.random.default_rng([3, epoch]))
                 for epoch in range(3)
             ]
             trajectories.append((losses, params))
@@ -161,7 +166,7 @@ class TestTrainEpoch:
         before = {k: v.copy() for k, v in params.param_blocks().items()}
         state = AdamState.for_params(params)
         losses = [
-            train_epoch(kg, params, state, config, np.random.default_rng([0, e]))
+            run_epoch(kg, params, state, config, np.random.default_rng([0, e]))
             for e in range(3)
         ]
         assert losses[0] == losses[1] == losses[2]
@@ -174,8 +179,8 @@ class TestTrainEpoch:
         params = init_params(kg.n_entities, kg.n_relations, config.d_e, config.d_r, 0)
         state = AdamState.for_params(params)
         with pytest.raises(ValueError):
-            train_epoch(np.empty((0, 3), dtype=np.int64), params, state, config,
-                        np.random.default_rng(0))
+            train_epoch([], params, state, config, np.random.default_rng(0),
+                        config.learning_rate)
 
     @pytest.mark.parametrize("model", ["tucker", "transe"])
     def test_rng_stream_is_shuffle_then_masks_in_iteration_order(self, model):
@@ -183,7 +188,7 @@ class TestTrainEpoch:
         config = TrainConfig(d_e=6, d_r=3, batch_size=16, model=model)
         params = init_params(kg.n_entities, kg.n_relations, config.d_e, config.d_r, 0, model)
         rng = np.random.default_rng(11)
-        train_epoch(kg, params, AdamState.for_params(params), config, rng)
+        run_epoch(kg, params, AdamState.for_params(params), config, rng)
         reference = np.random.default_rng(11)
         groups = group_queries(kg.train)
         reference.permutation(len(groups))
@@ -200,7 +205,7 @@ class TestTrainEpoch:
         kg = add_reciprocals(two_block_kg(seed=0, valid_size=0, test_size=0))
         config = TrainConfig(d_e=6, d_r=3)
         params = init_params(kg.n_entities, kg.n_relations, config.d_e, config.d_r, 0)
-        train_epoch(kg, params, AdamState.for_params(params), config, np.random.default_rng(0))
+        run_epoch(kg, params, AdamState.for_params(params), config, np.random.default_rng(0))
 
     @pytest.mark.parametrize("model,d_e,limit_mb", [
         ("tucker", 200, 24), ("transe", 32, 2), ("distmult", 32, 2), ("complex", 32, 2)])
@@ -213,7 +218,7 @@ class TestTrainEpoch:
         state = AdamState.for_params(params)
         tracemalloc.start()
         try:
-            train_epoch(kg, params, state, config, np.random.default_rng(0))
+            run_epoch(kg, params, state, config, np.random.default_rng(0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -274,6 +279,13 @@ class TestFit:
             np.testing.assert_array_equal(arr, b.params.param_blocks()[name])
         assert a.log == b.log
 
+    @pytest.mark.parametrize("model", ["tucker", "transe", "distmult", "complex"])
+    def test_diverged_parameters_raise_naming_epoch_and_block(self, model):
+        config = TrainConfig(epochs=3, d_e=8, d_r=4, seed=5, learning_rate=1e300, model=model)
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError) as err:
+            fit(two_block_kg(seed=7), config)
+        assert str(err.value) == "training diverged: E has non-finite values after epoch 0"
+
 
 class TestGridSearch:
     def test_single_cell_equals_fit(self):
@@ -328,7 +340,7 @@ class TestCheckpoint:
         save_checkpoint(str(first), result.params, result.adam_state, config,
                         result.best_epoch, {"mrr": result.best_val_mrr}, hashes)
         params, state, meta = load_checkpoint(str(first))
-        save_checkpoint(str(second), params, state, load_train_config(meta),
+        save_checkpoint(str(second), params, state, config,
                         meta["epoch"], meta["metrics"], meta["vocab_hash"])
         for fname in sorted(os.listdir(first)):
             assert (first / fname).read_bytes() == (second / fname).read_bytes(), fname
