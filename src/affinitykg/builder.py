@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from affinitykg.errors import ParseError
+from affinitykg.util import open_text
 
 RECORDS_HEADER = ["paternal", "maternal", "ses", "block"]
 # A label triples.tsv cannot carry: the file is TAB-separated, one triple per
@@ -94,7 +95,7 @@ def read_records_csv(path: str) -> list[IndividualRecord]:
     """
     records = []
     storable = set()  # surnames already checked against _UNSTORABLE_LABEL
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != RECORDS_HEADER:
@@ -125,14 +126,18 @@ def read_records_csv(path: str) -> list[IndividualRecord]:
 
 
 def normalize_ses(values) -> np.ndarray:
-    """Min-max rescale raw SES scores to the range [0, 100]."""
+    """Min-max rescale raw SES scores to the range [0, 100].
+
+    The top score can round to just above 100; the result is clipped, which
+    changes no value inside the range.
+    """
     x = np.asarray(values, dtype=np.float64)
     if x.size < 2:
         raise ValueError("need at least two SES values")
     lo, hi = float(x.min()), float(x.max())
     if hi == lo:
         raise ValueError("degenerate SES range: all values equal")
-    return 100.0 * (x - lo) / (hi - lo)
+    return np.clip(100.0 * (x - lo) / (hi - lo), 0.0, 100.0)
 
 
 def quantile_boundaries(normalized, n_deciles: int = 10) -> np.ndarray:

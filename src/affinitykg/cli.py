@@ -3,8 +3,8 @@
 Subcommands: gen-synthetic, build-network, split, train, grid-search,
 evaluate, analyze, export-heatmaps. Configuration is a flat key=value file
 (``#`` comments allowed) overridable per key with ``--set key=value``; flags
-win. The effective configuration is echoed into every output directory so a
-run can be reproduced from its artifacts alone.
+win. A command writes its files only after its work succeeds, and last echoes
+the effective configuration, so a run can be reproduced from its artifacts.
 
 Exit codes: 0 success, 2 input/parse error, 3 consistency error (e.g. a
 checkpoint trained on a different vocabulary), 4 runtime failure. Logs go to
@@ -20,7 +20,7 @@ import sys
 
 from affinitykg import builder, evaluator, kg as kgmod, snn, synthetic, trainer
 from affinitykg.errors import ConsistencyError, ParseError
-from affinitykg.util import atomic_write_text, canonical_json
+from affinitykg.util import atomic_write_text, canonical_json, open_text
 
 
 # Each section's keys fill the fields of one dataclass, which owns their
@@ -118,6 +118,11 @@ def _key_spec(key: str, help_text: str) -> tuple:
     return _PARSERS.get(key, type(default)), default, help_text
 
 
+def _spell(value) -> str:
+    """A key's value as a config file spells it; a tuple is a comma list."""
+    return ",".join(str(v) for v in value) if isinstance(value, tuple) else str(value)
+
+
 # key -> (parser, default, help)
 CONFIG_KEYS = {key: _key_spec(key, help_text) for key, help_text in _HELP.items()}
 
@@ -138,7 +143,7 @@ class RunConfig:
             raise ParseError(f"bad value for {key}: {err} (from {where})") from None
 
     def load_file(self, path: str) -> None:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for n, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -152,31 +157,21 @@ class RunConfig:
         return self.values[key]
 
     def echo_text(self) -> str:
-        lines = []
-        for key in sorted(self.values):
-            value = self.values[key]
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            lines.append(f"{key}={value}")
-        return "".join(line + "\n" for line in lines)
+        return "".join(f"{key}={_spell(self.values[key])}\n" for key in sorted(self.values))
 
 
 def load_run_config(args) -> RunConfig:
     config = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         config.load_file(args.config)
-    for item in getattr(args, "set", None) or []:
+    for item in args.set or []:
         if "=" not in item:
             raise ParseError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         config.set(key.strip(), value.strip())
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config.values["seed"] = args.seed
     return config
-
-
-def _echo_config(out_dir: str, config: RunConfig) -> None:
-    atomic_write_text(os.path.join(out_dir, "effective_config.cfg"), config.echo_text())
 
 
 def _log(message: str) -> None:
@@ -204,48 +199,42 @@ def _vocab_hashes(graph: kgmod.KnowledgeGraph) -> dict:
     return {"entities": graph.entities.digest(), "relations": graph.relations.digest()}
 
 
-def _check_vocab(meta: dict, graph: kgmod.KnowledgeGraph) -> None:
-    expected = _vocab_hashes(graph)
-    if meta.get("vocab_hash") != expected:
+def _load_trained(args, tucker_error: str | None = None):
+    """(graph, params) from --data and --checkpoint; a checkpoint of another
+    vocabulary, or of another model than Tucker when tucker_error is given, fails."""
+    graph = kgmod.load_kg_dir(args.data)
+    params, _, meta = trainer.load_checkpoint(args.checkpoint)
+    if meta.get("vocab_hash") != _vocab_hashes(graph):
         raise ConsistencyError(
             "checkpoint was trained on a different vocabulary; refusing to proceed"
         )
+    if tucker_error is not None and meta["model"] != "tucker":
+        raise ConsistencyError(tucker_error)
+    return graph, params
 
 
-def cmd_gen_synthetic(args) -> int:
-    config = load_run_config(args)
+# A command does its work, calling the library writers for the files they own,
+# and returns its other files (name -> text) in writing order and a summary.
+
+def cmd_gen_synthetic(args, config: RunConfig) -> tuple[dict, str]:
     spec = _section(config, "synth")
     records, planted = synthetic.generate_population(spec)
-    os.makedirs(args.out, exist_ok=True)
     synthetic.write_records_csv(os.path.join(args.out, "records.csv"), records)
-    sidecar = {
-        "planted_pairs": [list(p) for p in sorted(planted)],
-        "spec": dataclasses.asdict(spec),
-    }
-    atomic_write_text(os.path.join(args.out, "ground_truth.json"), canonical_json(sidecar))
-    _echo_config(args.out, config)
-    _log(f"gen-synthetic: {len(records)} records, {len(planted)} planted pairs -> {args.out}")
-    return 0
+    sidecar = {"planted_pairs": [list(p) for p in sorted(planted)],
+               "spec": dataclasses.asdict(spec)}
+    return ({"ground_truth.json": canonical_json(sidecar)},
+            f"{len(records)} records, {len(planted)} planted pairs")
 
 
-def cmd_build_network(args) -> int:
-    config = load_run_config(args)
+def cmd_build_network(args, config: RunConfig) -> tuple[dict, str]:
     records = builder.read_records_csv(args.records)
     triples, report = builder.build(records, _section(config, "builder"))
-    os.makedirs(args.out, exist_ok=True)
-    atomic_write_text(
-        os.path.join(args.out, "triples.tsv"),
-        "".join(f"{h}\t{r}\t{t}\n" for h, r, t in triples),
-    )
-    atomic_write_text(os.path.join(args.out, "build_report.json"), canonical_json(report.to_dict()))
-    _echo_config(args.out, config)
-    _log(f"build-network: {report.n_nodes} nodes, {report.n_pairs} pairs, "
-         f"{report.n_triples} triples -> {args.out}")
-    return 0
+    return ({"triples.tsv": "".join(f"{h}\t{r}\t{t}\n" for h, r, t in triples),
+             "build_report.json": canonical_json(report.to_dict())},
+            f"{report.n_nodes} nodes, {report.n_pairs} pairs, {report.n_triples} triples")
 
 
-def cmd_split(args) -> int:
-    config = load_run_config(args)
+def cmd_split(args, config: RunConfig) -> tuple[dict, str]:
     graph, duplicates = kgmod.load_triples_file(args.triples)
     if duplicates:
         _log(f"split: collapsed {duplicates} duplicate triples")
@@ -258,31 +247,22 @@ def cmd_split(args) -> int:
         "duplicates_collapsed": duplicates,
         "seed": config["seed"],
     }
-    atomic_write_text(os.path.join(args.out, "split_meta.json"), canonical_json(meta))
-    _echo_config(args.out, config)
-    _log(f"split: {meta['triples']} -> {args.out}")
-    return 0
+    return {"split_meta.json": canonical_json(meta)}, f"{meta['triples']}"
 
 
-def cmd_train(args) -> int:
-    config = load_run_config(args)
+def cmd_train(args, config: RunConfig) -> tuple[dict, str]:
     graph = kgmod.load_kg_dir(args.data)
     tc = _section(config, "train")
     result = trainer.fit(graph, tc)
-    os.makedirs(args.out, exist_ok=True)
     metrics = result.best_val_report.to_dict() if result.best_val_report else {}
     trainer.save_checkpoint(args.out, result.params, result.adam_state, tc,
                             result.best_epoch, metrics, _vocab_hashes(graph))
-    log_lines = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in result.log)
-    atomic_write_text(os.path.join(args.out, "log.jsonl"), log_lines)
-    _echo_config(args.out, config)
-    _log(f"train: {result.epochs_run} epochs, best val MRR {result.best_val_mrr:.4f} "
-         f"at epoch {result.best_epoch} -> {args.out}")
-    return 0
+    return ({"log.jsonl": "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in result.log)},
+            f"{result.epochs_run} epochs, best val MRR {result.best_val_mrr:.4f} "
+            f"at epoch {result.best_epoch}")
 
 
-def cmd_grid_search(args) -> int:
-    config = load_run_config(args)
+def cmd_grid_search(args, config: RunConfig) -> tuple[dict, str]:
     graph = kgmod.load_kg_dir(args.data)
     cells = trainer.grid_search(graph, _section(config, "grid"), _section(config, "train"))
     rows = [
@@ -298,8 +278,6 @@ def cmd_grid_search(args) -> int:
         }
         for i, cell in enumerate(cells)
     ]
-    os.makedirs(args.out, exist_ok=True)
-    atomic_write_text(os.path.join(args.out, "grid_results.json"), canonical_json(rows))
     csv_lines = ["rank,d_r,d_e,dropout_input,dropout_relation,dropout_combination,val_mrr,val_hits1"]
     for row in rows:
         dr = row["dropout"]
@@ -308,68 +286,61 @@ def cmd_grid_search(args) -> int:
             f"{dr['after_relation_rate']},{dr['after_combination_rate']},"
             f"{row['val_mrr']!r},{row['val_hits1']!r}"
         )
-    atomic_write_text(os.path.join(args.out, "grid_results.csv"),
-                      "".join(line + "\n" for line in csv_lines))
-    _echo_config(args.out, config)
-    _log(f"grid-search: {len(rows)} cells -> {args.out}")
-    return 0
+    return ({"grid_results.json": canonical_json(rows),
+             "grid_results.csv": "".join(line + "\n" for line in csv_lines)},
+            f"{len(rows)} cells")
 
 
-def cmd_evaluate(args) -> int:
-    config = load_run_config(args)
-    graph = kgmod.load_kg_dir(args.data)
-    params, _, meta = trainer.load_checkpoint(args.checkpoint)
-    _check_vocab(meta, graph)
+def cmd_evaluate(args, config: RunConfig) -> tuple[dict, str]:
+    graph, params = _load_trained(args)
     report = evaluator.evaluate(params, graph, mode=config["eval.mode"])
-    os.makedirs(args.out, exist_ok=True)
-    atomic_write_text(os.path.join(args.out, "metrics.json"), canonical_json(report.to_dict()))
-    atomic_write_text(os.path.join(args.out, "per_relation.csv"), evaluator.per_relation_csv(report))
-    _echo_config(args.out, config)
-    _log(f"evaluate: hits@1={report.hits1:.3f} hits@3={report.hits3:.3f} "
-         f"hits@10={report.hits10:.3f} MRR={report.mrr:.3f} -> {args.out}")
-    return 0
+    return ({"metrics.json": canonical_json(report.to_dict()),
+             "per_relation.csv": evaluator.per_relation_csv(report)},
+            f"hits@1={report.hits1:.3f} hits@3={report.hits3:.3f} "
+            f"hits@10={report.hits10:.3f} MRR={report.mrr:.3f}")
 
 
-def cmd_analyze(args) -> int:
-    config = load_run_config(args)
-    graph = kgmod.load_kg_dir(args.data)
-    params, _, meta = trainer.load_checkpoint(args.checkpoint)
-    _check_vocab(meta, graph)
-    if meta["model"] != "tucker":
-        raise ConsistencyError("SNN analysis needs a tucker checkpoint (relation matrices)")
+def cmd_analyze(args, config: RunConfig) -> tuple[dict, str]:
+    graph, params = _load_trained(
+        args, "SNN analysis needs a tucker checkpoint (relation matrices)")
     records = evaluator.compute_ranks(params, graph)
     hits = snn.select_hits(records, config["snn.hit_rank_cutoff"], config["eval.mode"])
     report = snn.analyze_predictions(params, graph, hits,
                                      knn_k=config["snn.k"], tau=config["snn.tau"])
-    os.makedirs(args.out, exist_ok=True)
-    atomic_write_text(os.path.join(args.out, "snn_report.json"), canonical_json(report.to_dict()))
-    atomic_write_text(os.path.join(args.out, "snn_report.csv"), report.to_csv())
-    _echo_config(args.out, config)
-    _log(f"analyze: {len(hits)} hits across {len(report.deciles)} deciles -> {args.out}")
-    return 0
+    return ({"snn_report.json": canonical_json(report.to_dict()),
+             "snn_report.csv": report.to_csv()},
+            f"{len(hits)} hits across {len(report.deciles)} deciles")
 
 
-def cmd_export_heatmaps(args) -> int:
-    config = load_run_config(args)
-    graph = kgmod.load_kg_dir(args.data)
-    params, _, meta = trainer.load_checkpoint(args.checkpoint)
-    _check_vocab(meta, graph)
-    if meta["model"] != "tucker":
-        raise ConsistencyError("relation heatmaps need a tucker checkpoint")
-    os.makedirs(args.out, exist_ok=True)
+def cmd_export_heatmaps(args, config: RunConfig) -> tuple[dict, str]:
+    graph, params = _load_trained(args, "relation heatmaps need a tucker checkpoint")
     indices = snn.export_relation_heatmaps(params, graph, args.out)
-    atomic_write_text(os.path.join(args.out, "asymmetry.json"), canonical_json(indices))
-    _echo_config(args.out, config)
-    _log(f"export-heatmaps: {len(indices)} relation matrices -> {args.out}")
-    return 0
+    return {"asymmetry.json": canonical_json(indices)}, f"{len(indices)} relation matrices"
+
+
+_DATA = ("--data", "split directory")
+_TRAINED = (("--checkpoint", "checkpoint directory"), _DATA)
+
+# name -> (function, help, input options as (flag, help))
+COMMANDS = {
+    "gen-synthetic": (cmd_gen_synthetic, "generate a synthetic population with ground truth", ()),
+    "build-network": (cmd_build_network, "records.csv -> affinity triples + report",
+                      (("--records", "input records.csv"),)),
+    "split": (cmd_split, "triples.tsv -> train/valid/test folds",
+              (("--triples", "input triples.tsv"),)),
+    "train": (cmd_train, "train a link predictor on a split directory", (_DATA,)),
+    "grid-search": (cmd_grid_search, "hyperparameter sweep ranked by validation MRR", (_DATA,)),
+    "evaluate": (cmd_evaluate, "ranking metrics for a checkpoint", _TRAINED),
+    "analyze": (cmd_analyze, "shared-nearest-neighbor explanation of hits", _TRAINED),
+    "export-heatmaps": (cmd_export_heatmaps, "write per-decile relation matrices as CSV",
+                        _TRAINED),
+}
 
 
 def _config_epilog() -> str:
     lines = ["configuration keys (key=value in --config files or --set):"]
     for key, (_, default, help_text) in CONFIG_KEYS.items():
-        if isinstance(default, tuple):
-            default = ",".join(str(v) for v in default)
-        lines.append(f"  {key} (default {default}): {help_text}")
+        lines.append(f"  {key} (default {_spell(default)}): {help_text}")
     return "\n".join(lines)
 
 
@@ -381,64 +352,38 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_out=True):
+    for name, (_, help_text, inputs) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, input_help in inputs:
+            p.add_argument(flag, required=True, help=input_help)
         p.add_argument("--config", help="key=value configuration file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key (repeatable; wins over --config)")
         p.add_argument("--seed", type=int, help="override the global seed")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output directory")
-
-    p = sub.add_parser("gen-synthetic", help="generate a synthetic population with ground truth")
-    common(p)
-    p.set_defaults(func=cmd_gen_synthetic)
-
-    p = sub.add_parser("build-network", help="records.csv -> affinity triples + report")
-    p.add_argument("--records", required=True, help="input records.csv")
-    common(p)
-    p.set_defaults(func=cmd_build_network)
-
-    p = sub.add_parser("split", help="triples.tsv -> train/valid/test folds")
-    p.add_argument("--triples", required=True, help="input triples.tsv")
-    common(p)
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("train", help="train a link predictor on a split directory")
-    p.add_argument("--data", required=True, help="split directory")
-    common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("grid-search", help="hyperparameter sweep ranked by validation MRR")
-    p.add_argument("--data", required=True, help="split directory")
-    common(p)
-    p.set_defaults(func=cmd_grid_search)
-
-    p = sub.add_parser("evaluate", help="ranking metrics for a checkpoint")
-    p.add_argument("--checkpoint", required=True, help="checkpoint directory")
-    p.add_argument("--data", required=True, help="split directory")
-    common(p)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("analyze", help="shared-nearest-neighbor explanation of hits")
-    p.add_argument("--checkpoint", required=True, help="checkpoint directory")
-    p.add_argument("--data", required=True, help="split directory")
-    common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("export-heatmaps", help="write per-decile relation matrices as CSV")
-    p.add_argument("--checkpoint", required=True, help="checkpoint directory")
-    p.add_argument("--data", required=True, help="split directory")
-    common(p)
-    p.set_defaults(func=cmd_export_heatmaps)
+        p.add_argument("--out", required=True, help="output directory")
     return parser
 
 
+def _check_out(out: str) -> None:
+    """Refuse an --out that names a file or lies under one, before any work."""
+    path = os.path.abspath(out) if out else ""
+    while path and not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ParseError(f"--out {out!r}: {path!r} is not a directory")
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config = load_run_config(args)
+        _check_out(args.out)
+        files, summary = COMMANDS[args.command][0](args, config)
+        for name, text in files.items():
+            atomic_write_text(os.path.join(args.out, name), text)
+        atomic_write_text(os.path.join(args.out, "effective_config.cfg"), config.echo_text())
+        _log(f"{args.command}: {summary} -> {args.out}")
+        return 0
     except FileNotFoundError as err:
         _log(f"error: missing input: {err}")
         return 2

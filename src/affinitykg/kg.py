@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from affinitykg.errors import ConsistencyError, ParseError
-from affinitykg.util import atomic_write_text, sha256_text
+from affinitykg.util import atomic_write_text, open_text, sha256_text
 
 RECIPROCAL_SUFFIX = "_inv"
 
@@ -179,7 +179,7 @@ def load_triples(lines, path: str | None = None):
 
 
 def load_triples_file(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return load_triples(fh, path=path)
 
 
@@ -256,7 +256,6 @@ def write_fold_tsv(path: str, kg: KnowledgeGraph, fold: str) -> None:
 
 
 def save_kg_dir(directory: str, kg: KnowledgeGraph) -> None:
-    os.makedirs(directory, exist_ok=True)
     atomic_write_text(
         os.path.join(directory, ENTITIES_FILE),
         "".join(label + "\n" for label in kg.entities.labels),
@@ -270,7 +269,7 @@ def save_kg_dir(directory: str, kg: KnowledgeGraph) -> None:
 
 
 def _read_vocab_file(path: str) -> Vocab:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return Vocab([line.rstrip("\n") for line in fh if line.rstrip("\n")])
 
 
@@ -281,7 +280,7 @@ def load_kg_dir(directory: str) -> KnowledgeGraph:
     for fold, fname in FOLD_FILES.items():
         path = os.path.join(directory, fname)
         rows = []
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for n, fields in _parse_triple_lines(fh, path):
                 h_label, r_label, t_label = fields
                 try:

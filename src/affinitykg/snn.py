@@ -15,6 +15,7 @@ adjacency index, built by the same kg.neighbour_index that serves filtered
 ranking.
 """
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from affinitykg.evaluator import check_mode
 from affinitykg.kg import KnowledgeGraph, neighbour_index
 from affinitykg.models import ModelParams, relation_matrix
-from affinitykg.util import format_float
+from affinitykg.util import atomic_write_text, format_float
 
 
 def snn(a, b) -> float:
@@ -254,11 +255,6 @@ def parse_relation_matrix_csv(text: str) -> np.ndarray:
 
 def export_relation_heatmaps(params: ModelParams, kg: KnowledgeGraph, out_dir: str) -> dict:
     """Write relmat_d<k>.csv per base decile; returns label -> asymmetry index."""
-    import os
-
-    from affinitykg.util import atomic_write_text
-
-    os.makedirs(out_dir, exist_ok=True)
     indices = {}
     for rid in range(kg.n_base_relations):
         label = kg.relations.label_of(rid)

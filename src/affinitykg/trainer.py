@@ -301,7 +301,6 @@ META_FILE = "meta.json"
 
 def save_checkpoint(directory: str, params, state: AdamState, config: TrainConfig,
                     epoch: int, metrics: dict | None, vocab_hashes: dict) -> None:
-    os.makedirs(directory, exist_ok=True)
     blocks = params.param_blocks()
     meta = {
         "model": config.model,

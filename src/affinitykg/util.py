@@ -1,14 +1,38 @@
-"""Small helpers: atomic file writes, canonical JSON, vocabulary hashing.
+"""Small helpers: text input, atomic file writes, canonical JSON, vocabulary hashing.
 
 All artifact writers go through the atomic helpers so a crashed command never
 leaves a half-written file, and all JSON is emitted with sorted keys so
 identical runs produce identical bytes.
 """
 
+import contextlib
 import hashlib
 import json
 import os
 import tempfile
+
+from affinitykg.errors import ParseError
+
+
+@contextlib.contextmanager
+def open_text(path: str, newline: str | None = None):
+    """Open a UTF-8 text input for reading; a leading byte-order mark is dropped.
+
+    Text that does not decode is a ParseError naming the first line (counted
+    by LF) that fails; only then is the file rescanned, in binary, to find it.
+    """
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            for n, line in enumerate(fh, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as err:
+                    raise ParseError(f"not valid UTF-8 ({err.reason} at byte offset "
+                                     f"{err.start} of the line)", n, path) from None
+        raise
 
 
 def canonical_json(obj) -> str:

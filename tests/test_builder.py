@@ -39,6 +39,10 @@ class TestNormalizeSes:
         with pytest.raises(ValueError):
             normalize_ses([5.0, 5.0, 5.0])
 
+    def test_top_score_is_exactly_100(self):
+        # 100 * (hi - lo) / (hi - lo) rounds to 100.00000000000001 here.
+        assert normalize_ses([-28.050229646245484, 144.75867847299656]).max() == 100.0
+
 
 class TestDeciles:
     boundaries = np.arange(10.0, 100.0, 10.0)

@@ -1,10 +1,12 @@
 """End-to-end command-line pipeline: exit codes, artifacts, determinism."""
 
+import codecs
 import csv
 import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -342,6 +344,105 @@ class TestConfigHandling:
         for key, (_, default, _) in CONFIG_KEYS.items():
             assert key in text
         assert "default 0.005" in text and "default filtered" in text
+
+
+# Input options (and a fast configuration) of each command, given the
+# pipeline fixture's directories.
+COMMAND_INPUTS = {
+    "gen-synthetic": lambda p: ["--set", "synth.individuals=500"],
+    "build-network": lambda p: ["--records", p["gen"] / "records.csv"],
+    "split": lambda p: ["--triples", p["net"] / "triples.tsv",
+                        "--set", "split.valid_size=100", "--set", "split.test_size=100"],
+    "train": lambda p: ["--data", p["data"], *FAST_TRAIN],
+    "grid-search": lambda p: ["--data", p["data"], "--set", "train.epochs=3",
+                              "--set", "train.eval_every=3", "--set", "grid.d_e=8",
+                              "--set", "grid.d_r=4", "--set", "grid.dropout_input=0.1",
+                              "--set", "grid.dropout_relation=0.1",
+                              "--set", "grid.dropout_combination=0.1"],
+    "evaluate": lambda p: ["--checkpoint", p["ckpt"], "--data", p["data"]],
+    "analyze": lambda p: ["--checkpoint", p["ckpt"], "--data", p["data"], "--set", "snn.k=10"],
+    "export-heatmaps": lambda p: ["--checkpoint", p["ckpt"], "--data", p["data"]],
+}
+
+
+class TestStageShell:
+    @pytest.mark.parametrize("command", list(COMMAND_INPUTS))
+    def test_bad_config_writes_nothing_and_success_logs_last(self, pipeline, tmp_path, capsys,
+                                                               command):
+        argv = [command, *COMMAND_INPUTS[command](pipeline)]
+        out = tmp_path / "out"
+        assert run([*argv, "--out", out, "--set", "seed=x"]) == 2
+        assert not out.exists()
+        capsys.readouterr()
+        assert run([*argv, "--out", out]) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(f"{command}: ") and err.endswith(f" -> {out}\n")
+        assert (out / "effective_config.cfg").exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_out_under_a_file_exits_2_before_any_work(self, pipeline, tmp_path, capsys,
+                                                      monkeypatch, command):
+        def load_kg_dir(directory):
+            raise AssertionError("the command started work")
+
+        monkeypatch.setattr(kgmod, "load_kg_dir", load_kg_dir)
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        # train names the file itself; evaluate a directory below it.
+        out = blocker if command == "train" else blocker / "sub"
+        argv = [command, *COMMAND_INPUTS[command](pipeline), "--out", out]
+        assert run(argv) == 2
+        assert "--out" in capsys.readouterr().err
+        assert blocker.read_text() == "kept\n"
+
+
+class TestTextInputs:
+    def test_records_with_bom_build_the_same_triples(self, pipeline, tmp_path):
+        records = tmp_path / "records.csv"
+        records.write_bytes(codecs.BOM_UTF8 + (pipeline["gen"] / "records.csv").read_bytes())
+        assert run(["build-network", "--records", records, "--out", tmp_path / "net"]) == 0
+        assert ((tmp_path / "net" / "triples.tsv").read_bytes()
+                == (pipeline["net"] / "triples.tsv").read_bytes())
+
+    def test_triples_with_bom_split_without_a_bom_label(self, pipeline, tmp_path):
+        triples = tmp_path / "triples.tsv"
+        triples.write_bytes(codecs.BOM_UTF8 + (pipeline["net"] / "triples.tsv").read_bytes())
+        data = tmp_path / "data"
+        assert run(["split", "--triples", triples, "--out", data, "--seed", 3,
+                    "--set", "split.valid_size=100", "--set", "split.test_size=100"]) == 0
+        entities = (data / "entities.txt").read_text(encoding="utf-8")
+        assert "\ufeff" not in entities
+        assert entities == (pipeline["data"] / "entities.txt").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("command,option,name,content,line", [
+        ("build-network", "--records", "records.csv",
+         b"paternal,maternal,ses,block\nperez,soto,1,b\n\xed\xa0\x80rez,soto,2,b\n", 3),
+        ("split", "--triples", "triples.tsv", b"perez\td1\tsoto\nru\xffiz\td1\tsoto\n", 2),
+    ], ids=["records", "triples"])
+    def test_invalid_utf8_exits_2_naming_the_line(self, tmp_path, capsys, command, option,
+                                                   name, content, line):
+        path = tmp_path / name
+        path.write_bytes(content)
+        assert run([command, option, path, "--out", tmp_path / "out"]) == 2
+        assert f"{name}:{line}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_with_bom_accepted(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(codecs.BOM_UTF8 + b"synth.individuals=400\n")
+        out = tmp_path / "out"
+        assert run(["gen-synthetic", "--config", cfg, "--out", out]) == 0
+        assert "synth.individuals=400" in (out / "effective_config.cfg").read_text()
+
+    def test_top_ses_score_rounding_above_100_builds(self, tmp_path):
+        # Normalizing hi against this (lo, hi) rounds to 100.00000000000001.
+        lo, hi = -28.050229646245484, 144.75867847299656
+        records = tmp_path / "records.csv"
+        rows = [f"s{i % 4},t{i % 5},{ses!r},b"
+                for i, ses in enumerate(np.linspace(lo, hi, 20).tolist())]
+        records.write_text("paternal,maternal,ses,block\n" + "".join(r + "\n" for r in rows))
+        assert float(rows[0].split(",")[2]) == lo and float(rows[-1].split(",")[2]) == hi
+        assert run(["build-network", "--records", records, "--out", tmp_path / "net"]) == 0
 
 
 class TestFullDeterminism:

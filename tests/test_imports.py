@@ -1,7 +1,9 @@
-"""Every name a module under src/affinitykg imports is used in that module.
+"""Every module under src/affinitykg imports at module level, and uses every
+name it imports.
 
 The project ships no linter; this stdlib-ast check keeps a deletion from
-leaving an orphaned import behind.
+leaving an orphaned import behind, and keeps imports where a reader (and the
+unused-import check) sees them.
 """
 
 import ast
@@ -33,17 +35,43 @@ def unused_imports(source: str) -> list:
     return sorted(imported - used)
 
 
-def test_every_module_uses_every_name_it_imports():
-    unused = {}
+def function_imports(source: str) -> list:
+    """Line numbers of the import statements inside a function body."""
+    tree = ast.parse(source)
+    return sorted({node.lineno
+                   for function in ast.walk(tree)
+                   if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(function)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+def findings(check) -> dict:
+    """check(source) of every module under src/affinitykg, by file, where non-empty."""
+    found = {}
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
         with open(path, encoding="utf-8") as fh:
-            names = unused_imports(fh.read())
-        if names:
-            unused[os.path.basename(path)] = names
-    assert unused == {}
+            result = check(fh.read())
+        if result:
+            found[os.path.basename(path)] = result
+    return found
+
+
+def test_every_module_uses_every_name_it_imports():
+    assert findings(unused_imports) == {}
+
+
+def test_no_module_imports_inside_a_function():
+    assert findings(function_imports) == {}
 
 
 def test_check_finds_unused_imports():
     source = ("import os\nimport a.b\nfrom x import y, z as w\n"
               "from p import q\n__all__ = ['q']\nprint(y)\n")
     assert unused_imports(source) == ["a", "os", "w"]
+
+
+def test_check_finds_imports_inside_functions():
+    source = ("import os\n"
+              "def f():\n    import json\n    def g():\n        from x import y\n"
+              "class C:\n    def m(self):\n        import re\n")
+    assert function_imports(source) == [3, 5, 8]
