@@ -12,8 +12,8 @@ under random pairing, so surviving edges indicate genuine affinity.
 import csv
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,12 +26,33 @@ RECORDS_HEADER = ["paternal", "maternal", "ses", "block"]
 _UNSTORABLE_LABEL = re.compile(r"^#|[\t\r\n]")
 
 
-@dataclass(frozen=True)
-class IndividualRecord:
-    paternal: str
-    maternal: str
-    ses_raw: float
-    block_id: str
+@dataclass(frozen=True, eq=False)
+class Records:
+    """Individuals as columns, each surname interned once.
+
+    Ids index `labels`, which is sorted, so comparing two ids compares their
+    labels; row i is one individual.
+    """
+
+    labels: list[str]       # distinct surnames, sorted
+    paternal: np.ndarray    # int64 ids into labels
+    maternal: np.ndarray    # int64 ids into labels
+    ses: np.ndarray         # float64 raw SES scores
+    blocks: list[str]       # block labels
+
+    def __len__(self) -> int:
+        return len(self.ses)
+
+    @classmethod
+    def intern(cls, paternal, maternal, ses, blocks, label_of: dict) -> "Records":
+        """Columns from per-individual surname lists; label_of maps each
+        distinct surname in them to its label."""
+        labels = sorted(set(label_of.values()))
+        index = {label: i for i, label in enumerate(labels)}
+        id_of = {name: index[label] for name, label in label_of.items()}
+        ids = [np.fromiter(map(id_of.__getitem__, names), np.int64, count=len(names))
+               for names in (paternal, maternal)]
+        return cls(labels, *ids, np.asarray(ses, dtype=np.float64), blocks)
 
 
 @dataclass(frozen=True)
@@ -50,13 +71,15 @@ class BuilderConfig:
             raise ValueError("n_deciles must be positive")
 
 
-@dataclass
-class PairTable:
-    """Per-(pair, decile) weights plus the marginals the filters need."""
+class PairCounts(NamedTuple):
+    """Co-occurrence weights, one row per (canonical pair, decile) with weight
+    >= 1, sorted by (s1, s2, decile), plus the marginals the filters need."""
 
-    weights: dict  # (s1, s2) canonical -> {decile: count}
-    n_s: dict      # surname -> number of individuals bearing it
-    n_total: int   # individuals counted
+    n_s: np.ndarray      # individuals bearing each label
+    s1: np.ndarray       # lower label id of the pair
+    s2: np.ndarray       # higher label id of the pair
+    decile: np.ndarray
+    weight: np.ndarray
 
 
 @dataclass
@@ -87,42 +110,65 @@ class BuildReport:
         }
 
 
-def read_records_csv(path: str) -> list[IndividualRecord]:
-    """Load `paternal,maternal,ses,block` rows; surnames are case-folded.
+def _check_rows(path: str, paternals, maternals, ses_strings) -> None:
+    """Raise the ParseError of the first bad row, rows counted from line 2."""
+    for n, (paternal, maternal, ses) in enumerate(zip(paternals, maternals, ses_strings),
+                                                  start=2):
+        paternal, maternal = paternal.strip().casefold(), maternal.strip().casefold()
+        if not paternal or not maternal:
+            raise ParseError("empty surname", n, path)
+        for surname in (paternal, maternal):
+            if _UNSTORABLE_LABEL.search(surname):
+                raise ParseError(f"surname {surname!r} starts with '#' or contains "
+                                 "TAB, CR or LF", n, path)
+        try:
+            ses_value = float(ses)
+        except ValueError:
+            raise ParseError(f"bad SES value {ses!r}", n, path) from None
+        if not math.isfinite(ses_value):
+            raise ParseError(f"non-finite SES value {ses!r}", n, path)
 
-    A surname that triples.tsv could not carry (see _UNSTORABLE_LABEL) is a
-    ParseError naming its line.
+
+def read_records_csv(path: str) -> Records:
+    """Load `paternal,maternal,ses,block` rows; surnames are trimmed and case-folded.
+
+    An empty surname, one triples.tsv could not carry (see _UNSTORABLE_LABEL),
+    or an SES value Python's float() rejects or reads as non-finite is a
+    ParseError naming its line. Each distinct surname is normalized and
+    checked once and the SES column is parsed in one pass; on a failure the
+    rows are rescanned one by one, so the error names the first bad row.
     """
-    records = []
-    storable = set()  # surnames already checked against _UNSTORABLE_LABEL
+    paternal, maternal, ses, blocks = [], [], [], []
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != RECORDS_HEADER:
             raise ParseError(f"expected header {','.join(RECORDS_HEADER)!r}", 1, path)
-        for n, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise ParseError(f"expected 4 fields, got {len(row)}", n, path)
-            paternal, maternal, ses, block = row
-            paternal, maternal = paternal.strip().casefold(), maternal.strip().casefold()
-            if not paternal or not maternal:
-                raise ParseError("empty surname", n, path)
-            if paternal not in storable or maternal not in storable:
-                for surname in (paternal, maternal):
-                    if _UNSTORABLE_LABEL.search(surname):
-                        raise ParseError(f"surname {surname!r} starts with '#' or contains "
-                                         "TAB, CR or LF", n, path)
-                storable.update((paternal, maternal))
-            try:
-                ses_value = float(ses)
-            except ValueError:
-                raise ParseError(f"bad SES value {ses!r}", n, path) from None
-            if not math.isfinite(ses_value):
-                raise ParseError(f"non-finite SES value {ses!r}", n, path)
-            records.append(
-                IndividualRecord(paternal, maternal, ses_value, block.strip())
-            )
-    return records
+        try:
+            for row in reader:
+                if len(row) != 4:
+                    raise ParseError(f"expected 4 fields, got {len(row)}", len(ses) + 2, path)
+                paternal_raw, maternal_raw, ses_raw, block_raw = row
+                paternal.append(paternal_raw)
+                maternal.append(maternal_raw)
+                ses.append(ses_raw)
+                blocks.append(block_raw)
+        except (ParseError, csv.Error, UnicodeDecodeError):
+            # A bad row before the one that stopped the reader is reported first.
+            _check_rows(path, paternal, maternal, ses)
+            raise
+    label_of = {name: name.strip().casefold() for name in {*paternal, *maternal}}
+    labels = set(label_of.values())
+    try:
+        ses_values = np.fromiter(map(float, ses), np.float64, count=len(ses))
+        valid = ("" not in labels and not any(map(_UNSTORABLE_LABEL.search, labels))
+                 and bool(np.isfinite(ses_values).all()))
+    except ValueError:
+        valid = False
+    if not valid:
+        _check_rows(path, paternal, maternal, ses)
+    return Records.intern(paternal, maternal, ses_values, list(map(str.strip, blocks)),
+                          label_of)
 
 
 def normalize_ses(values) -> np.ndarray:
@@ -157,47 +203,47 @@ def assign_deciles(normalized, boundaries) -> np.ndarray:
     return np.searchsorted(np.asarray(boundaries, dtype=np.float64), z, side="right") + 1
 
 
-def count_pairs(records, deciles) -> PairTable:
+def count_pairs(records: Records, deciles) -> PairCounts:
     """Tally co-occurrence weights per (canonical pair, decile).
 
     Surname order within a record is ignored. n_s counts each individual
     bearing a surname once, whether in the paternal or maternal slot; a person
     with identical surnames contributes to n_s but to no pair.
     """
-    weights: dict = {}
-    n_s: Counter = Counter()
-    for record, decile in zip(records, deciles):
-        n_s[record.paternal] += 1
-        if record.maternal != record.paternal:
-            n_s[record.maternal] += 1
-            pair = (min(record.paternal, record.maternal), max(record.paternal, record.maternal))
-            by_decile = weights.get(pair)
-            if by_decile is None:
-                by_decile = weights[pair] = Counter()
-            by_decile[int(decile)] += 1
-    return PairTable(weights=weights, n_s=dict(n_s), n_total=len(records))
+    n_labels = len(records.labels)
+    paternal, maternal = records.paternal, records.maternal
+    paired = paternal != maternal
+    n_s = (np.bincount(paternal, minlength=n_labels)
+           + np.bincount(maternal[paired], minlength=n_labels))
+    lo = np.minimum(paternal, maternal)[paired]
+    hi = np.maximum(paternal, maternal)[paired]
+    deciles = np.asarray(deciles, dtype=np.int64)[paired]
+    radix = int(deciles.max()) + 1 if deciles.size else 1
+    # Label ids follow label order, so sorted codes are in (s1, s2, decile) order.
+    codes, weight = np.unique((lo * n_labels + hi) * radix + deciles, return_counts=True)
+    pair, decile = np.divmod(codes, radix)
+    s1, s2 = np.divmod(pair, n_labels)
+    return PairCounts(n_s, s1, s2, decile, weight)
+
+
+def mateos_keeps(weight, n_s1, n_s2, n_total, k_security):
+    """Whether a pair's total weight reaches k * n_s1 * n_s2 / N, k times its
+    expected co-occurrence under random pairing; on numbers or arrays."""
+    return weight >= k_security * n_s1 * n_s2 / n_total
+
+
+def min_occurrence_filter(n_s1, n_s2, min_occurrences):
+    """Whether each surname of a pair is borne by min_occurrences people or
+    more, the rare-surname rule; on numbers or arrays."""
+    return (n_s1 >= min_occurrences) & (n_s2 >= min_occurrences)
 
 
 def mateos_filter(pairs: dict, n_s: dict, n_total: int, k_security: float) -> dict:
     """Drop every pair whose total weight is below k * n_s1 * n_s2 / N."""
     if n_total <= 0:
         raise ValueError("population size must be positive")
-    kept = {}
-    for pair, by_decile in pairs.items():
-        s1, s2 = pair
-        threshold = k_security * n_s[s1] * n_s[s2] / n_total
-        if sum(by_decile.values()) >= threshold:
-            kept[pair] = by_decile
-    return kept
-
-
-def min_occurrence_filter(pairs: dict, n_s: dict, min_occurrences: int) -> dict:
-    """Drop every pair touching a surname borne by fewer than min_occurrences people."""
-    return {
-        pair: by_decile
-        for pair, by_decile in pairs.items()
-        if n_s[pair[0]] >= min_occurrences and n_s[pair[1]] >= min_occurrences
-    }
+    return {(s1, s2): by_decile for (s1, s2), by_decile in pairs.items()
+            if mateos_keeps(sum(by_decile.values()), n_s[s1], n_s[s2], n_total, k_security)}
 
 
 def kcore_prune(pairs: dict, k: int):
@@ -229,46 +275,55 @@ def kcore_prune(pairs: dict, k: int):
     return kept, core
 
 
-def build(records, config: BuilderConfig = BuilderConfig()):
+def build(records: Records, config: BuilderConfig = BuilderConfig()):
     """Run the full pipeline and emit (label triples, BuildReport).
 
     Triples carry relation labels "d1".."d<n_deciles>" and canonically ordered
-    surnames; one triple per (surviving pair, decile with weight >= 1).
+    surnames; one triple per (surviving pair, decile with weight >= 1), sorted.
     """
     report = BuildReport(n_records=len(records))
-    normalized = normalize_ses([r.ses_raw for r in records])
+    normalized = normalize_ses(records.ses)
     boundaries = quantile_boundaries(normalized, config.n_deciles)
     deciles = assign_deciles(normalized, boundaries)
 
-    table = count_pairs(records, deciles)
-    report.n_pairs_counted = len(table.weights)
+    counts = count_pairs(records, deciles)
+    n_labels = len(records.labels)
+    pair = counts.s1 * n_labels + counts.s2
+    first = np.flatnonzero(np.diff(pair, prepend=-1))  # each pair's first row
+    s1, s2 = counts.s1[first], counts.s2[first]
+    n_s1, n_s2 = counts.n_s[s1], counts.n_s[s2]
+    report.n_pairs_counted = len(first)
 
     # Both filters are per-pair predicates over the same n_s marginals, so
     # their order does not change the surviving pairs.
-    pairs = mateos_filter(table.weights, table.n_s, table.n_total, config.k_security)
-    report.n_pairs_after_mateos = len(pairs)
-    pairs = min_occurrence_filter(pairs, table.n_s, config.min_occurrences)
-    report.n_pairs_after_rare = len(pairs)
+    keep = mateos_keeps(np.add.reduceat(counts.weight, first), n_s1, n_s2,
+                        len(records), config.k_security)
+    report.n_pairs_after_mateos = int(keep.sum())
+    keep &= min_occurrence_filter(n_s1, n_s2, config.min_occurrences)
+    report.n_pairs_after_rare = int(keep.sum())
 
-    pairs, core = kcore_prune(pairs, config.kcore_k)
+    _, core = kcore_prune(dict.fromkeys(zip(s1[keep].tolist(), s2[keep].tolist())),
+                          config.kcore_k)
+    in_core = np.zeros(n_labels, dtype=bool)
+    in_core[np.fromiter(core, np.int64, count=len(core))] = True
+    keep &= in_core[s1] & in_core[s2]
 
-    triples = []
-    decile_counts = Counter()
-    degree = Counter()
-    for (s1, s2), by_decile in sorted(pairs.items()):
-        degree[s1] += 1
-        degree[s2] += 1
-        for d in sorted(by_decile):
-            triples.append((s1, f"d{d}", s2))
-            decile_counts[d] += 1
+    rows = np.repeat(keep, np.diff(first, append=len(pair)))
+    labels = records.labels
+    triples = [(labels[a], f"d{d}", labels[b]) for a, d, b in
+               zip(counts.s1[rows].tolist(), counts.decile[rows].tolist(),
+                   counts.s2[rows].tolist())]
+    decile_counts = np.bincount(counts.decile[rows], minlength=config.n_deciles + 1).tolist()
+    degree = np.bincount(s1[keep], minlength=n_labels) + np.bincount(s2[keep], minlength=n_labels)
+    degrees, nodes = np.unique(degree[degree > 0], return_counts=True)
 
     report.n_nodes = len(core)
-    report.n_pairs = len(pairs)
+    report.n_pairs = int(keep.sum())
     report.n_triples = len(triples)
-    report.avg_degree = (2.0 * len(pairs) / len(core)) if core else 0.0
+    report.avg_degree = (2.0 * report.n_pairs / len(core)) if core else 0.0
     report.decile_fractions = {
-        f"d{d}": decile_counts.get(d, 0) / len(triples) if triples else 0.0
+        f"d{d}": decile_counts[d] / len(triples) if triples else 0.0
         for d in range(1, config.n_deciles + 1)
     }
-    report.degree_histogram = dict(Counter(degree.values()))
+    report.degree_histogram = dict(zip(degrees.tolist(), nodes.tolist()))
     return triples, report

@@ -387,6 +387,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as err:
         _log(f"error: missing input: {err}")
         return 2
+    except IsADirectoryError as err:
+        # os.replace names the directory it would have replaced second.
+        _log(f"error: {err.filename2 or err.filename!r} is a directory, not a file")
+        return 2
     except (ParseError, ValueError) as err:
         # Bad file contents or out-of-range configuration values.
         _log(f"error: {err}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from affinitykg import kg as kgmod
-from affinitykg.builder import RECORDS_HEADER, IndividualRecord
+from affinitykg.builder import RECORDS_HEADER, Records
 from affinitykg.util import atomic_write_text, format_float
 
 
@@ -84,7 +84,7 @@ def generate_population(spec: PopulationSpec):
         for c in range(spec.n_communities)
         for i in range(spec.surnames_per_community)
     ]
-    records = []
+    paternals, maternals, ses_values, blocks = [], [], [], []
     for _ in range(spec.n_individuals):
         community = int(rng.integers(spec.n_communities))
         if by_community[community] and rng.random() < spec.intra_bias:
@@ -95,16 +95,23 @@ def generate_population(spec: PopulationSpec):
             paternal = all_surnames[int(rng.integers(len(all_surnames)))]
             maternal = all_surnames[int(rng.integers(len(all_surnames)))]
         ses = _ses_center(community, spec.n_communities) + float(rng.normal(0.0, spec.ses_noise))
-        block = f"c{community}-{int(rng.integers(100)):02d}"
-        records.append(IndividualRecord(paternal, maternal, ses, block))
+        paternals.append(paternal)
+        maternals.append(maternal)
+        ses_values.append(ses)
+        blocks.append(f"c{community}-{int(rng.integers(100)):02d}")
+    used = {*paternals, *maternals}
+    records = Records.intern(paternals, maternals, ses_values, blocks, dict(zip(used, used)))
     return records, planted
 
 
-def write_records_csv(path: str, records) -> None:
+def write_records_csv(path: str, records: Records) -> None:
+    labels = records.labels
     lines = [",".join(RECORDS_HEADER)]
     lines += [
-        f"{r.paternal},{r.maternal},{format_float(r.ses_raw)},{r.block_id}"
-        for r in records
+        f"{labels[paternal]},{labels[maternal]},{format_float(ses)},{block}"
+        for paternal, maternal, ses, block in zip(records.paternal.tolist(),
+                                                   records.maternal.tolist(),
+                                                   records.ses.tolist(), records.blocks)
     ]
     atomic_write_text(path, "".join(line + "\n" for line in lines))
 

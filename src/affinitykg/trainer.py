@@ -17,6 +17,7 @@ float64 array per parameter block (E.bin, R.bin, G.bin) and per Adam moment
 epoch, and the validation metrics of the stored parameters.
 """
 
+import contextlib
 import itertools
 import json
 import os
@@ -321,6 +322,12 @@ def save_checkpoint(directory: str, params, state: AdamState, config: TrainConfi
                            state.m[name].astype("<f8").tobytes())
         atomic_write_bytes(os.path.join(directory, f"adam_v_{name}.bin"),
                            state.v[name].astype("<f8").tobytes())
+    # Blocks another model has and this one lacks, left by an earlier run.
+    stale = {name for model in models.MODELS for name in models.block_names(model)} - set(blocks)
+    for name in sorted(stale):
+        for prefix in ("", "adam_m_", "adam_v_"):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(directory, f"{prefix}{name}.bin"))
 
 
 def _read_block(directory: str, name: str, shape) -> np.ndarray:

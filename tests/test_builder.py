@@ -1,19 +1,28 @@
-"""Affinity-builder stages against brute-force recounts and a peeling oracle."""
+"""Affinity-builder stages against brute-force recounts, a peeling oracle and
+the row-by-row reader they replace."""
 
 import csv
+import math
+import os
+import re
+import tempfile
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from affinitykg.builder import (
     RECORDS_HEADER,
     BuilderConfig,
-    IndividualRecord,
+    Records,
     assign_deciles,
     build,
     count_pairs,
     kcore_prune,
     mateos_filter,
+    mateos_keeps,
     min_occurrence_filter,
     normalize_ses,
     quantile_boundaries,
@@ -21,6 +30,7 @@ from affinitykg.builder import (
 )
 from affinitykg.errors import ParseError
 from affinitykg.synthetic import PopulationSpec, generate_population, write_records_csv
+from affinitykg.util import open_text
 
 
 class TestNormalizeSes:
@@ -72,36 +82,65 @@ class TestDeciles:
         assert np.all(np.abs(fractions - 0.1) < 0.01)
 
 
-def rec(p, m, ses=50.0, block="b0"):
-    return IndividualRecord(p, m, ses, block)
+def make_records(*pairs):
+    """Records of one individual per (paternal, maternal) surname pair, with
+    SES scores 0, 1, 2, ... in that order."""
+    paternal, maternal = [p for p, _ in pairs], [m for _, m in pairs]
+    names = {*paternal, *maternal}
+    return Records.intern(paternal, maternal, np.arange(len(pairs), dtype=np.float64),
+                          ["b0"] * len(pairs), dict(zip(names, names)))
+
+
+def pair_table(records, deciles):
+    """count_pairs as (weights, n_s, n_total) keyed by labels:
+    weights maps (s1, s2) to {decile: count}, n_s a surname to its bearers."""
+    counts = count_pairs(records, deciles)
+    labels = records.labels
+    weights = {}
+    for s1, s2, decile, weight in zip(*(column.tolist() for column in counts[1:])):
+        weights.setdefault((labels[s1], labels[s2]), {})[decile] = weight
+    n_s = {labels[i]: n for i, n in enumerate(counts.n_s.tolist()) if n}
+    return weights, n_s, len(records)
 
 
 class TestCountPairs:
     def test_single_individual(self):
-        table = count_pairs([rec("perez", "soto")], [3])
-        assert table.weights == {("perez", "soto"): {3: 1}}
-        assert table.n_s == {"perez": 1, "soto": 1}
-        assert table.n_total == 1
+        weights, n_s, n_total = pair_table(make_records(("perez", "soto")), [3])
+        assert weights == {("perez", "soto"): {3: 1}}
+        assert n_s == {"perez": 1, "soto": 1}
+        assert n_total == 1
 
     def test_order_insensitive(self):
-        table = count_pairs([rec("soto", "perez"), rec("perez", "soto")], [3, 3])
-        assert table.weights[("perez", "soto")][3] == 2
+        weights, _, _ = pair_table(make_records(("soto", "perez"), ("perez", "soto")), [3, 3])
+        assert weights[("perez", "soto")][3] == 2
 
     def test_homonymous_counts_once_no_pair(self):
-        table = count_pairs([rec("soto", "soto")], [1])
-        assert table.weights == {} and table.n_s == {"soto": 1}
+        weights, n_s, _ = pair_table(make_records(("soto", "soto")), [1])
+        assert weights == {} and n_s == {"soto": 1}
 
     def test_n_s_matches_flat_recount(self):
         rng = np.random.default_rng(1)
         names = [f"n{i}" for i in range(20)]
-        records = [
-            rec(names[rng.integers(20)], names[rng.integers(20)]) for _ in range(500)
-        ]
+        pairs = [(names[rng.integers(20)], names[rng.integers(20)]) for _ in range(500)]
         deciles = rng.integers(1, 11, size=500)
-        table = count_pairs(records, deciles)
+        _, n_s, _ = pair_table(make_records(*pairs), deciles)
         for name in names:
-            expected = sum(1 for r in records if name in (r.paternal, r.maternal))
-            assert table.n_s.get(name, 0) == expected
+            expected = sum(1 for pair in pairs if name in pair)
+            assert n_s.get(name, 0) == expected
+
+    def test_rows_sorted_by_label_pair_then_decile(self):
+        rng = np.random.default_rng(2)
+        names = ["b", "a", "ab", "B", "ä", "z"]
+        pairs = [(names[rng.integers(6)], names[rng.integers(6)]) for _ in range(300)]
+        deciles = rng.integers(1, 11, size=300)
+        records = make_records(*pairs)
+        counts = count_pairs(records, deciles)
+        rows = [(records.labels[a], records.labels[b], d)
+                for a, b, d in zip(counts.s1.tolist(), counts.s2.tolist(), counts.decile.tolist())]
+        expected = Counter((min(p, m), max(p, m), int(d))
+                           for (p, m), d in zip(pairs, deciles) if p != m)
+        assert rows == sorted(expected)
+        assert counts.weight.tolist() == [expected[row] for row in rows]
 
 
 class TestMateosFilter:
@@ -133,27 +172,24 @@ class TestMateosFilter:
         # co-occurrence, far below 20x expectation.
         rng = np.random.default_rng(7)
         names = [f"n{i:03d}" for i in range(50)]
-        records = []
+        pairs = []
         for _ in range(20000):
             a, b = rng.integers(0, 50, size=2)
-            records.append(rec(names[a], names[b]))
-        table = count_pairs(records, np.ones(len(records), dtype=int))
-        kept = mateos_filter(table.weights, table.n_s, table.n_total, 20.0)
-        assert len(kept) / len(table.weights) < 0.01
+            pairs.append((names[a], names[b]))
+        weights, n_s, n_total = pair_table(make_records(*pairs), np.ones(len(pairs), dtype=int))
+        kept = mateos_filter(weights, n_s, n_total, 20.0)
+        assert len(kept) / len(weights) < 0.01
 
 
 class TestMinOccurrenceFilter:
     def test_nineteen_bearers_dropped(self):
-        pairs = {("a", "b"): {1: 5}}
-        assert min_occurrence_filter(pairs, {"a": 19, "b": 100}, 20) == {}
+        assert not min_occurrence_filter(19, 100, 20)
 
     def test_exactly_twenty_kept(self):
-        pairs = {("a", "b"): {1: 5}}
-        assert min_occurrence_filter(pairs, {"a": 20, "b": 20}, 20) == pairs
+        assert min_occurrence_filter(20, 20, 20)
 
     def test_zero_threshold_is_identity(self):
-        pairs = {("a", "b"): {1: 1}, ("c", "d"): {2: 1}}
-        assert min_occurrence_filter(pairs, {"a": 1, "b": 1, "c": 1, "d": 1}, 0) == pairs
+        assert min_occurrence_filter(np.array([1, 1]), np.array([1, 1]), 0).tolist() == [True, True]
 
 
 def peeling_oracle(edges, k):
@@ -240,16 +276,18 @@ class TestBuildPipeline:
 
     def test_filter_stages_idempotent(self):
         records, _ = generate_population(PopulationSpec(seed=10, n_individuals=5000))
-        from affinitykg.builder import assign_deciles, normalize_ses, quantile_boundaries
-
-        z = normalize_ses([r.ses_raw for r in records])
+        z = normalize_ses(records.ses)
         deciles = assign_deciles(z, quantile_boundaries(z))
-        table = count_pairs(records, deciles)
-        once = mateos_filter(table.weights, table.n_s, table.n_total, 20.0)
-        assert mateos_filter(once, table.n_s, table.n_total, 20.0) == once
-        rare_once = min_occurrence_filter(once, table.n_s, 20)
-        assert min_occurrence_filter(rare_once, table.n_s, 20) == rare_once
-        core_once, nodes = kcore_prune(rare_once, 2)
+        weights, n_s, n_total = pair_table(records, deciles)
+        total = np.array([sum(w.values()) for w in weights.values()])
+        n1 = np.array([n_s[a] for a, _ in weights])
+        n2 = np.array([n_s[b] for _, b in weights])
+        once = mateos_keeps(total, n1, n2, n_total, 20.0)
+        assert mateos_keeps(total[once], n1[once], n2[once], n_total, 20.0).all()
+        rare_once = once & min_occurrence_filter(n1, n2, 20)
+        assert min_occurrence_filter(n1[rare_once], n2[rare_once], 20).all()
+        survivors = {pair: None for pair, kept in zip(weights, rare_once) if kept}
+        core_once, nodes = kcore_prune(survivors, 2)
         core_twice, nodes2 = kcore_prune(core_once, 2)
         assert core_twice == core_once and nodes2 == nodes
 
@@ -269,7 +307,10 @@ class TestRecordsCsv:
         path = tmp_path / "records.csv"
         write_records_csv(str(path), records)
         back = read_records_csv(str(path))
-        assert back == records
+        assert back.labels == records.labels and back.blocks == records.blocks
+        for column in ("paternal", "maternal", "ses"):
+            np.testing.assert_array_equal(getattr(back, column), getattr(records, column))
+        assert back.paternal.dtype == np.int64 and back.ses.dtype == np.float64
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "records.csv"
@@ -296,7 +337,8 @@ class TestRecordsCsv:
         path = tmp_path / "records.csv"
         path.write_text("paternal,maternal,ses,block\nPerez,SOTO,1.5,b1\n")
         back = read_records_csv(str(path))
-        assert back[0].paternal == "perez" and back[0].maternal == "soto"
+        assert back.labels[back.paternal[0]] == "perez"
+        assert back.labels[back.maternal[0]] == "soto"
 
     @pytest.mark.parametrize("surname", ["#perez", "  #Perez", "pe\tz", "pe\rz", "pe\nz"])
     def test_unstorable_surname_reports_line(self, tmp_path, surname):
@@ -312,4 +354,160 @@ class TestRecordsCsv:
     def test_inner_hash_accepted(self, tmp_path):
         path = tmp_path / "records.csv"
         path.write_text("paternal,maternal,ses,block\nper#ez,soto,1.5,b1\n")
-        assert read_records_csv(str(path))[0].paternal == "per#ez"
+        back = read_records_csv(str(path))
+        assert back.labels[back.paternal[0]] == "per#ez"
+
+
+# -- the columnar reader against the row-by-row reader it replaced -----------
+
+_ORACLE_UNSTORABLE = re.compile(r"^#|[\t\r\n]")
+
+
+def oracle_read_records_csv(path):
+    """The row-by-row reader, with (paternal, maternal, ses, block) tuples for
+    its per-row records."""
+    records = []
+    storable = set()
+    with open_text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != RECORDS_HEADER:
+            raise ParseError(f"expected header {','.join(RECORDS_HEADER)!r}", 1, path)
+        for n, row in enumerate(reader, start=2):
+            if len(row) != 4:
+                raise ParseError(f"expected 4 fields, got {len(row)}", n, path)
+            paternal, maternal, ses, block = row
+            paternal, maternal = paternal.strip().casefold(), maternal.strip().casefold()
+            if not paternal or not maternal:
+                raise ParseError("empty surname", n, path)
+            if paternal not in storable or maternal not in storable:
+                for surname in (paternal, maternal):
+                    if _ORACLE_UNSTORABLE.search(surname):
+                        raise ParseError(f"surname {surname!r} starts with '#' or contains "
+                                         "TAB, CR or LF", n, path)
+                storable.update((paternal, maternal))
+            try:
+                ses_value = float(ses)
+            except ValueError:
+                raise ParseError(f"bad SES value {ses!r}", n, path) from None
+            if not math.isfinite(ses_value):
+                raise ParseError(f"non-finite SES value {ses!r}", n, path)
+            records.append((paternal, maternal, ses_value, block.strip()))
+    return records
+
+
+# Case and whitespace variants of a few surnames, fields csv must quote, and
+# surnames the reader rejects; SES strings on both sides of Python's float().
+GOOD_SURNAMES = ["Perez", "PEREZ", " perez ", "perez\t", "Soto", "soto ", "so#to", "a,b",
+                 '"q"', "Straße", "STRASSE", "ÑANDU", "ñandu"]
+BAD_SURNAMES = ["", "  ", "#soto", " #Soto", "x\ny", "ruiz\r", "t\tab"]
+GOOD_SES = ["1", "2.5", "-3.25", "1_000", " 5 ", "\t7\n", "1e3", "١٢", "0.1e-2", "+4"]
+BAD_SES = ["nan", "-NaN", "1e400", "infinity", "-inf", "junk", "", "0x10", "1e", "١٫٥", "1__0"]
+
+
+def mostly(common, *rare, odds=10):
+    """common, or one of rare about once in `odds` draws."""
+    return st.integers(0, odds - 1).flatmap(
+        lambda i: st.one_of(*rare) if i == 0 else common)
+
+
+surnames = mostly(st.sampled_from(GOOD_SURNAMES), st.sampled_from(BAD_SURNAMES),
+                  st.text(st.sampled_from("Ab #\t\r\n,\""), max_size=4))
+ses_strings = mostly(st.one_of(st.sampled_from(GOOD_SES),
+                               st.floats(allow_nan=False, allow_infinity=False).map(repr)),
+                     st.sampled_from(BAD_SES))
+rows = mostly(st.tuples(surnames, surnames, ses_strings,
+                        st.sampled_from(["b1", " b2 ", "c,d", ""])).map(list),
+              st.lists(st.sampled_from(["perez", "1.5", "b"]), max_size=6), odds=20)
+
+
+class TestReaderOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(rows, max_size=8))
+    def test_same_columns_or_same_error(self, body):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "records.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(RECORDS_HEADER)
+                writer.writerows(body)
+            try:
+                expected = oracle_read_records_csv(path)
+            except ParseError as err:
+                with pytest.raises(ParseError) as got:
+                    read_records_csv(path)
+                assert (str(got.value), got.value.line_no) == (str(err), err.line_no)
+                event(str(err).split(": ", 1)[1].split(" ")[0])
+                return
+            records = read_records_csv(path)
+            labels = records.labels
+            assert labels == sorted({name for p, m, _, _ in expected for name in (p, m)})
+            assert records.paternal.dtype == records.maternal.dtype == np.int64
+            assert records.ses.dtype == np.float64 and len(records) == len(expected)
+            got_rows = list(zip([labels[i] for i in records.paternal.tolist()],
+                                [labels[i] for i in records.maternal.tolist()],
+                                records.ses.tolist(), records.blocks))
+            assert got_rows == expected
+            event("accepted")
+
+    def test_bad_row_before_a_wrong_field_count_is_reported_first(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("paternal,maternal,ses,block\nperez,soto,oops,b\nruiz,diaz\n")
+        with pytest.raises(ParseError, match="bad SES value") as err:
+            read_records_csv(str(path))
+        assert err.value.line_no == 2
+
+
+# -- one threshold rule for dicts and arrays ---------------------------------
+
+@st.composite
+def populations(draw):
+    """(surname pairs, k): a few surnames, self-pairs that only raise N, and a
+    k that, half the time, puts one pair's weight exactly at its threshold."""
+    names = [f"s{i}" for i in range(draw(st.integers(3, 6)))]
+    name = st.sampled_from(names)
+    pairs = draw(st.lists(st.tuples(name, name), min_size=2, max_size=60))
+    pairs += [("filler", "filler")] * draw(st.integers(0, 200))
+    weights, n_s = Counter(), Counter()
+    for p, m in pairs:
+        n_s[p] += 1
+        if p != m:
+            n_s[m] += 1
+            weights[min(p, m), max(p, m)] += 1
+    if weights and draw(st.booleans()):
+        (s1, s2), w = draw(st.sampled_from(sorted(weights.items())))
+        k = w * len(pairs) / (n_s[s1] * n_s[s2])
+    else:
+        k = draw(st.floats(1.0001, 50.0))
+    assume(k > 1)
+    return pairs, k
+
+
+class TestThresholdRule:
+    @settings(max_examples=200, deadline=None)
+    @given(populations())
+    def test_build_keeps_what_mateos_filter_keeps(self, population):
+        pairs, k = population
+        records = make_records(*pairs)
+        z = normalize_ses(records.ses)
+        deciles = assign_deciles(z, quantile_boundaries(z, 2))
+        weights, n_s, n_total = pair_table(records, deciles)
+        expected = mateos_filter(weights, n_s, n_total, k)
+        # The rule as first written, evaluated left to right on Python numbers.
+        assert set(expected) == {(a, b) for (a, b), w in weights.items()
+                                 if sum(w.values()) >= k * n_s[a] * n_s[b] / n_total}
+        if any(k * n_s[a] * n_s[b] / n_total == sum(w.values()) for (a, b), w in weights.items()):
+            event("a weight equals its threshold")
+        triples, report = build(records, BuilderConfig(k_security=k, min_occurrences=0,
+                                                       kcore_k=0, n_deciles=2))
+        assert report.n_pairs_after_mateos == len(expected)
+        assert {(h, t) for h, _, t in triples} == set(expected)
+
+    @pytest.mark.parametrize("weight,kept", [(4, True), (3, False)])
+    def test_weight_at_threshold_is_kept(self, weight, kept):
+        # k=20, n_s1=n_s2=10, N=500 -> threshold 4.0 exactly.
+        pairs = ([("a", "b")] * weight + [("a", "c")] * (10 - weight)
+                 + [("b", "d")] * (10 - weight) + [("z", "z")] * (500 - 20 + weight))
+        triples, _ = build(make_records(*pairs), BuilderConfig(k_security=20.0, min_occurrences=0,
+                                                  kcore_k=0, n_deciles=2))
+        assert (("a", "b") in {(h, t) for h, _, t in triples}) == kept

@@ -395,6 +395,22 @@ class TestStageShell:
         assert "--out" in capsys.readouterr().err
         assert blocker.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("argv", [["build-network", "--records"], ["gen-synthetic", "--config"]],
+                             ids=["records", "config"])
+    def test_directory_as_input_file_exits_2(self, tmp_path, capsys, argv):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        assert run([*argv, folder, "--out", tmp_path / "out"]) == 2
+        assert f"{str(folder)!r} is a directory, not a file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_directory_in_place_of_an_output_file_exits_2(self, pipeline, tmp_path, capsys):
+        (tmp_path / "triples.tsv").mkdir()
+        assert run(["build-network", "--records", pipeline["gen"] / "records.csv",
+                    "--out", tmp_path]) == 2
+        target = str(tmp_path / "triples.tsv")
+        assert f"{target!r} is a directory, not a file" in capsys.readouterr().err
+
 
 class TestTextInputs:
     def test_records_with_bom_build_the_same_triples(self, pipeline, tmp_path):

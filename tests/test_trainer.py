@@ -373,6 +373,24 @@ class TestCheckpoint:
             np.testing.assert_array_equal(result.adam_state.m[name], state.m[name])
             np.testing.assert_array_equal(result.adam_state.v[name], state.v[name])
 
+    def test_retraining_another_model_leaves_no_stale_blocks(self, tmp_path):
+        kg = two_block_kg(seed=9)
+        hashes = {"entities": kg.entities.digest(), "relations": kg.relations.digest()}
+
+        def train_into(directory, model):
+            config = TrainConfig(epochs=1, d_e=6, d_r=3, seed=2, eval_every=1, model=model)
+            result = fit(kg, config)
+            save_checkpoint(str(directory), result.params, result.adam_state, config,
+                            result.best_epoch, {}, hashes)
+
+        train_into(tmp_path / "reused", "tucker")
+        assert (tmp_path / "reused" / "G.bin").exists()
+        train_into(tmp_path / "reused", "distmult")
+        train_into(tmp_path / "fresh", "distmult")
+        assert sorted(os.listdir(tmp_path / "reused")) == sorted(os.listdir(tmp_path / "fresh"))
+        params, _, meta = load_checkpoint(str(tmp_path / "reused"))
+        assert params.model == meta["model"] == "distmult"
+
     @pytest.mark.parametrize("edit", [
         lambda meta: meta["blocks"].pop("G"),
         lambda meta: meta["blocks"].update(X=[1]),
