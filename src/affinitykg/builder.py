@@ -63,8 +63,8 @@ class BuilderConfig:
     n_deciles: int = 10
 
     def __post_init__(self):
-        if self.k_security <= 1:
-            raise ValueError("k_security must exceed 1")
+        if not 1 < self.k_security < math.inf:
+            raise ValueError(f"k_security must be finite and exceed 1, got {self.k_security}")
         if self.min_occurrences < 0 or self.kcore_k < 0:
             raise ValueError("filter thresholds must be non-negative")
         if self.n_deciles < 1:

@@ -20,7 +20,7 @@ import sys
 
 from affinitykg import builder, evaluator, kg as kgmod, snn, synthetic, trainer
 from affinitykg.errors import ConsistencyError, ParseError
-from affinitykg.util import atomic_write_text, canonical_json, open_text
+from affinitykg.util import atomic_write_text, canonical_json, csv_text, open_text
 
 
 # Each section's keys fill the fields of one dataclass, which owns their
@@ -257,7 +257,8 @@ def cmd_train(args, config: RunConfig) -> tuple[dict, str]:
     metrics = result.best_val_report.to_dict() if result.best_val_report else {}
     trainer.save_checkpoint(args.out, result.params, result.adam_state, tc,
                             result.best_epoch, metrics, _vocab_hashes(graph))
-    return ({"log.jsonl": "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in result.log)},
+    return ({"log.jsonl": "".join(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n"
+                                  for rec in result.log)},
             f"{result.epochs_run} epochs, best val MRR {result.best_val_mrr:.4f} "
             f"at epoch {result.best_epoch}")
 
@@ -278,16 +279,12 @@ def cmd_grid_search(args, config: RunConfig) -> tuple[dict, str]:
         }
         for i, cell in enumerate(cells)
     ]
-    csv_lines = ["rank,d_r,d_e,dropout_input,dropout_relation,dropout_combination,val_mrr,val_hits1"]
-    for row in rows:
-        dr = row["dropout"]
-        csv_lines.append(
-            f"{row['rank']},{row['d_r']},{row['d_e']},{dr['input_rate']},"
-            f"{dr['after_relation_rate']},{dr['after_combination_rate']},"
-            f"{row['val_mrr']!r},{row['val_hits1']!r}"
-        )
+    header = ("rank", "d_r", "d_e", "dropout_input", "dropout_relation", "dropout_combination",
+              "val_mrr", "val_hits1")
     return ({"grid_results.json": canonical_json(rows),
-             "grid_results.csv": "".join(line + "\n" for line in csv_lines)},
+             "grid_results.csv": csv_text([header] + [
+                 (row["rank"], row["d_r"], row["d_e"], *row["dropout"].values(),
+                  row["val_mrr"], row["val_hits1"]) for row in rows])},
             f"{len(rows)} cells")
 
 
@@ -307,7 +304,7 @@ def cmd_analyze(args, config: RunConfig) -> tuple[dict, str]:
     hits = snn.select_hits(records, config["snn.hit_rank_cutoff"], config["eval.mode"])
     report = snn.analyze_predictions(params, graph, hits,
                                      knn_k=config["snn.k"], tau=config["snn.tau"])
-    return ({"snn_report.json": canonical_json(report.to_dict()),
+    return ({"snn_report.json": canonical_json(dataclasses.asdict(report)),
              "snn_report.csv": report.to_csv()},
             f"{len(hits)} hits across {len(report.deciles)} deciles")
 

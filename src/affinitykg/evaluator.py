@@ -10,14 +10,14 @@ ranked above it, so a constant scorer cannot look good.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from affinitykg.errors import ConsistencyError
 from affinitykg.kg import KnowledgeGraph, KnownTrueSet
 from affinitykg.models import relation_matrix, score_all_tails
-from affinitykg.util import format_float
+from affinitykg.util import csv_text
 
 HIST_MAX_RANK = 10
 MODES = ("filtered", "raw")
@@ -53,19 +53,9 @@ class MetricsReport:
     per_relation: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "hits1": self.hits1,
-            "hits3": self.hits3,
-            "hits10": self.hits10,
-            "mrr": self.mrr,
-            "n": self.n,
-            "hits_per_rank": list(self.hits_per_rank),
-        }
-        if self.per_relation:
-            out["per_relation"] = {
-                label: sub.to_dict() for label, sub in sorted(self.per_relation.items())
-            }
-        return out
+        """The report's fields, recursively; an empty per_relation is left out."""
+        return asdict(self, dict_factory=lambda items: {
+            key: value for key, value in items if value or key != "per_relation"})
 
 
 def rank_of_target(scores, target: int, filter_set=frozenset(), mode: str = "filtered") -> int:
@@ -170,13 +160,10 @@ def evaluate(params, kg: KnowledgeGraph, mode: str = "filtered",
 
 def per_relation_csv(report: MetricsReport) -> str:
     """CSV table `relation,hits1,hits3,hits10,mrr,n` over the sub-reports."""
-    lines = ["relation,hits1,hits3,hits10,mrr,n"]
-    for label, sub in sorted(report.per_relation.items()):
-        lines.append(
-            f"{label},{format_float(sub.hits1)},{format_float(sub.hits3)},"
-            f"{format_float(sub.hits10)},{format_float(sub.mrr)},{sub.n}"
-        )
-    return "".join(line + "\n" for line in lines)
+    columns = ("hits1", "hits3", "hits10", "mrr", "n")
+    return csv_text([("relation", *columns)] + [
+        (label, *(getattr(sub, c) for c in columns))
+        for label, sub in sorted(report.per_relation.items())])
 
 
 def random_top_n_probability(n_e: int, degree: int) -> float:

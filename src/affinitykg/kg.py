@@ -118,16 +118,21 @@ def from_label_triples(label_triples):
     feed the entity vocabulary). Duplicate canonical triples are collapsed;
     the count of collapsed duplicates is returned alongside the graph.
     """
+    return _numbered_triples_graph(enumerate(label_triples, start=1))
+
+
+def _numbered_triples_graph(numbered, path: str | None = None):
+    """from_label_triples over (line number, triple) pairs; errors name the line."""
     entity_labels: dict[str, int] = {}
     relation_labels: dict[str, int] = {}
     rows: list[tuple[int, int, int]] = []
     seen: set[tuple[int, int, int]] = set()
     duplicates = 0
-    for n, (h_label, r_label, t_label) in enumerate(label_triples, start=1):
+    for n, (h_label, r_label, t_label) in numbered:
         if not h_label or not r_label or not t_label:
-            raise ParseError("empty label in triple", line_no=n)
+            raise ParseError("empty label in triple", n, path)
         if h_label == t_label:
-            raise ParseError(f"self-affinity triple {h_label!r}", line_no=n)
+            raise ParseError(f"self-affinity triple {h_label!r}", n, path)
         if t_label < h_label:
             h_label, t_label = t_label, h_label
         h = entity_labels.setdefault(h_label, len(entity_labels))
@@ -166,16 +171,7 @@ def load_triples(lines, path: str | None = None):
     Returns (kg, duplicate_count). Malformed lines raise ParseError with the
     offending line number.
     """
-    def triples():
-        for n, fields in _parse_triple_lines(lines, path):
-            yield fields
-
-    try:
-        return from_label_triples(triples())
-    except ParseError as err:
-        if err.line_no is not None and err.path is None and path is not None:
-            raise ParseError(str(err), path=path) from err
-        raise
+    return _numbered_triples_graph(_parse_triple_lines(lines, path), path)
 
 
 def load_triples_file(path: str):
@@ -269,8 +265,16 @@ def save_kg_dir(directory: str, kg: KnowledgeGraph) -> None:
 
 
 def _read_vocab_file(path: str) -> Vocab:
+    """One label per non-blank line; a repeated label names its line and the first."""
+    first_line: dict[str, int] = {}
     with open_text(path) as fh:
-        return Vocab([line.rstrip("\n") for line in fh if line.rstrip("\n")])
+        for n, raw in enumerate(fh, start=1):
+            label = raw.rstrip("\n")
+            if label in first_line:
+                raise ParseError(f"label {label!r} repeats line {first_line[label]}", n, path)
+            if label:
+                first_line[label] = n
+    return Vocab(first_line)
 
 
 def load_kg_dir(directory: str) -> KnowledgeGraph:

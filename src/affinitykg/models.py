@@ -237,28 +237,23 @@ def predict_sigmoid(logits) -> np.ndarray:
     return p
 
 
-@dataclass
-class ClampStats:
-    count: int = 0
-
-
 BCE_EPS = 1e-12
 
 
-def bce_loss(p, y, clamp_stats: ClampStats | None = None) -> float:
-    """Mean binary cross-entropy over the candidate (last) axis.
+def bce_loss(p, y) -> tuple:
+    """Mean binary cross-entropy over the candidate (last) axis, and the
+    number of probabilities clamped.
 
-    Returns a float for one vector and one loss per row for a stack of them.
-    Probabilities at exactly 0 or 1 are clamped to [eps, 1-eps] and counted,
-    so a saturated sigmoid cannot produce an infinite loss.
+    The loss is a float for one vector and one loss per row for a stack of
+    them. Probabilities at exactly 0 or 1 are clamped to [eps, 1-eps], so a
+    saturated sigmoid cannot produce an infinite loss.
     """
     p = np.atleast_1d(np.asarray(p, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     if p.shape != y.shape:
         raise ValueError("probability and label arrays must have the same shape")
     clamped = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
-    if clamp_stats is not None:
-        clamp_stats.count += int(np.count_nonzero(clamped != p))
+    n_clamped = int(np.count_nonzero(clamped != p))
     # y log(c) + (1 - y) log(1 - c), with as few temporaries as a batch needs
     loss = np.log(clamped)
     loss *= y
@@ -266,7 +261,7 @@ def bce_loss(p, y, clamp_stats: ClampStats | None = None) -> float:
     clamped *= 1.0 - y
     loss += clamped
     loss = -np.mean(loss, axis=-1)
-    return float(loss) if loss.ndim == 0 else loss
+    return (float(loss) if loss.ndim == 0 else loss), n_clamped
 
 
 def smooth_labels(y: np.ndarray, label_smoothing: float) -> np.ndarray:
@@ -317,12 +312,12 @@ def _tucker_queries(params: ModelParams, hs, slot, M, head, draw_masks):
     return d_head, S
 
 
-def batch_loss_and_grads(params: ModelParams, hs, rs, Y, draw_masks=None,
-                         clamp_stats: ClampStats | None = None):
+def batch_loss_and_grads(params: ModelParams, hs, rs, Y, draw_masks=None):
     """Forward 1:N pass and closed-form gradients for a batch of (h, r) queries.
 
-    Y holds one label row per query. Returns (losses, grads): the per-query
-    losses and the gradients summed over the batch, keyed like param_blocks().
+    Y holds one label row per query. Returns (losses, grads, clamped): the
+    per-query losses, the gradients summed over the batch, keyed like
+    param_blocks(), and the number of probabilities the loss clamped.
     draw_masks, when given, is called once per query in batch order for that
     query's dropout masks, which are used by its forward and backward passes
     and then dropped.
@@ -362,7 +357,7 @@ def batch_loss_and_grads(params: ModelParams, hs, rs, Y, draw_masks=None,
         e_h, w_r = params.E[hs], params.R[rs]
         d_head, d_rel = backward(head(slice(None), query(e_h, w_r)), e_h, w_r)
         rel_ids, d_core = rs, None
-    losses = bce_loss(P, Y, clamp_stats)
+    losses, clamped = bce_loss(P, Y)
     grad_E = W.T @ Q  # every entity as a candidate tail
     if transe:
         grad_E -= W.sum(axis=0)[:, None] * params.E
@@ -370,20 +365,18 @@ def batch_loss_and_grads(params: ModelParams, hs, rs, Y, draw_masks=None,
     grad_R = np.zeros_like(params.R)
     np.add.at(grad_R, rel_ids, d_rel)
     # zip stops at the model's blocks, so a baseline drops the (None) core.
-    return losses, dict(zip(block_names(params.model), (grad_E, grad_R, d_core)))
+    return losses, dict(zip(block_names(params.model), (grad_E, grad_R, d_core))), clamped
 
 
 def loss_and_grads(params: ModelParams, h: int, r: int, y,
-                   masks: tuple | None = None,
-                   clamp_stats: ClampStats | None = None):
+                   masks: tuple | None = None):
     """One (h, r) query of batch_loss_and_grads: returns (loss, grads).
 
     Dropout masks, when given, are applied identically in the forward and
     backward passes.
     """
-    losses, grads = batch_loss_and_grads(params, [h], [r], np.asarray(y)[None],
-                                         None if masks is None else lambda: masks,
-                                         clamp_stats)
+    losses, grads, _ = batch_loss_and_grads(params, [h], [r], np.asarray(y)[None],
+                                            None if masks is None else lambda: masks)
     return float(losses[0]), grads
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from affinitykg.evaluator import check_mode
 from affinitykg.kg import KnowledgeGraph, neighbour_index
 from affinitykg.models import ModelParams, relation_matrix
-from affinitykg.util import atomic_write_text, format_float
+from affinitykg.util import atomic_write_text, csv_text
 
 
 def snn(a, b) -> float:
@@ -120,34 +120,10 @@ class SNNReport:
     knn_k: int = 50
     tau: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "knn_k": self.knn_k,
-            "tau": self.tau,
-            "deciles": [
-                {
-                    "decile": row.decile,
-                    "n_hits": row.n_hits,
-                    "snn_grounded": row.snn_grounded,
-                    "snn_near": row.snn_near,
-                    "snn_embedding": row.snn_embedding,
-                    "frac_network_grounded": row.frac_network_grounded,
-                    "frac_embedding_grounded": row.frac_embedding_grounded,
-                    "frac_unexplained": row.frac_unexplained,
-                }
-                for row in self.deciles
-            ],
-        }
-
     def to_csv(self) -> str:
-        lines = ["decile,snn_grounded,snn_near,snn_embedding,frac_network_grounded,n_hits"]
-        for row in self.deciles:
-            lines.append(
-                f"{row.decile},{format_float(row.snn_grounded)},{format_float(row.snn_near)},"
-                f"{format_float(row.snn_embedding)},{format_float(row.frac_network_grounded)},"
-                f"{row.n_hits}"
-            )
-        return "".join(line + "\n" for line in lines)
+        columns = ("decile", "snn_grounded", "snn_near", "snn_embedding",
+                   "frac_network_grounded", "n_hits")
+        return csv_text([columns] + [[getattr(row, c) for c in columns] for row in self.deciles])
 
 
 def select_hits(records, cutoff: int = 10, mode: str = "filtered") -> list:
@@ -176,8 +152,8 @@ def analyze_predictions(params: ModelParams, kg: KnowledgeGraph, hits,
     SNN exceeds tau, else embedding-grounded when the embedding SNN exceeds
     tau, else unexplained. Per decile the three fractions sum to one.
     """
-    if np.isnan(tau):
-        raise ValueError("snn tau must be a number, got nan")
+    if not np.isfinite(tau):
+        raise ValueError(f"snn tau must be finite, got {tau}")
     report = SNNReport(knn_k=knn_k, tau=tau)
     if not hits:
         return report
@@ -239,9 +215,7 @@ def asymmetry_index(M: np.ndarray) -> float:
 
 def relation_matrix_csv(M: np.ndarray) -> str:
     """Full-precision CSV of a relation matrix (one row per line)."""
-    return "".join(
-        ",".join(format_float(x) for x in row) + "\n" for row in np.asarray(M)
-    )
+    return csv_text(np.asarray(M, dtype=np.float64).tolist())
 
 
 def parse_relation_matrix_csv(text: str) -> np.ndarray:

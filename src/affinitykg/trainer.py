@@ -30,7 +30,6 @@ from affinitykg import models
 from affinitykg.errors import ConsistencyError
 from affinitykg.kg import KnowledgeGraph, add_reciprocals
 from affinitykg.models import (
-    ClampStats,
     DropoutSpec,
     ModelParams,
     batch_loss_and_grads,
@@ -140,10 +139,10 @@ def group_queries(train_triples: np.ndarray):
 
 
 def train_epoch(groups, params, state: AdamState, config: TrainConfig,
-                rng: np.random.Generator, lr: float,
-                clamp_stats: ClampStats | None = None) -> float:
+                rng: np.random.Generator, lr: float) -> tuple[float, int]:
     """One pass over the (h, r, tails) queries of group_queries, in shuffled
-    batches at learning rate lr; returns the mean query loss.
+    batches at learning rate lr; returns the mean query loss and the number
+    of probabilities the loss clamped.
     """
     if not groups:
         raise ValueError("empty training set")
@@ -156,19 +155,21 @@ def train_epoch(groups, params, state: AdamState, config: TrainConfig,
         def draw_masks():
             return sample_masks(config.dropout, params.d_e, rng)
     total_loss = 0.0
+    clamped = 0
     for start in range(0, len(order), config.batch_size):
         batch = order[start:start + config.batch_size]
         Y = np.zeros((len(batch), params.n_entities))
         for row, gi in zip(Y, batch):
             row[groups[gi][2]] = 1.0
         Y = smooth_labels(Y, config.label_smoothing)
-        losses, grads = batch_loss_and_grads(params, heads[batch], relations[batch], Y,
-                                             draw_masks, clamp_stats)
+        losses, grads, n_clamped = batch_loss_and_grads(params, heads[batch], relations[batch],
+                                                        Y, draw_masks)
+        clamped += n_clamped
         for loss in losses.tolist():
             total_loss += loss
         adam_step(params, grads, state, lr,
                   config.adam_beta1, config.adam_beta2, config.adam_eps)
-    return total_loss / len(groups)
+    return total_loss / len(groups), clamped
 
 
 @dataclass
@@ -180,7 +181,6 @@ class TrainResult:
     best_val_mrr: float
     best_val_report: object | None
     epochs_run: int
-    clamp_stats: ClampStats
 
 
 def fit(kg: KnowledgeGraph, config: TrainConfig) -> TrainResult:
@@ -199,7 +199,6 @@ def fit(kg: KnowledgeGraph, config: TrainConfig) -> TrainResult:
                          config.seed, config.model)
     state = AdamState.for_params(params)
     groups = group_queries(aug.train)
-    clamp_stats = ClampStats()
 
     best_params = params.copy()
     best_epoch = -1
@@ -214,14 +213,12 @@ def fit(kg: KnowledgeGraph, config: TrainConfig) -> TrainResult:
 
     for epoch in range(config.epochs):
         rng = np.random.default_rng([config.seed, epoch])
-        clamped_before = clamp_stats.count
-        loss = train_epoch(groups, params, state, config, rng, lr, clamp_stats)
+        loss, clamped = train_epoch(groups, params, state, config, rng, lr)
         for name, arr in params.param_blocks().items():
             if not np.isfinite(arr).all():
                 raise RuntimeError(f"training diverged: {name} has non-finite values "
                                    f"after epoch {epoch}")
-        record = {"epoch": epoch, "loss": loss, "lr": lr,
-                  "clamped": clamp_stats.count - clamped_before}
+        record = {"epoch": epoch, "loss": loss, "lr": lr, "clamped": clamped}
         epochs_run = epoch + 1
         if has_validation and (epochs_run % config.eval_every == 0
                                or (epochs_run == config.epochs and not validated)):
@@ -246,7 +243,7 @@ def fit(kg: KnowledgeGraph, config: TrainConfig) -> TrainResult:
         best_epoch = epochs_run - 1
         best_mrr = float("nan")
     return TrainResult(best_params, state, log, best_epoch,
-                       float(best_mrr), best_report, epochs_run, clamp_stats)
+                       float(best_mrr), best_report, epochs_run)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
-"""Small helpers: text input, atomic file writes, canonical JSON, vocabulary hashing.
+"""Small helpers: text input, atomic file writes, canonical JSON and CSV, vocabulary hashing.
 
 All artifact writers go through the atomic helpers so a crashed command never
 leaves a half-written file, and all JSON is emitted with sorted keys so
-identical runs produce identical bytes.
+identical runs produce identical bytes, and with no NaN or infinity (not JSON).
 """
 
 import contextlib
@@ -36,7 +36,7 @@ def open_text(path: str, newline: str | None = None):
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def sha256_text(text: str) -> str:
@@ -64,3 +64,9 @@ def atomic_write_text(path: str, text: str) -> None:
 def format_float(x: float) -> str:
     """Shortest decimal string that round-trips the exact float64 value."""
     return repr(float(x))
+
+
+def csv_text(rows) -> str:
+    """One comma-joined line per row; a float cell is spelled by format_float."""
+    return "".join(",".join(format_float(x) if isinstance(x, float) else str(x) for x in row)
+                   + "\n" for row in rows)

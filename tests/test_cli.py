@@ -4,6 +4,7 @@ import codecs
 import csv
 import json
 import os
+import shutil
 import tempfile
 
 import numpy as np
@@ -231,6 +232,26 @@ class TestEvaluateAnalyzeExport:
                     "--out", tmp_path / "out", "--set", "snn.tau=nan"]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("tau", ["inf", "-inf"])
+    def test_infinite_snn_tau_exits_2(self, pipeline, tmp_path, capsys, tau):
+        assert run(["analyze", "--checkpoint", pipeline["ckpt"], "--data", pipeline["data"],
+                    "--out", tmp_path / "out", "--set", f"snn.tau={tau}"]) == 2
+        assert "snn tau must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_vocabulary_label_exits_2_naming_the_line(self, pipeline, tmp_path,
+                                                               capsys):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        entities = (data / "entities.txt").read_text().splitlines()
+        with open(data / "entities.txt", "a", encoding="utf-8") as fh:
+            fh.write(f"\n{entities[1]}\n")
+        assert run(["evaluate", "--checkpoint", pipeline["ckpt"],
+                    "--data", data, "--out", tmp_path / "out"]) == 2
+        assert (f"entities.txt:{len(entities) + 2}: label {entities[1]!r} repeats line 2"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_export_heatmaps_one_per_decile(self, pipeline, tmp_path):
         out = tmp_path / "maps"
         assert run(["export-heatmaps", "--checkpoint", pipeline["ckpt"],
@@ -320,6 +341,14 @@ class TestConfigHandling:
         assert run(["train", "--data", pipeline["data"], "--out", out, *FAST_TRAIN,
                     "--set", f"train.{key}={value}"]) == 2
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_k_security_exits_2(self, pipeline, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        assert run(["build-network", "--records", pipeline["gen"] / "records.csv", "--out", out,
+                    "--set", f"builder.k_security={value}"]) == 2
+        assert "k_security" in capsys.readouterr().err
         assert not out.exists()
 
     def test_removed_rare_filter_order_key_exits_2(self, tmp_path):
@@ -441,6 +470,13 @@ class TestTextInputs:
         path.write_bytes(content)
         assert run([command, option, path, "--out", tmp_path / "out"]) == 2
         assert f"{name}:{line}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_self_affinity_triple_names_its_file_line(self, tmp_path, capsys):
+        triples = tmp_path / "triples.tsv"
+        triples.write_text("# c\na\td1\tb\n\nc\td2\tc\n")
+        assert run(["split", "--triples", triples, "--out", tmp_path / "out"]) == 2
+        assert f"{triples}:4: self-affinity triple 'c'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_config_with_bom_accepted(self, tmp_path):

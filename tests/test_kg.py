@@ -57,6 +57,12 @@ class TestIngestion:
             load_triples(lines)
         assert err.value.line_no == 2
 
+    def test_self_affinity_reports_the_file_line(self):
+        with pytest.raises(ParseError) as err:
+            load_triples(["# c", "a\td1\tb", "", "c\td2\tc"], path="triples.tsv")
+        assert err.value.line_no == 4
+        assert str(err.value).startswith("triples.tsv:4: self-affinity triple 'c'")
+
     def test_comments_and_blanks_skipped(self):
         kg, _ = load_triples(["# header", "", "a\td1\tb"])
         assert len(kg.train) == 1

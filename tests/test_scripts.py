@@ -8,8 +8,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_script(name, *args, cwd):
-    env = dict(os.environ)
+def run_script(name, *args, cwd, **env_overrides):
+    env = dict(os.environ, **env_overrides)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
@@ -25,6 +25,22 @@ def test_run_pipeline_prints_metrics(tmp_path):
     assert re.search(r"^decile +\d+: +\d+ hits, SNN grounded=", done.stdout, re.MULTILINE)
     for stage in ("gen", "net", "data", "ckpt", "eval", "snn", "heatmaps"):
         assert (tmp_path / "run" / stage / "effective_config.cfg").exists()
+
+
+def test_run_pipeline_byte_identical_across_string_hash_seeds(tmp_path):
+    runs = {}
+    for seed in ("1", "2"):
+        workdir = tmp_path / seed
+        done = run_script("run_pipeline.py", "--workdir", str(workdir), "--individuals", "4000",
+                          "--epochs", "2", cwd=tmp_path, PYTHONHASHSEED=seed)
+        assert done.returncode == 0, done.stderr
+        runs[seed] = {str(p.relative_to(workdir)): p.read_bytes()
+                      for p in sorted(workdir.rglob("*")) if p.is_file()}
+    assert {name.split(os.sep)[0] for name in runs["1"]} == {
+        "gen", "net", "data", "ckpt", "eval", "snn", "heatmaps"}
+    assert runs["1"].keys() == runs["2"].keys()
+    for name, data in runs["1"].items():
+        assert data == runs["2"][name], name
 
 
 def test_grid_demo_prints_every_cell(tmp_path):

@@ -1,5 +1,7 @@
 """Shared-nearest-neighbor machinery against set-algebra and distance oracles."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -192,7 +194,7 @@ class TestAdjacencyIndex:
             })
         report = analyze_predictions(params, kg, hits, knn_k=knn_k)
         assert len(report.deciles) > 1
-        assert report.to_dict() == {"knn_k": knn_k, "tau": 0.0, "deciles": expected}
+        assert asdict(report) == {"knn_k": knn_k, "tau": 0.0, "deciles": expected}
 
 
 class TestKnnEmbedding:

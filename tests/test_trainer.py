@@ -140,7 +140,7 @@ class TestTrainEpoch:
         state = AdamState.for_params(params)
         loss = None
         for epoch in range(500):
-            loss = run_epoch(kg, params, state, config, np.random.default_rng([0, epoch]))
+            loss, _ = run_epoch(kg, params, state, config, np.random.default_rng([0, epoch]))
         assert loss < 1e-2
 
     def test_same_seed_identical_trajectory(self):
