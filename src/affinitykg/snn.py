@@ -1,10 +1,11 @@
 """Shared-nearest-neighbor explanation of correct predictions.
 
-For every correctly predicted triple (h, d, t) three neighbor sources are
-compared: the training-fold adjacency in the same decile, the union over the
-adjacent deciles (d-1, d, d+1 clamped to the decile range), and a kNN query in
-the embedding space after transforming every entity row by the decile's
-relation matrix. The SNN of two sets is |intersection| / |union|.
+Base relations are decile labels d<k> (k >= 1, no leading zero). For every
+correctly predicted triple (h, d, t) three neighbor sources are compared: the
+training-fold adjacency in the same decile, the union over the near window
+(deciles d-1, d and d+1 among the deciles present), and a kNN query in the
+embedding space after transforming every entity row by the decile's relation
+matrix. The SNN of two sets is |intersection| / |union|.
 
 A hit counts as network-grounded when the empirical sources share at least one
 neighbor (SNN above the threshold tau, default 0); otherwise it counts as
@@ -16,6 +17,7 @@ ranking.
 """
 
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,14 +37,24 @@ def snn(a, b) -> float:
     return len(a & b) / len(union)
 
 
+DECILE_LABEL = re.compile(r"d[1-9][0-9]*")
+
+
+def decile_relations(kg: KnowledgeGraph) -> dict:
+    """Map decile k to the id of base relation d<k>; other base labels are left out."""
+    return {int(label[1:]): rid
+            for rid, label in enumerate(kg.relations.labels[:kg.n_base_relations])
+            if DECILE_LABEL.fullmatch(label)}
+
+
 def decile_adjacency(kg: KnowledgeGraph, deciles) -> dict:
     """Training-fold adjacency of the given deciles, from kg.neighbour_index.
 
     Maps (decile, entity) to the set of entities joined to it by a d<decile>
-    training edge. A decile label absent from the relation vocabulary has no
-    edges.
+    training edge. A decile absent from the relation vocabulary has no edges.
     """
-    rids = {kg.relations.id_of(f"d{d}"): d for d in deciles if f"d{d}" in kg.relations}
+    rid_of = decile_relations(kg)
+    rids = {rid_of[d]: d for d in deciles if d in rid_of}
     wanted = np.array(list(rids), dtype=np.int64)
     rows = kg.train[(kg.train[:, 1:2] == wanted).any(axis=1)]
     return {(rids[r], entity): nbrs
@@ -138,70 +150,55 @@ def select_hits(records, cutoff: int = 10, mode: str = "filtered") -> list:
     return hits
 
 
-def _decile_of_label(label: str) -> int:
-    if not label.startswith("d"):
-        raise ValueError(f"relation label {label!r} is not a decile label")
-    return int(label[1:])
-
-
 def analyze_predictions(params: ModelParams, kg: KnowledgeGraph, hits,
                         knn_k: int = 50, tau: float = 0.0) -> SNNReport:
     """SNN per source for each hit (h, r, t), aggregated per decile.
 
     Classification per hit: network-grounded when the same- or near-decile
     SNN exceeds tau, else embedding-grounded when the embedding SNN exceeds
-    tau, else unexplained. Per decile the three fractions sum to one.
+    tau, else unexplained. Per decile the three fractions sum to one. A base
+    label not spelled d<k>, or a knn_k outside [1, n_entities - 1], raises
+    ValueError before any hit is read.
     """
     if not np.isfinite(tau):
         raise ValueError(f"snn tau must be finite, got {tau}")
+    if not 1 <= knn_k < kg.n_entities:
+        raise ValueError(f"snn.k must lie in [1, {kg.n_entities - 1}], got {knn_k}")
+    rid_of = decile_relations(kg)
+    for label in kg.relations.labels[:kg.n_base_relations]:
+        if not DECILE_LABEL.fullmatch(label):
+            raise ValueError(f"relation label {label!r} is not a decile label d<k>")
     report = SNNReport(knn_k=knn_k, tau=tau)
-    if not hits:
-        return report
-    n_deciles = kg.n_base_relations
-    transforms: dict = {}
-    knn_cache: dict = {}
+    decile_of = {rid: d for d, rid in rid_of.items()}
+    by_decile: dict[int, list] = {}
+    for hit in hits:
+        by_decile.setdefault(decile_of[hit[1]], []).append(hit)
+    near_of = {d: _near_deciles(d, max(rid_of)) for d in by_decile}
+    index = decile_adjacency(kg, set().union(*near_of.values()))
 
-    def knn_of(rid: int, entity: int) -> set:
-        key = (rid, entity)
-        if key not in knn_cache:
-            if rid not in transforms:
-                transforms[rid] = transform_embeddings(params, rid)
-            knn_cache[key] = knn_embedding(transforms[rid], entity, knn_k)
-        return knn_cache[key]
-
-    hit_deciles = [_decile_of_label(kg.relations.label_of(r)) for _, r, _ in hits]
-    near_of = {d: _near_deciles(d, n_deciles) for d in hit_deciles}
-    index = decile_adjacency(kg, set(near_of).union(*near_of.values()))
-
-    rows: dict[int, list] = {}
-    for (h, r, t), decile in zip(hits, hit_deciles):
-        grounded = snn(_neighbors(index, h, [decile]), _neighbors(index, t, [decile]))
-        near = snn(_neighbors(index, h, near_of[decile]), _neighbors(index, t, near_of[decile]))
-        embedding = snn(knn_of(r, h), knn_of(r, t))
-        if grounded > tau or near > tau:
-            klass = "network"
-        elif embedding > tau:
-            klass = "embedding"
-        else:
-            klass = "unexplained"
-        rows.setdefault(decile, []).append((grounded, near, embedding, klass))
-
-    for decile in sorted(rows):
-        entries = rows[decile]
-        n = len(entries)
-        klasses = [e[3] for e in entries]
-        report.deciles.append(
-            DecileSNN(
-                decile=decile,
-                n_hits=n,
-                snn_grounded=float(np.mean([e[0] for e in entries])),
-                snn_near=float(np.mean([e[1] for e in entries])),
-                snn_embedding=float(np.mean([e[2] for e in entries])),
-                frac_network_grounded=klasses.count("network") / n,
-                frac_embedding_grounded=klasses.count("embedding") / n,
-                frac_unexplained=klasses.count("unexplained") / n,
-            )
-        )
+    for decile in sorted(by_decile):
+        group, near = by_decile[decile], near_of[decile]
+        transformed = transform_embeddings(params, rid_of[decile])
+        entities = {e for h, _, t in group for e in (h, t)}
+        knn = {e: knn_embedding(transformed, e, knn_k) for e in entities}
+        grounded = [snn(_neighbors(index, h, [decile]), _neighbors(index, t, [decile]))
+                    for h, _, t in group]
+        near_snn = [snn(_neighbors(index, h, near), _neighbors(index, t, near))
+                    for h, _, t in group]
+        embedding = [snn(knn[h], knn[t]) for h, _, t in group]
+        klasses = ["network" if g > tau or n > tau else "embedding" if e > tau else "unexplained"
+                   for g, n, e in zip(grounded, near_snn, embedding)]
+        n_hits = len(group)
+        report.deciles.append(DecileSNN(
+            decile=decile,
+            n_hits=n_hits,
+            snn_grounded=float(np.mean(grounded)),
+            snn_near=float(np.mean(near_snn)),
+            snn_embedding=float(np.mean(embedding)),
+            frac_network_grounded=klasses.count("network") / n_hits,
+            frac_embedding_grounded=klasses.count("embedding") / n_hits,
+            frac_unexplained=klasses.count("unexplained") / n_hits,
+        ))
     return report
 
 

@@ -136,30 +136,20 @@ def two_block_kg(
         raise ValueError("n_entities must be even")
     half = n_entities // 2
     labels = [f"e{i:03d}" for i in range(n_entities)]
-    triples = []
+    rows = []
     for block in range(2):
         lo = 1 if block == 0 else n_deciles // 2 + 1
         hi = n_deciles // 2 if block == 0 else n_deciles
         spans = [(d, d + 1) for d in range(lo, hi)]
-        members = labels[block * half:(block + 1) * half]
-        n_cliques = half // clique_size
-        for c in range(n_cliques):
-            clique = members[c * clique_size:(c + 1) * clique_size]
+        for c in range(half // clique_size):
+            start = block * half + c * clique_size
             d1, d2 = spans[c % len(spans)]
-            for a, b in itertools.combinations(clique, 2):
-                triples.append((a, f"d{d1}", b))
-                triples.append((a, f"d{d2}", b))
-    # Register relations d1..dn in order and every entity (including any
-    # leftover isolated ones) before the clique triples fix the vocabulary.
-    graph, _ = kgmod.from_label_triples(triples)
-    entity_vocab = kgmod.Vocab(labels)
-    relation_vocab = kgmod.Vocab([f"d{d}" for d in range(1, n_deciles + 1)])
-    remap_e = np.array([entity_vocab.id_of(lbl) for lbl in graph.entities.labels])
-    remap_r = np.array([relation_vocab.id_of(lbl) for lbl in graph.relations.labels])
-    rows = graph.train.copy()
-    rows[:, 0] = remap_e[rows[:, 0]]
-    rows[:, 2] = remap_e[rows[:, 2]]
-    rows[:, 1] = remap_r[rows[:, 1]]
+            for a, b in itertools.combinations(range(start, start + clique_size), 2):
+                if labels[b] < labels[a]:
+                    a, b = b, a
+                rows += [(a, d1 - 1, b), (a, d2 - 1, b)]
     empty = np.empty((0, 3), dtype=np.int64)
-    full = kgmod.KnowledgeGraph(entity_vocab, relation_vocab, rows, empty.copy(), empty.copy())
+    full = kgmod.KnowledgeGraph(kgmod.Vocab(labels),
+                                kgmod.Vocab([f"d{d}" for d in range(1, n_deciles + 1)]),
+                                np.array(rows, dtype=np.int64).reshape(-1, 3), empty, empty)
     return kgmod.split(full, valid_size, test_size, seed)

@@ -66,14 +66,13 @@ class TrainConfig:
                 raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         if not 0.0 < self.adam_eps < np.inf:
             raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in ("batch_size", "eval_every", "d_e", "d_r"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.decay_rate <= 1.0:
             raise ValueError("decay_rate must lie in (0, 1]")
         if self.model not in models.MODELS:
             raise ValueError(f"unknown model {self.model!r}")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
         if self.epochs < 0 or self.patience < 0:
             raise ValueError("epochs and patience must be non-negative")
 

@@ -2,6 +2,7 @@
 
 import codecs
 import csv
+import itertools
 import json
 import os
 import shutil
@@ -239,6 +240,28 @@ class TestEvaluateAnalyzeExport:
         assert "snn tau must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("cutoff", ["0", "100000"])
+    def test_zero_snn_k_exits_2_naming_key(self, pipeline, tmp_path, capsys, cutoff):
+        assert run(["analyze", "--checkpoint", pipeline["ckpt"], "--data", pipeline["data"],
+                    "--out", tmp_path / "out", "--set", "snn.k=0",
+                    "--set", f"snn.hit_rank_cutoff={cutoff}"]) == 2
+        assert "snn.k" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_padded_decile_label_exits_2_naming_it(self, tmp_path, capsys):
+        labels = ["d4", "d05", "d6"]
+        (tmp_path / "triples.tsv").write_text("".join(
+            f"e{a}\t{labels[(a + b) % 3]}\te{b}\n" for a, b in itertools.combinations(range(8), 2)))
+        data, ckpt = tmp_path / "data", tmp_path / "ckpt"
+        assert run(["split", "--triples", tmp_path / "triples.tsv", "--out", data,
+                    "--set", "split.valid_size=4", "--set", "split.test_size=4"]) == 0
+        assert run(["train", "--data", data, "--out", ckpt, *FAST_TRAIN]) == 0
+        capsys.readouterr()
+        assert run(["analyze", "--checkpoint", ckpt, "--data", data, "--out", tmp_path / "out",
+                    "--set", "snn.k=2"]) == 2
+        assert "'d05'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_repeated_vocabulary_label_exits_2_naming_the_line(self, pipeline, tmp_path,
                                                                capsys):
         data = tmp_path / "data"
@@ -334,7 +357,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize("key,value", [
         ("learning_rate", "nan"), ("learning_rate", "inf"), ("label_smoothing", "-3"),
         ("label_smoothing", "1"), ("adam_beta1", "1"), ("adam_beta2", "-0.5"),
-        ("adam_eps", "0"), ("adam_eps", "inf"), ("adam_eps", "nan"),
+        ("adam_eps", "0"), ("adam_eps", "inf"), ("adam_eps", "nan"), ("d_e", "0"), ("d_r", "0"),
     ])
     def test_out_of_range_train_value_exits_2(self, pipeline, tmp_path, capsys, key, value):
         out = tmp_path / "out"

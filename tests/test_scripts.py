@@ -27,20 +27,31 @@ def test_run_pipeline_prints_metrics(tmp_path):
         assert (tmp_path / "run" / stage / "effective_config.cfg").exists()
 
 
-def test_run_pipeline_byte_identical_across_string_hash_seeds(tmp_path):
+def assert_pipeline_byte_identical(tmp_path, env_name, values):
+    """Run run_pipeline.py once per value of the environment variable and
+    byte-compare every file the runs write."""
     runs = {}
-    for seed in ("1", "2"):
-        workdir = tmp_path / seed
+    for value in values:
+        workdir = tmp_path / value
         done = run_script("run_pipeline.py", "--workdir", str(workdir), "--individuals", "4000",
-                          "--epochs", "2", cwd=tmp_path, PYTHONHASHSEED=seed)
+                          "--epochs", "2", cwd=tmp_path, **{env_name: value})
         assert done.returncode == 0, done.stderr
-        runs[seed] = {str(p.relative_to(workdir)): p.read_bytes()
-                      for p in sorted(workdir.rglob("*")) if p.is_file()}
-    assert {name.split(os.sep)[0] for name in runs["1"]} == {
+        runs[value] = {str(p.relative_to(workdir)): p.read_bytes()
+                       for p in sorted(workdir.rglob("*")) if p.is_file()}
+    first, second = (runs[value] for value in values)
+    assert {name.split(os.sep)[0] for name in first} == {
         "gen", "net", "data", "ckpt", "eval", "snn", "heatmaps"}
-    assert runs["1"].keys() == runs["2"].keys()
-    for name, data in runs["1"].items():
-        assert data == runs["2"][name], name
+    assert first.keys() == second.keys()
+    for name, data in first.items():
+        assert data == second[name], name
+
+
+def test_run_pipeline_byte_identical_across_string_hash_seeds(tmp_path):
+    assert_pipeline_byte_identical(tmp_path, "PYTHONHASHSEED", ("1", "2"))
+
+
+def test_run_pipeline_byte_identical_across_blas_thread_counts(tmp_path):
+    assert_pipeline_byte_identical(tmp_path, "OPENBLAS_NUM_THREADS", ("1", "2"))
 
 
 def test_grid_demo_prints_every_cell(tmp_path):

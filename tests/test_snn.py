@@ -1,10 +1,10 @@
 """Shared-nearest-neighbor machinery against set-algebra and distance oracles."""
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affinitykg.cli import main as cli_main
@@ -130,6 +130,14 @@ class TestNeighborSets:
             assert neighbors_grounded(kg, entity, decile) == scan_grounded(kg, entity, decile)
 
 
+EMPTY = np.empty((0, 3), dtype=np.int64)
+
+
+def id_graph(n_entities, labels, rows):
+    return KnowledgeGraph(Vocab([f"e{i}" for i in range(n_entities)]), Vocab(labels),
+                          np.array(rows, dtype=np.int64).reshape(-1, 3), EMPTY, EMPTY)
+
+
 @st.composite
 def decile_graphs(draw):
     """Small graphs whose relation vocabulary leaves some decile labels out
@@ -139,9 +147,7 @@ def decile_graphs(draw):
                            min_size=1, max_size=5, unique=True))
     rows = draw(st.lists(st.tuples(st.integers(0, n_e - 1), st.integers(0, len(labels) - 1),
                                    st.integers(0, n_e - 1)), max_size=30))
-    empty = np.empty((0, 3), dtype=np.int64)
-    return KnowledgeGraph(Vocab([f"e{i}" for i in range(n_e)]), Vocab(labels),
-                          np.array(rows, dtype=np.int64).reshape(-1, 3), empty, empty)
+    return id_graph(n_e, labels, rows)
 
 
 class TestAdjacencyIndex:
@@ -358,6 +364,114 @@ class TestAnalyzePredictions:
 
         records = [Rec(0, 1, 2, 3), Rec(0, 1, 2, 1), Rec(3, 1, 4, 40)]
         assert select_hits(records, cutoff=10) == [(0, 1, 2)]
+
+
+class TestDecileVocabulary:
+    def test_absent_decile_keeps_own_decile_in_near_window(self):
+        # Deciles d1-d4, d6-d8 and d10 (eight relations); a and b share the
+        # d10 neighbour c, so d10 alone already grounds the hit.
+        labels = ["d1", "d2", "d3", "d4", "d6", "d7", "d8", "d10"]
+        d10 = labels.index("d10")
+        kg = id_graph(4, labels, [(0, d10, 2), (1, d10, 2), (0, 0, 3)])
+        params = init_params(4, 2 * len(labels), 4, 2, seed=0)
+        row, = analyze_predictions(params, kg, [(0, d10, 1)], knn_k=2).deciles
+        assert (row.decile, row.snn_grounded, row.snn_near) == (10, 1.0, 1.0)
+
+    @pytest.mark.parametrize("label", ["d05", "d0", "x", "d5_inv"])
+    def test_non_decile_label_rejected_naming_it(self, label):
+        kg = id_graph(3, ["d1", label], [(0, 0, 1), (1, 1, 2)])
+        params = init_params(3, 4, 4, 2, seed=0)
+        for hits in ([], [(0, 0, 1)]):
+            with pytest.raises(ValueError, match=repr(label)):
+                analyze_predictions(params, kg, hits, knn_k=1)
+
+    @pytest.mark.parametrize("knn_k", [0, -1, 3])
+    def test_knn_k_out_of_range_rejected_naming_key(self, knn_k):
+        kg = id_graph(3, ["d1"], [(0, 0, 1)])
+        params = init_params(3, 2, 4, 2, seed=0)
+        for hits in ([], [(0, 0, 1)]):
+            with pytest.raises(ValueError, match="snn.k"):
+                analyze_predictions(params, kg, hits, knn_k=knn_k)
+
+
+@st.composite
+def snn_cases(draw, max_hits=6):
+    """(kg, params, hits, knn_k) on a small graph whose relations are decile
+    labels in any order, with some deciles missing and some labels unused."""
+    n_e = draw(st.integers(3, 8))
+    deciles = draw(st.lists(st.integers(1, 8), min_size=1, max_size=5, unique=True))
+    triples = st.tuples(st.integers(0, n_e - 1), st.integers(0, len(deciles) - 1),
+                        st.integers(0, n_e - 1))
+    kg = id_graph(n_e, [f"d{d}" for d in deciles], draw(st.lists(triples, max_size=25)))
+    params = init_params(n_e, 2 * len(deciles), 3, 2, seed=draw(st.integers(0, 2**16)))
+    hits = draw(st.lists(triples, min_size=1, max_size=max_hits))
+    return kg, params, hits, draw(st.integers(1, n_e - 1))
+
+
+def move_relations(kg, params, hits, labels, new_id):
+    """(params, kg, hits) moved to the relation vocabulary `labels`: base id r
+    becomes new_id[r], R's base and reciprocal rows move together, and a label
+    no old id moves to gets a row of R and no triples."""
+    m, n = kg.n_relations, len(labels)
+    R = np.random.default_rng(0).uniform(-1.0, 1.0, size=(2 * n, params.d_r))
+    for r, new in enumerate(new_id):
+        R[new], R[n + new] = params.R[r], params.R[m + r]
+    rows = kg.train.copy()
+    rows[:, 1] = np.array(new_id, dtype=np.int64)[rows[:, 1]]
+    return (replace(params, R=R), KnowledgeGraph(kg.entities, Vocab(labels), rows, EMPTY, EMPTY),
+            [(h, new_id[r], t) for h, r, t in hits])
+
+
+class TestAnalyzeLaws:
+    @settings(deadline=None)
+    @given(snn_cases(max_hits=1))
+    def test_shared_grounded_neighbour_is_a_shared_near_neighbour(self, case):
+        kg, params, hits, knn_k = case
+        row, = analyze_predictions(params, kg, hits, knn_k=knn_k).deciles
+        assert row.snn_near > 0 or not row.snn_grounded > 0
+
+    @settings(deadline=None)
+    @given(snn_cases(), st.integers(1, 9), st.data())
+    def test_empty_decile_label_changes_no_row(self, case, extra, data):
+        kg, params, hits, knn_k = case
+        labels = list(kg.relations.labels)
+        assume(f"d{extra}" not in labels)
+        at = data.draw(st.integers(0, len(labels)))
+        moved = move_relations(kg, params, hits, labels[:at] + [f"d{extra}"] + labels[at:],
+                               [r + (r >= at) for r in range(len(labels))])
+        assert (analyze_predictions(*moved, knn_k=knn_k)
+                == analyze_predictions(params, kg, hits, knn_k=knn_k))
+
+    @settings(deadline=None)
+    @given(snn_cases(), st.data())
+    def test_relation_vocabulary_order_changes_no_row(self, case, data):
+        kg, params, hits, knn_k = case
+        new_id = data.draw(st.permutations(range(kg.n_relations)))
+        labels = [None] * kg.n_relations
+        for r, new in enumerate(new_id):
+            labels[new] = kg.relations.label_of(r)
+        moved = move_relations(kg, params, hits, labels, new_id)
+        assert (analyze_predictions(*moved, knn_k=knn_k)
+                == analyze_predictions(params, kg, hits, knn_k=knn_k))
+
+    @settings(deadline=None)
+    @given(snn_cases(max_hits=1), st.floats(-0.5, 1.0), st.floats(-0.5, 1.0))
+    def test_grounded_at_larger_tau_is_grounded_at_smaller(self, case, tau_a, tau_b):
+        kg, params, hits, knn_k = case
+        low, high = sorted((tau_a, tau_b))
+        network = [analyze_predictions(params, kg, hits, knn_k=knn_k, tau=tau)
+                   .deciles[0].frac_network_grounded for tau in (low, high)]
+        assert network[0] >= network[1]
+
+    @settings(deadline=None)
+    @given(snn_cases())
+    def test_fractions_sum_to_one(self, case):
+        kg, params, hits, knn_k = case
+        report = analyze_predictions(params, kg, hits, knn_k=knn_k)
+        assert sum(row.n_hits for row in report.deciles) == len(hits)
+        for row in report.deciles:
+            assert (row.frac_network_grounded + row.frac_embedding_grounded
+                    + row.frac_unexplained) == pytest.approx(1.0)
 
 
 class TestHeatmaps:
