@@ -7,8 +7,8 @@ win. A command writes its files only after its work succeeds, and last echoes
 the effective configuration, so a run can be reproduced from its artifacts.
 
 Exit codes: 0 success, 2 input/parse error, 3 consistency error (e.g. a
-checkpoint trained on a different vocabulary), 4 runtime failure. Logs go to
-stderr; data only ever goes to files.
+checkpoint trained on a different vocabulary or split), 4 runtime failure.
+Logs go to stderr; data only ever goes to files.
 """
 
 import argparse
@@ -20,7 +20,7 @@ import sys
 
 from affinitykg import builder, evaluator, kg as kgmod, snn, synthetic, trainer
 from affinitykg.errors import ConsistencyError, ParseError
-from affinitykg.util import atomic_write_text, canonical_json, csv_text, open_text
+from affinitykg.util import atomic_write_text, canonical_json, csv_text, open_text, sha256_file
 
 
 # Each section's keys fill the fields of one dataclass, which owns their
@@ -195,19 +195,24 @@ def _section(config: RunConfig, name: str):
                   for field, value in values.items()})
 
 
-def _vocab_hashes(graph: kgmod.KnowledgeGraph) -> dict:
-    return {"entities": graph.entities.digest(), "relations": graph.relations.digest()}
+def _split_hashes(directory: str, graph: kgmod.KnowledgeGraph) -> dict:
+    """The vocabulary hashes, and the SHA-256 of each fold file keyed by its name."""
+    return {"entities": graph.entities.digest(), "relations": graph.relations.digest(),
+            **{name: sha256_file(os.path.join(directory, name))
+               for name in kgmod.FOLD_FILES.values()}}
 
 
 def _load_trained(args, tucker_error: str | None = None):
     """(graph, params) from --data and --checkpoint; a checkpoint of another
-    vocabulary, or of another model than Tucker when tucker_error is given, fails."""
+    vocabulary or split, or of another model than Tucker when tucker_error is
+    given, fails."""
     graph = kgmod.load_kg_dir(args.data)
     params, _, meta = trainer.load_checkpoint(args.checkpoint)
-    if meta.get("vocab_hash") != _vocab_hashes(graph):
-        raise ConsistencyError(
-            "checkpoint was trained on a different vocabulary; refusing to proceed"
-        )
+    recorded = meta.get("vocab_hash") or {}
+    for key, digest in _split_hashes(args.data, graph).items():
+        if recorded.get(key) != digest:
+            raise ConsistencyError(f"checkpoint was trained on another split or vocabulary: "
+                                   f"{key} differs; refusing to proceed")
     if tucker_error is not None and meta["model"] != "tucker":
         raise ConsistencyError(tucker_error)
     return graph, params
@@ -256,7 +261,7 @@ def cmd_train(args, config: RunConfig) -> tuple[dict, str]:
     result = trainer.fit(graph, tc)
     metrics = result.best_val_report.to_dict() if result.best_val_report else {}
     trainer.save_checkpoint(args.out, result.params, result.adam_state, tc,
-                            result.best_epoch, metrics, _vocab_hashes(graph))
+                            result.best_epoch, metrics, _split_hashes(args.data, graph))
     return ({"log.jsonl": "".join(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n"
                                   for rec in result.log)},
             f"{result.epochs_run} epochs, best val MRR {result.best_val_mrr:.4f} "

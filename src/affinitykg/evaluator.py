@@ -16,7 +16,7 @@ import numpy as np
 
 from affinitykg.errors import ConsistencyError
 from affinitykg.kg import KnowledgeGraph, KnownTrueSet
-from affinitykg.models import relation_matrix, score_all_tails
+from affinitykg.models import score_queries
 from affinitykg.util import csv_text
 
 HIST_MAX_RANK = 10
@@ -112,20 +112,18 @@ def compute_ranks(params, kg: KnowledgeGraph, fold: str = "test") -> list:
         )
     known = KnownTrueSet(kg)
     n_base = kg.n_base_relations
-    matrices: dict = {}  # Tucker: relation id -> its matrix, contracted once per call
+    # Per triple, the tail query (h, r) ranks t and the head query (t, r + n_base) ranks h.
+    rankings = [(h, r, t, direction, query, rel, target)
+                for h, r, t in getattr(kg, fold).tolist()
+                for direction, query, rel, target in (("tail", h, r, t),
+                                                      ("head", t, r + n_base, h))]
     records = []
-    for h, r, t in getattr(kg, fold).tolist():
-        for direction, query, rel, target in (
-            ("tail", h, r, t),
-            ("head", t, r + n_base, h),
-        ):
-            if params.G is not None and rel not in matrices:
-                matrices[rel] = relation_matrix(params, rel)
-            scores = score_all_tails(params, query, rel, M=matrices.get(rel))
-            filter_set = known.tails_of(query, rel)
-            raw = rank_of_target(scores, target, mode="raw")
-            filtered = rank_of_target(scores, target, filter_set, mode="filtered")
-            records.append(RankRecord(h, r, t, direction, raw, filtered))
+    scored = score_queries(params, ((query, rel) for *_, query, rel, _ in rankings))
+    for (h, r, t, direction, query, rel, target), scores in zip(rankings, scored):
+        filter_set = known.tails_of(query, rel)
+        raw = rank_of_target(scores, target, mode="raw")
+        filtered = rank_of_target(scores, target, filter_set, mode="filtered")
+        records.append(RankRecord(h, r, t, direction, raw, filtered))
     return records
 
 

@@ -14,6 +14,9 @@ query to one vector q and supplies only q and the map from dL/dq to its
 head-row, relation-row and core gradients; the logits (E q, or -||q - e_t||
 for TransE), the loss, the tail gradient and the scatter are shared.
 
+Inference goes through score_queries, which yields the logits of each (h, r)
+query in order, without dropout, contracting each Tucker relation matrix once.
+
 Training scores a batch of queries at once (batch_loss_and_grads, of which
 loss_and_grads is the one-query case): the tail gradient of the whole batch
 is one GEMM, head and relation rows are scattered with np.add.at, and Tucker
@@ -21,8 +24,9 @@ contracts each relation matrix once per batch and sums dL/dM per relation,
 so its relation-row and core gradients are one batched matmul each. Only
 Tucker's three dropout sites are worked through one query at a time.
 
-Dropout applies to the Tucker query at three sites with inverted scaling, so
-inference needs no rescaling: on the head entity row, on the
+The model decides where dropout masks apply. A trainer always hands over its
+mask sampler; only Tucker's query loop calls it, at three sites with inverted
+scaling, so inference needs no rescaling: on the head entity row, on the
 relation-transformed core matrix, and on the combined query vector. A sampled
 (entity, relation_core, combination) mask tuple is reused verbatim by the
 forward and backward passes of its query.
@@ -48,10 +52,6 @@ class DropoutSpec:
 
     def rates(self) -> dict:
         return asdict(self)
-
-    @property
-    def active(self) -> bool:
-        return any(rate > 0.0 for rate in self.rates().values())
 
 
 _NO_MASKS = (None, None, None)
@@ -193,31 +193,34 @@ def _query(params: ModelParams, h: int, r: int, masks: tuple | None,
     return _BASELINES[params.model][0](params.E[h], params.R[r])
 
 
-def _logits(params: ModelParams, q: np.ndarray) -> np.ndarray:
-    """Logits of every entity as the tail, for one query vector or a stack of them."""
-    if q.ndim == 2:
-        if params.model != "transe":
-            return q @ params.E.T
-        # One query at a time, so the difference temporary is never larger than E.
-        out = np.empty((len(q), params.n_entities))
-        for row, logits in zip(q, out):
-            logits[:] = _logits(params, row)
-        return out
-    if params.model == "transe":
+def _logits(params: ModelParams, Q: np.ndarray) -> np.ndarray:
+    """Logits of every entity as the tail, one row per query vector in Q."""
+    if params.model != "transe":
+        return Q @ params.E.T
+    # One query at a time, so the difference temporary is never larger than E.
+    out = np.empty((len(Q), params.n_entities))
+    for q, logits in zip(Q, out):
         diff = q - params.E
-        return -np.sqrt(np.sum(diff * diff, axis=1))
-    return params.E @ q
+        logits[:] = -np.sqrt(np.sum(diff * diff, axis=1))
+    return out
 
 
 def score_all_tails(params: ModelParams, h: int, r: int,
-                    masks: tuple | None = None,
-                    M: np.ndarray | None = None) -> np.ndarray:
-    """Logits of (h, r, t) for every entity t, sharing one dropout mask.
+                    masks: tuple | None = None) -> np.ndarray:
+    """Logits of (h, r, t) for every entity t, sharing one dropout mask."""
+    return _logits(params, _query(params, h, r, masks)[None])[0]
 
-    M, when given, is relation_matrix(params, r), contracted once by a caller
-    that scores many queries on r; the baselines ignore it.
-    """
-    return _logits(params, _query(params, h, r, masks, M))
+
+def score_queries(params: ModelParams, queries):
+    """Logits of every entity as the tail for each (h, r) query, without
+    dropout, yielded in order one row at a time; each row equals
+    score_all_tails(params, h, r) bit for bit. Tucker contracts each relation
+    matrix once per call."""
+    matrices: dict = {}  # Tucker: relation id -> its matrix
+    for h, r in queries:
+        if params.G is not None and r not in matrices:
+            matrices[r] = relation_matrix(params, r)
+        yield _logits(params, _query(params, h, r, None, matrices.get(r))[None])[0]
 
 
 def score_tucker(params: ModelParams, h: int, r: int, t: int,
@@ -271,29 +274,17 @@ def smooth_labels(y: np.ndarray, label_smoothing: float) -> np.ndarray:
 
 
 def _tucker_batch(params: ModelParams, hs: np.ndarray, rs: np.ndarray, head, draw_masks):
-    """Tucker's part of a batch: returns (head-row gradients, relation ids,
-    their gradient rows, core gradient).
+    """Tucker's part of a batch, one query at a time for the three dropout
+    sites: returns (head-row gradients, relation ids, their gradient rows,
+    core gradient).
 
-    Each relation matrix is contracted once per batch, and each query's dL/dM
-    is summed per relation, so the relation-row and core gradients are one
-    batched matmul each. Both (d_e, n_rel, d_e) stacks are freed before
-    returning: the relation matrices with the loop, the sums here. Peak
-    resident memory measured higher when either outlived its use.
+    Query i uses relation matrix M[:, slot[i]], contracted once per batch, and
+    S[:, k] sums dL/dM per relation, so the relation-row and core gradients
+    are one batched matmul each. Peak resident memory measured higher when
+    either (d_e, n_rel, d_e) stack outlived its use.
     """
     rels, slot = np.unique(rs, return_inverse=True)
-    d_head, S = _tucker_queries(params, hs, slot, np.matmul(params.R[rels], params.G),
-                                head, draw_masks)
-    d_rel = np.matmul(params.G, S.transpose(0, 2, 1)).sum(axis=0).T
-    return d_head, rels, d_rel, np.matmul(params.R[rels].T, S)
-
-
-def _tucker_queries(params: ModelParams, hs, slot, M, head, draw_masks):
-    """The loop over queries that Tucker's three dropout sites need.
-
-    Query i has head hs[i] and relation matrix M[:, slot[i]]. Returns the
-    head-row gradients and S, where S[:, k] sums dL/dM over the queries on
-    M[:, k].
-    """
+    M = np.matmul(params.R[rels], params.G)
     S = np.zeros_like(M)
     dM = np.empty((params.d_e, params.d_e))
     d_head = np.empty((len(hs), params.d_e))
@@ -309,7 +300,9 @@ def _tucker_queries(params: ModelParams, hs, slot, M, head, draw_masks):
         S[:, k] += dM
         da = B @ du
         d_head[i] = da if m1 is None else da * m1
-    return d_head, S
+    M = B = None  # B may view M: drop both before the gradient matmuls
+    d_rel = np.matmul(params.G, S.transpose(0, 2, 1)).sum(axis=0).T
+    return d_head, rels, d_rel, np.matmul(params.R[rels].T, S)
 
 
 def batch_loss_and_grads(params: ModelParams, hs, rs, Y, draw_masks=None):

@@ -13,11 +13,13 @@ Batching does not change it: each query still draws its own masks.
 
 Checkpoint layout: a directory holding meta.json plus one raw little-endian
 float64 array per parameter block (E.bin, R.bin, G.bin) and per Adam moment
-(adam_m_E.bin, ...). meta.json records shapes, config, vocabulary hashes, the
-epoch, and the validation metrics of the stored parameters.
+(adam_m_E.bin, ...). meta.json records shapes, config, the hashes of the
+vocabulary and of the fold files trained on, the epoch, and the validation
+metrics of the stored parameters.
 """
 
 import contextlib
+import functools
 import itertools
 import json
 import os
@@ -148,11 +150,7 @@ def train_epoch(groups, params, state: AdamState, config: TrainConfig,
     heads = np.array([h for h, _, _ in groups], dtype=np.int64)
     relations = np.array([r for _, r, _ in groups], dtype=np.int64)
     order = rng.permutation(len(groups))
-    # Only a query through a core has dropout sites.
-    draw_masks = None
-    if params.G is not None and config.dropout.active:
-        def draw_masks():
-            return sample_masks(config.dropout, params.d_e, rng)
+    draw_masks = functools.partial(sample_masks, config.dropout, params.d_e, rng)
     total_loss = 0.0
     clamped = 0
     for start in range(0, len(order), config.batch_size):

@@ -168,6 +168,28 @@ class TestEvaluateAnalyzeExport:
         assert run(["evaluate", "--checkpoint", pipeline["ckpt"],
                     "--data", other_data, "--out", tmp_path / "out"]) == 3
 
+    @pytest.mark.parametrize("command", ["evaluate", "analyze", "export-heatmaps"])
+    def test_checkpoint_of_another_split_exits_3_naming_the_fold(self, pipeline, tmp_path,
+                                                                  capsys, command):
+        # Another seed draws other folds over the same vocabulary, so the
+        # training fold is the first file that differs.
+        other = tmp_path / "other"
+        assert run(["split", "--triples", pipeline["net"] / "triples.tsv", "--out", other,
+                    "--seed", 4, "--set", "split.valid_size=100",
+                    "--set", "split.test_size=100"]) == 0
+        # The checkpoint's own folds with the test triples reordered: only
+        # the bytes of test.tsv differ.
+        reordered = tmp_path / "reordered"
+        shutil.copytree(pipeline["data"], reordered)
+        lines = (reordered / "test.tsv").read_text().splitlines(keepends=True)
+        (reordered / "test.tsv").write_text("".join(reversed(lines)))
+        for data, fold in ((other, "train.tsv"), (reordered, "test.tsv")):
+            out = tmp_path / f"out-{fold}"
+            assert run([command, "--checkpoint", pipeline["ckpt"],
+                        "--data", data, "--out", out]) == 3
+            assert f"{fold} differs" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_leaky_split_exits_3(self, pipeline, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()

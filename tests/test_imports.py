@@ -1,9 +1,9 @@
-"""Every module under src/affinitykg imports at module level, and uses every
-name it imports.
+"""Every module under src/affinitykg imports at module level, uses every
+name it imports, and reads every private name it defines.
 
-The project ships no linter; this stdlib-ast check keeps a deletion from
-leaving an orphaned import behind, and keeps imports where a reader (and the
-unused-import check) sees them.
+The project ships no linter; these stdlib-ast checks keep a deletion from
+leaving an orphaned import or private helper behind, and keep imports where a
+reader (and the unused-import check) sees them.
 """
 
 import ast
@@ -45,6 +45,34 @@ def function_imports(source: str) -> list:
                    if isinstance(node, (ast.Import, ast.ImportFrom))})
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def unread_private_names(source: str) -> list:
+    """Module-level functions, classes and assignments named with one leading
+    underscore that the module never reads as a name."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(name.id for target in targets for name in ast.walk(target)
+                           if isinstance(name, ast.Name))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(name for name in defined - read if _is_private(name))
+
+
+def private_imports(source: str) -> list:
+    """Private names that an import statement takes from another module."""
+    return sorted(alias.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  for alias in node.names if _is_private(alias.name))
+
+
 def findings(check) -> dict:
     """check(source) of every module under src/affinitykg, by file, where non-empty."""
     found = {}
@@ -64,6 +92,14 @@ def test_no_module_imports_inside_a_function():
     assert findings(function_imports) == {}
 
 
+def test_every_module_reads_every_private_name_it_defines():
+    assert findings(unread_private_names) == {}
+
+
+def test_no_module_imports_a_private_name():
+    assert findings(private_imports) == {}
+
+
 def test_check_finds_unused_imports():
     source = ("import os\nimport a.b\nfrom x import y, z as w\n"
               "from p import q\n__all__ = ['q']\nprint(y)\n")
@@ -75,3 +111,17 @@ def test_check_finds_imports_inside_functions():
               "def f():\n    import json\n    def g():\n        from x import y\n"
               "class C:\n    def m(self):\n        import re\n")
     assert function_imports(source) == [3, 5, 8]
+
+
+def test_check_finds_unread_private_names():
+    source = ("_USED = 1\n_unused: int = 2\n__dunder__ = 3\npublic = 4\n"
+              "def _orphan_helper():\n    return _USED\n"
+              "class _Orphan:\n    pass\n"
+              "def _called():\n    pass\n"
+              "def f():\n    _local = 5\n    return _called()\n")
+    assert unread_private_names(source) == ["_Orphan", "_orphan_helper", "_unused"]
+
+
+def test_check_finds_private_imports():
+    source = "from a import b, _c\nfrom d import _e as e\n"
+    assert private_imports(source) == ["_c", "_e"]

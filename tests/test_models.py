@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from affinitykg.models import (
+    MODELS,
     DropoutSpec,
     ModelParams,
     batch_loss_and_grads,
@@ -16,6 +17,7 @@ from affinitykg.models import (
     relation_matrix,
     sample_masks,
     score_all_tails,
+    score_queries,
     score_tucker,
     smooth_labels,
 )
@@ -109,6 +111,21 @@ class TestScoreAllTails:
         batched = score_all_tails(params, 2, 1, masks)
         pointwise = np.array([score_tucker(params, 2, 1, t, masks) for t in range(12)])
         assert np.max(np.abs(batched - pointwise)) < 1e-12
+
+
+class TestScoreQueries:
+    @pytest.mark.parametrize("n_e,d_e", [(57, 16), (198, 32), (1187, 200)])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_rows_equal_score_all_tails(self, model, n_e, d_e):
+        params = init_params(n_e, 4, d_e, 10, seed=6, model=model)
+        # Relation 1 repeats; relations interleave; one query repeats whole.
+        queries = [(0, 1), (5, 1), (3, 0), (n_e - 1, 3), (5, 1), (2, 0), (7, 2), (0, 1)]
+        scored = score_queries(params, queries)
+        assert iter(scored) is scored  # rows come one at a time
+        rows = list(scored)
+        assert len(rows) == len(queries)
+        for (h, r), row in zip(queries, rows):
+            assert np.array_equal(row, score_all_tails(params, h, r))
 
 
 class TestDropout:

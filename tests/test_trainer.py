@@ -182,17 +182,24 @@ class TestTrainEpoch:
             train_epoch([], params, state, config, np.random.default_rng(0),
                         config.learning_rate)
 
-    @pytest.mark.parametrize("model", ["tucker", "transe"])
-    def test_rng_stream_is_shuffle_then_masks_in_iteration_order(self, model):
+    @pytest.mark.parametrize("model,dropout,draws_masks", [
+        # Only a query through a core draws masks, and a zero rate draws none,
+        # so without dropout an epoch consumes only the shuffle.
+        pytest.param("tucker", DropoutSpec(0.5, 0.2, 0.2), True, id="tucker"),
+        pytest.param("transe", DropoutSpec(0.5, 0.2, 0.2), False, id="transe"),
+        pytest.param("tucker", DropoutSpec(), False, id="tucker-no-dropout"),
+    ])
+    def test_rng_stream_is_shuffle_then_masks_in_iteration_order(self, model, dropout,
+                                                                 draws_masks):
         kg = add_reciprocals(two_block_kg(seed=0, valid_size=0, test_size=0))
-        config = TrainConfig(d_e=6, d_r=3, batch_size=16, model=model)
+        config = TrainConfig(d_e=6, d_r=3, batch_size=16, model=model, dropout=dropout)
         params = init_params(kg.n_entities, kg.n_relations, config.d_e, config.d_r, 0, model)
         rng = np.random.default_rng(11)
         run_epoch(kg, params, AdamState.for_params(params), config, rng)
         reference = np.random.default_rng(11)
         groups = group_queries(kg.train)
         reference.permutation(len(groups))
-        if model == "tucker":  # only a query through a core draws masks
+        if draws_masks:
             for _ in groups:
                 sample_masks(config.dropout, config.d_e, reference)
         assert rng.bit_generator.state == reference.bit_generator.state
