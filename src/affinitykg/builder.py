@@ -65,8 +65,9 @@ class BuilderConfig:
     def __post_init__(self):
         if not 1 < self.k_security < math.inf:
             raise ValueError(f"k_security must be finite and exceed 1, got {self.k_security}")
-        if self.min_occurrences < 0 or self.kcore_k < 0:
-            raise ValueError("filter thresholds must be non-negative")
+        for name in ("min_occurrences", "kcore_k"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.n_deciles < 1:
             raise ValueError("n_deciles must be positive")
 

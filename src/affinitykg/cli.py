@@ -99,8 +99,15 @@ def _field_name(key: str) -> str:
     return _FIELD_NAMES.get(key, key.partition(".")[2])
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 # Keys whose values are checked beyond their type.
-_PARSERS = {"eval.mode": evaluator.check_mode}
+_PARSERS = {"eval.mode": evaluator.check_mode, "seed": _non_negative_int}
 
 
 def _key_spec(key: str, help_text: str) -> tuple:
@@ -170,7 +177,7 @@ def load_run_config(args) -> RunConfig:
         key, _, value = item.partition("=")
         config.set(key.strip(), value.strip())
     if args.seed is not None:
-        config.values["seed"] = args.seed
+        config.set("seed", args.seed, where="--seed")
     return config
 
 
@@ -316,8 +323,9 @@ def cmd_analyze(args, config: RunConfig) -> tuple[dict, str]:
 
 def cmd_export_heatmaps(args, config: RunConfig) -> tuple[dict, str]:
     graph, params = _load_trained(args, "relation heatmaps need a tucker checkpoint")
-    indices = snn.export_relation_heatmaps(params, graph, args.out)
-    return {"asymmetry.json": canonical_json(indices)}, f"{len(indices)} relation matrices"
+    files, indices = snn.export_relation_heatmaps(params, graph)
+    return ({**files, "asymmetry.json": canonical_json(indices)},
+            f"{len(indices)} relation matrices")
 
 
 _DATA = ("--data", "split directory")
@@ -361,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value configuration file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key (repeatable; wins over --config)")
-        p.add_argument("--seed", type=int, help="override the global seed")
+        p.add_argument("--seed", help="override the global seed")
         p.add_argument("--out", required=True, help="output directory")
     return parser
 

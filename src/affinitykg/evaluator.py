@@ -69,20 +69,14 @@ def rank_of_target(scores, target: int, filter_set=frozenset(), mode: str = "fil
     scores = np.asarray(scores, dtype=np.float64)
     if not 0 <= target < scores.shape[0]:
         raise IndexError(f"target {target} out of range")
-    check_mode(mode)
-    target_score = scores[target]
-    if mode == "filtered" and filter_set:
-        # The target may appear in the known-true set; it is never excluded
-        # from its own ranking.
-        exclude = [c for c in filter_set if c != target]
-        if exclude:
-            keep = np.ones(scores.shape[0], dtype=bool)
-            keep[np.asarray(exclude, dtype=np.int64)] = False
-            scores = scores[keep]
-    # Count the candidates not scoring below the target, itself included.
-    # Every comparison with NaN is false, so a NaN competitor is counted and a
-    # NaN target counts every candidate.
-    return int(np.count_nonzero(~(scores < target_score)))
+    # The candidates not scoring below the target, itself included. Every
+    # comparison with NaN is false, so a NaN competitor counts and a NaN
+    # target counts every candidate.
+    not_below = ~(scores < scores[target])
+    if check_mode(mode) == "filtered":
+        not_below[list(filter_set)] = False
+        not_below[target] = True
+    return int(np.count_nonzero(not_below))
 
 
 def hits_at(ranks, n: int) -> float:
@@ -117,14 +111,10 @@ def compute_ranks(params, kg: KnowledgeGraph, fold: str = "test") -> list:
                 for h, r, t in getattr(kg, fold).tolist()
                 for direction, query, rel, target in (("tail", h, r, t),
                                                       ("head", t, r + n_base, h))]
-    records = []
     scored = score_queries(params, ((query, rel) for *_, query, rel, _ in rankings))
-    for (h, r, t, direction, query, rel, target), scores in zip(rankings, scored):
-        filter_set = known.tails_of(query, rel)
-        raw = rank_of_target(scores, target, mode="raw")
-        filtered = rank_of_target(scores, target, filter_set, mode="filtered")
-        records.append(RankRecord(h, r, t, direction, raw, filtered))
-    return records
+    return [RankRecord(h, r, t, direction, rank_of_target(scores, target, mode="raw"),
+                       rank_of_target(scores, target, known.tails_of(query, rel)))
+            for (h, r, t, direction, query, rel, target), scores in zip(rankings, scored)]
 
 
 def summarize(records, mode: str = "filtered") -> MetricsReport:

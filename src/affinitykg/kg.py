@@ -90,11 +90,6 @@ class KnowledgeGraph:
         return np.vstack([self.train, self.valid, self.test])
 
 
-def base_relation(r: int, n_base: int) -> int:
-    """The base id of relation r; a reciprocal id r >= n_base maps to r - n_base."""
-    return r - n_base if r >= n_base else r
-
-
 def neighbour_index(rows: np.ndarray, n_base: int) -> dict:
     """Map (base relation, entity) to the entities joined to it by a row.
 
@@ -133,6 +128,8 @@ def _numbered_triples_graph(numbered, path: str | None = None):
             raise ParseError("empty label in triple", n, path)
         if h_label == t_label:
             raise ParseError(f"self-affinity triple {h_label!r}", n, path)
+        if r_label.endswith(RECIPROCAL_SUFFIX):
+            raise ParseError(_reserved_suffix(r_label), n, path)
         if t_label < h_label:
             h_label, t_label = t_label, h_label
         h = entity_labels.setdefault(h_label, len(entity_labels))
@@ -187,8 +184,9 @@ def split(kg: KnowledgeGraph, valid_size: int, test_size: int, seed: int) -> Kno
     """
     pool = kg.all_triples()
     n = len(pool)
-    if valid_size < 0 or test_size < 0:
-        raise ValueError("fold sizes must be non-negative")
+    for name, size in (("valid_size", valid_size), ("test_size", test_size)):
+        if size < 0:
+            raise ValueError(f"{name} must be non-negative, got {size}")
     if valid_size + test_size >= n:
         raise ValueError(f"valid_size + test_size = {valid_size + test_size} >= {n} triples")
     order = np.random.default_rng(seed).permutation(n)
@@ -198,16 +196,23 @@ def split(kg: KnowledgeGraph, valid_size: int, test_size: int, seed: int) -> Kno
     return replace(kg, train=train, valid=valid, test=test)
 
 
+def _reserved_suffix(label: str) -> str:
+    return (f"relation label {label!r} ends in {RECIPROCAL_SUFFIX!r}, "
+            f"which names reciprocal relations")
+
+
 def add_reciprocals(kg: KnowledgeGraph) -> KnowledgeGraph:
     """Double the relation vocabulary and the training fold with inverses.
 
     Every training triple (h, r, t) gains a twin (t, r_inv, h); evaluation
-    folds keep base relation ids only. Applying this twice is an error.
+    folds keep base relation ids only. Applying this twice, or to a base
+    label ending in the reciprocal suffix, is an error.
     """
-    if kg.has_reciprocals or any(
-        label.endswith(RECIPROCAL_SUFFIX) for label in kg.relations.labels
-    ):
+    if kg.has_reciprocals:
         raise ValueError("reciprocal relations already present")
+    for label in kg.relations.labels:
+        if label.endswith(RECIPROCAL_SUFFIX):
+            raise ValueError(_reserved_suffix(label))
     n_base = len(kg.relations)
     relations = Vocab(
         list(kg.relations.labels)
@@ -232,7 +237,8 @@ class KnownTrueSet:
         self._index = neighbour_index(kg.all_triples(), self.n_base)
 
     def tails_of(self, entity: int, relation: int) -> frozenset:
-        return frozenset(self._index.get((base_relation(relation, self.n_base), entity), ()))
+        base = relation - self.n_base if relation >= self.n_base else relation
+        return frozenset(self._index.get((base, entity), ()))
 
 
 # --- split-directory persistence (vocab files keep ids stable across loads) ---

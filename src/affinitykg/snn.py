@@ -3,7 +3,7 @@
 Base relations are decile labels d<k> (k >= 1, no leading zero). For every
 correctly predicted triple (h, d, t) three neighbor sources are compared: the
 training-fold adjacency in the same decile, the union over the near window
-(deciles d-1, d and d+1 among the deciles present), and a kNN query in the
+(deciles d-1, d and d+1; an absent decile has no edges), and a kNN query in the
 embedding space after transforming every entity row by the decile's relation
 matrix. The SNN of two sets is |intersection| / |union|.
 
@@ -16,7 +16,6 @@ adjacency index, built by the same kg.neighbour_index that serves filtered
 ranking.
 """
 
-import os
 import re
 from dataclasses import dataclass, field
 
@@ -25,7 +24,7 @@ import numpy as np
 from affinitykg.evaluator import check_mode
 from affinitykg.kg import KnowledgeGraph, neighbour_index
 from affinitykg.models import ModelParams, relation_matrix
-from affinitykg.util import atomic_write_text, csv_text
+from affinitykg.util import csv_text
 
 
 def snn(a, b) -> float:
@@ -47,6 +46,13 @@ def decile_relations(kg: KnowledgeGraph) -> dict:
             if DECILE_LABEL.fullmatch(label)}
 
 
+def _check_decile_labels(kg: KnowledgeGraph) -> None:
+    """Raise ValueError naming the first base relation label not spelled d<k>."""
+    for label in kg.relations.labels[:kg.n_base_relations]:
+        if not DECILE_LABEL.fullmatch(label):
+            raise ValueError(f"relation label {label!r} is not a decile label d<k>")
+
+
 def decile_adjacency(kg: KnowledgeGraph, deciles) -> dict:
     """Training-fold adjacency of the given deciles, from kg.neighbour_index.
 
@@ -59,10 +65,6 @@ def decile_adjacency(kg: KnowledgeGraph, deciles) -> dict:
     rows = kg.train[(kg.train[:, 1:2] == wanted).any(axis=1)]
     return {(rids[r], entity): nbrs
             for (r, entity), nbrs in neighbour_index(rows, kg.n_base_relations).items()}
-
-
-def _near_deciles(decile: int, n_deciles: int) -> list:
-    return [d for d in (decile - 1, decile, decile + 1) if 1 <= d <= n_deciles]
 
 
 def _neighbors(index: dict, entity: int, deciles) -> set:
@@ -85,8 +87,9 @@ def neighbors_grounded(kg: KnowledgeGraph, entity: int, decile: int) -> set:
 
 def neighbors_near_deciles(kg: KnowledgeGraph, entity: int, decile: int,
                            n_deciles: int = 10) -> set:
-    """Union of grounded neighbors over the decile and its two nearest deciles."""
-    near = _near_deciles(decile, n_deciles)
+    """Union of grounded neighbors over the decile and its two nearest deciles,
+    leaving out a decile above n_deciles."""
+    near = [d for d in (decile - 1, decile, decile + 1) if d <= n_deciles]
     return _neighbors(decile_adjacency(kg, near), entity, near)
 
 
@@ -164,16 +167,14 @@ def analyze_predictions(params: ModelParams, kg: KnowledgeGraph, hits,
         raise ValueError(f"snn tau must be finite, got {tau}")
     if not 1 <= knn_k < kg.n_entities:
         raise ValueError(f"snn.k must lie in [1, {kg.n_entities - 1}], got {knn_k}")
+    _check_decile_labels(kg)
     rid_of = decile_relations(kg)
-    for label in kg.relations.labels[:kg.n_base_relations]:
-        if not DECILE_LABEL.fullmatch(label):
-            raise ValueError(f"relation label {label!r} is not a decile label d<k>")
     report = SNNReport(knn_k=knn_k, tau=tau)
     decile_of = {rid: d for d, rid in rid_of.items()}
     by_decile: dict[int, list] = {}
     for hit in hits:
         by_decile.setdefault(decile_of[hit[1]], []).append(hit)
-    near_of = {d: _near_deciles(d, max(rid_of)) for d in by_decile}
+    near_of = {d: (d - 1, d, d + 1) for d in by_decile}
     index = decile_adjacency(kg, set().union(*near_of.values()))
 
     for decile in sorted(by_decile):
@@ -224,12 +225,14 @@ def parse_relation_matrix_csv(text: str) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def export_relation_heatmaps(params: ModelParams, kg: KnowledgeGraph, out_dir: str) -> dict:
-    """Write relmat_d<k>.csv per base decile; returns label -> asymmetry index."""
-    indices = {}
+def export_relation_heatmaps(params: ModelParams, kg: KnowledgeGraph) -> tuple[dict, dict]:
+    """The text of relmat_d<k>.csv per base decile, by file name, and label ->
+    asymmetry index. A base label not spelled d<k> raises ValueError first."""
+    _check_decile_labels(kg)
+    files, indices = {}, {}
     for rid in range(kg.n_base_relations):
         label = kg.relations.label_of(rid)
         M = relation_matrix(params, rid)
-        atomic_write_text(os.path.join(out_dir, f"relmat_{label}.csv"), relation_matrix_csv(M))
+        files[f"relmat_{label}.csv"] = relation_matrix_csv(M)
         indices[label] = asymmetry_index(M)
-    return indices
+    return files, indices

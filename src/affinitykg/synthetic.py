@@ -33,8 +33,11 @@ class PopulationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_communities < 1 or self.surnames_per_community < 3:
-            raise ValueError("need at least one community of three surnames")
+        if self.n_communities < 1:
+            raise ValueError(f"n_communities must be >= 1, got {self.n_communities}")
+        if self.surnames_per_community < 3:
+            raise ValueError(f"surnames_per_community must be >= 3, "
+                             f"got {self.surnames_per_community}")
         if not 0.0 <= self.intra_bias <= 1.0:
             raise ValueError("intra_bias must lie in [0, 1]")
         if self.n_individuals < 1:

@@ -283,6 +283,10 @@ class TestEvaluateAnalyzeExport:
                     "--set", "snn.k=2"]) == 2
         assert "'d05'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+        assert run(["export-heatmaps", "--checkpoint", ckpt, "--data", data,
+                    "--out", tmp_path / "maps"]) == 2
+        assert "relation label 'd05' is not a decile label d<k>" in capsys.readouterr().err
+        assert not (tmp_path / "maps").exists()
 
     def test_repeated_vocabulary_label_exits_2_naming_the_line(self, pipeline, tmp_path,
                                                                capsys):
@@ -387,6 +391,28 @@ class TestConfigHandling:
                     "--set", f"train.{key}={value}"]) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("builder.min_occurrences", "-1"), ("builder.kcore_k", "-1"),
+        ("split.valid_size", "-1"), ("split.test_size", "-1"),
+        ("synth.communities", "0"), ("synth.communities", "-1"),
+        ("synth.surnames_per_community", "0"), ("synth.surnames_per_community", "-1"),
+        ("seed", "-1"),
+    ])
+    def test_out_of_range_value_exits_2_naming_its_key(self, pipeline, tmp_path, capsys,
+                                                       key, value):
+        stage = {"builder": ["build-network", "--records", pipeline["gen"] / "records.csv"],
+                 "split": ["split", "--triples", pipeline["net"] / "triples.tsv"]}
+        out = tmp_path / "out"
+        assert run([*stage.get(key.partition(".")[0], ["gen-synthetic"]), "--out", out,
+                    "--set", f"{key}={value}"]) == 2
+        assert key.rpartition(".")[2] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_option_exits_2_naming_it(self, tmp_path, capsys):
+        assert run(["gen-synthetic", "--out", tmp_path / "out", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_k_security_exits_2(self, pipeline, tmp_path, capsys, value):
@@ -522,6 +548,14 @@ class TestTextInputs:
         triples.write_text("# c\na\td1\tb\n\nc\td2\tc\n")
         assert run(["split", "--triples", triples, "--out", tmp_path / "out"]) == 2
         assert f"{triples}:4: self-affinity triple 'c'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_reciprocal_suffix_label_names_its_file_line(self, tmp_path, capsys):
+        triples = tmp_path / "triples.tsv"
+        triples.write_text("a\td1\tb\nb\td2\tc\nc\td2_inv\ta\n")
+        assert run(["split", "--triples", triples, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert f"{triples}:3:" in err and "'d2_inv'" in err
         assert not (tmp_path / "out").exists()
 
     def test_config_with_bom_accepted(self, tmp_path):

@@ -1,5 +1,6 @@
 """Every module under src/affinitykg imports at module level, uses every
-name it imports, and reads every private name it defines.
+name it imports, and reads every private name it defines; only the modules
+that own a file format write files.
 
 The project ships no linter; these stdlib-ast checks keep a deletion from
 leaving an orphaned import or private helper behind, and keep imports where a
@@ -73,6 +74,28 @@ def private_imports(source: str) -> list:
                   for alias in node.names if _is_private(alias.name))
 
 
+# The modules that own a file format: util's atomic writers themselves, the
+# split directory, the checkpoint, records.csv, and the stage shell.
+WRITERS = {"util.py", "kg.py", "trainer.py", "synthetic.py", "cli.py"}
+
+
+def _names_read(node) -> list:
+    """The names a node reads: a name, an attribute, or an imported name."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    return []
+
+
+def file_writes(source: str) -> list:
+    """The atomic file writers a module reads, by name, attribute or import."""
+    return sorted({name for node in ast.walk(ast.parse(source)) for name in _names_read(node)}
+                  & {"atomic_write_text", "atomic_write_bytes"})
+
+
 def findings(check) -> dict:
     """check(source) of every module under src/affinitykg, by file, where non-empty."""
     found = {}
@@ -100,6 +123,10 @@ def test_no_module_imports_a_private_name():
     assert findings(private_imports) == {}
 
 
+def test_only_the_format_owners_write_files():
+    assert set(findings(file_writes)) - WRITERS == set()
+
+
 def test_check_finds_unused_imports():
     source = ("import os\nimport a.b\nfrom x import y, z as w\n"
               "from p import q\n__all__ = ['q']\nprint(y)\n")
@@ -125,3 +152,11 @@ def test_check_finds_unread_private_names():
 def test_check_finds_private_imports():
     source = "from a import b, _c\nfrom d import _e as e\n"
     assert private_imports(source) == ["_c", "_e"]
+
+
+def test_check_finds_file_writes():
+    assert file_writes("from affinitykg.util import atomic_write_bytes as write\n") == [
+        "atomic_write_bytes"]
+    assert file_writes("from affinitykg import util\nutil.atomic_write_text('p', '')\n") == [
+        "atomic_write_text"]
+    assert file_writes("from affinitykg.util import csv_text\ncsv_text([])\n") == []

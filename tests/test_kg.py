@@ -5,6 +5,7 @@ import pytest
 
 from affinitykg.errors import ConsistencyError, ParseError
 from affinitykg.kg import (
+    KnowledgeGraph,
     KnownTrueSet,
     Vocab,
     add_reciprocals,
@@ -50,6 +51,11 @@ class TestIngestion:
     def test_rejects_empty_label(self):
         with pytest.raises(ParseError):
             from_label_triples([("a", "", "b")])
+
+    def test_reciprocal_suffix_reports_the_label_and_line(self):
+        with pytest.raises(ParseError, match="'d2_inv'") as err:
+            load_triples(["a\td1\tb", "b\td2_inv\tc"])
+        assert err.value.line_no == 2
 
     def test_malformed_line_reports_number(self):
         lines = ["a\td1\tb", "bad line without tabs"]
@@ -149,8 +155,14 @@ class TestReciprocals:
 
     def test_double_application_fails(self):
         aug = add_reciprocals(small_kg([("a", "d1", "b")]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="reciprocal relations already present"):
             add_reciprocals(aug)
+
+    def test_base_label_with_the_reciprocal_suffix_is_named(self):
+        kg = KnowledgeGraph(Vocab(["a", "b"]), Vocab(["d1", "d2_inv"]),
+                            np.array([[0, 1, 1]]), np.empty((0, 3)), np.empty((0, 3)))
+        with pytest.raises(ValueError, match="'d2_inv'"):
+            add_reciprocals(kg)
 
 
 class TestKnownTrueSet:

@@ -377,13 +377,15 @@ class TestDecileVocabulary:
         row, = analyze_predictions(params, kg, [(0, d10, 1)], knn_k=2).deciles
         assert (row.decile, row.snn_grounded, row.snn_near) == (10, 1.0, 1.0)
 
-    @pytest.mark.parametrize("label", ["d05", "d0", "x", "d5_inv"])
+    @pytest.mark.parametrize("label", ["d05", "d0", "x", "d5_inv", "x/y"])
     def test_non_decile_label_rejected_naming_it(self, label):
         kg = id_graph(3, ["d1", label], [(0, 0, 1), (1, 1, 2)])
         params = init_params(3, 4, 4, 2, seed=0)
         for hits in ([], [(0, 0, 1)]):
             with pytest.raises(ValueError, match=repr(label)):
                 analyze_predictions(params, kg, hits, knn_k=1)
+        with pytest.raises(ValueError, match=repr(label)):
+            export_relation_heatmaps(params, kg)
 
     @pytest.mark.parametrize("knn_k", [0, -1, 3])
     def test_knn_k_out_of_range_rejected_naming_key(self, knn_k):
@@ -495,14 +497,13 @@ class TestHeatmaps:
         back = parse_relation_matrix_csv(relation_matrix_csv(M))
         np.testing.assert_array_equal(back, M)
 
-    def test_export_writes_one_csv_per_decile(self, tmp_path):
+    def test_export_returns_one_csv_per_decile(self):
         kg = two_block_kg(seed=5, n_entities=40, clique_size=5, valid_size=10, test_size=10)
         params = init_params(kg.n_entities, 2 * kg.n_base_relations, 6, 3, seed=1)
-        indices = export_relation_heatmaps(params, kg, str(tmp_path))
+        files, indices = export_relation_heatmaps(params, kg)
         assert set(indices) == {f"d{i}" for i in range(1, 11)}
+        assert set(files) == {f"relmat_{label}.csv" for label in indices}
         for label in indices:
-            path = tmp_path / f"relmat_{label}.csv"
-            assert path.exists()
-            M = parse_relation_matrix_csv(path.read_text())
+            M = parse_relation_matrix_csv(files[f"relmat_{label}.csv"])
             assert M.shape == (6, 6)
             assert 0.0 <= indices[label] <= 2.0
