@@ -176,7 +176,8 @@ def normalize_ses(values) -> np.ndarray:
     """Min-max rescale raw SES scores to the range [0, 100].
 
     The top score can round to just above 100; the result is clipped, which
-    changes no value inside the range.
+    changes no value inside the range. A range so wide that 100 times its
+    width overflows is refused, since every score would rescale to 0 or NaN.
     """
     x = np.asarray(values, dtype=np.float64)
     if x.size < 2:
@@ -184,6 +185,8 @@ def normalize_ses(values) -> np.ndarray:
     lo, hi = float(x.min()), float(x.max())
     if hi == lo:
         raise ValueError("degenerate SES range: all values equal")
+    if not math.isfinite(100.0 * (hi - lo)):
+        raise ValueError(f"SES range [{lo!r}, {hi!r}] is too wide to rescale to [0, 100]")
     return np.clip(100.0 * (x - lo) / (hi - lo), 0.0, 100.0)
 
 
@@ -247,14 +250,13 @@ def mateos_filter(pairs: dict, n_s: dict, n_total: int, k_security: float) -> di
             if mateos_keeps(sum(by_decile.values()), n_s[s1], n_s[s2], n_total, k_security)}
 
 
-def kcore_prune(pairs: dict, k: int):
-    """Keep only pairs whose endpoints survive the k-core of the collapsed graph.
+def kcore_prune(pairs, k: int) -> set:
+    """The nodes of the k-core of the graph whose edges are the (s1, s2) pairs.
 
-    The collapsed graph is simple and undirected (one edge per pair, deciles
-    merged). Nodes with degree < k are peeled until a fixpoint; the returned
-    pairs are those with both endpoints in the core.
+    The graph is simple and undirected (a repeated pair is one edge). Nodes
+    with degree < k are peeled until a fixpoint; the rest are returned.
     """
-    adjacency: dict[str, set[str]] = {}
+    adjacency: dict = {}
     for s1, s2 in pairs:
         adjacency.setdefault(s1, set()).add(s2)
         adjacency.setdefault(s2, set()).add(s1)
@@ -270,10 +272,7 @@ def kcore_prune(pairs: dict, k: int):
             if degree[nbr] < k:
                 removed.add(nbr)
                 queue.append(nbr)
-    core = set(adjacency) - removed
-    kept = {pair: by_decile for pair, by_decile in pairs.items()
-            if pair[0] in core and pair[1] in core}
-    return kept, core
+    return set(adjacency) - removed
 
 
 def build(records: Records, config: BuilderConfig = BuilderConfig()):
@@ -303,8 +302,7 @@ def build(records: Records, config: BuilderConfig = BuilderConfig()):
     keep &= min_occurrence_filter(n_s1, n_s2, config.min_occurrences)
     report.n_pairs_after_rare = int(keep.sum())
 
-    _, core = kcore_prune(dict.fromkeys(zip(s1[keep].tolist(), s2[keep].tolist())),
-                          config.kcore_k)
+    core = kcore_prune(zip(s1[keep].tolist(), s2[keep].tolist()), config.kcore_k)
     in_core = np.zeros(n_labels, dtype=bool)
     in_core[np.fromiter(core, np.int64, count=len(core))] = True
     keep &= in_core[s1] & in_core[s2]

@@ -36,9 +36,8 @@ _SECTIONS = {
 _FIELD_NAMES = {
     "synth.communities": "n_communities",
     "synth.individuals": "n_individuals",
-    "train.dropout_input": "dropout.input_rate",
-    "train.dropout_relation": "dropout.after_relation_rate",
-    "train.dropout_combination": "dropout.after_combination_rate",
+    **{f"train.{key}": f"dropout.{field.name}"
+       for key, field in zip(trainer.DropoutSpec.KEYS, dataclasses.fields(trainer.DropoutSpec))},
 }
 
 # Defaults of the keys no dataclass owns.

@@ -106,49 +106,6 @@ def neighbour_index(rows: np.ndarray, n_base: int) -> dict:
     return index
 
 
-def from_label_triples(label_triples):
-    """Build a KnowledgeGraph from (head, relation, tail) label tuples.
-
-    Vocabularies are assigned in first-appearance order (heads and tails both
-    feed the entity vocabulary). Duplicate canonical triples are collapsed;
-    the count of collapsed duplicates is returned alongside the graph.
-    """
-    return _numbered_triples_graph(enumerate(label_triples, start=1))
-
-
-def _numbered_triples_graph(numbered, path: str | None = None):
-    """from_label_triples over (line number, triple) pairs; errors name the line."""
-    entity_labels: dict[str, int] = {}
-    relation_labels: dict[str, int] = {}
-    rows: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int, int]] = set()
-    duplicates = 0
-    for n, (h_label, r_label, t_label) in numbered:
-        if not h_label or not r_label or not t_label:
-            raise ParseError("empty label in triple", n, path)
-        if h_label == t_label:
-            raise ParseError(f"self-affinity triple {h_label!r}", n, path)
-        if r_label.endswith(RECIPROCAL_SUFFIX):
-            raise ParseError(_reserved_suffix(r_label), n, path)
-        if t_label < h_label:
-            h_label, t_label = t_label, h_label
-        h = entity_labels.setdefault(h_label, len(entity_labels))
-        r = relation_labels.setdefault(r_label, len(relation_labels))
-        t = entity_labels.setdefault(t_label, len(entity_labels))
-        row = (h, r, t)
-        if row in seen:
-            duplicates += 1
-            continue
-        seen.add(row)
-        rows.append(row)
-    entities = Vocab(entity_labels)
-    relations = Vocab(relation_labels)
-    train = np.array(rows, dtype=np.int64).reshape(-1, 3)
-    empty = np.empty((0, 3), dtype=np.int64)
-    kg = KnowledgeGraph(entities, relations, train, empty.copy(), empty.copy())
-    return kg, duplicates
-
-
 def _parse_triple_lines(lines, path=None):
     for n, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
@@ -165,10 +122,37 @@ def _parse_triple_lines(lines, path=None):
 def load_triples(lines, path: str | None = None):
     """Parse TAB-separated triple lines into a KnowledgeGraph.
 
+    Vocabularies are assigned in first-appearance order (heads and tails both
+    feed the entity vocabulary). Duplicate canonical triples are collapsed.
     Returns (kg, duplicate_count). Malformed lines raise ParseError with the
     offending line number.
     """
-    return _numbered_triples_graph(_parse_triple_lines(lines, path), path)
+    entity_labels: dict[str, int] = {}
+    relation_labels: dict[str, int] = {}
+    rows: list[tuple[int, int, int]] = []
+    seen: set[tuple[int, int, int]] = set()
+    duplicates = 0
+    for n, (h_label, r_label, t_label) in _parse_triple_lines(lines, path):
+        if h_label == t_label:
+            raise ParseError(f"self-affinity triple {h_label!r}", n, path)
+        if r_label.endswith(RECIPROCAL_SUFFIX):
+            raise ParseError(_reserved_suffix(r_label), n, path)
+        if t_label < h_label:
+            h_label, t_label = t_label, h_label
+        h = entity_labels.setdefault(h_label, len(entity_labels))
+        r = relation_labels.setdefault(r_label, len(relation_labels))
+        t = entity_labels.setdefault(t_label, len(entity_labels))
+        row = (h, r, t)
+        if row in seen:
+            duplicates += 1
+            continue
+        seen.add(row)
+        rows.append(row)
+    train = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    empty = np.empty((0, 3), dtype=np.int64)
+    kg = KnowledgeGraph(Vocab(entity_labels), Vocab(relation_labels), train,
+                        empty.copy(), empty.copy())
+    return kg, duplicates
 
 
 def load_triples_file(path: str):
@@ -270,8 +254,9 @@ def save_kg_dir(directory: str, kg: KnowledgeGraph) -> None:
         write_fold_tsv(os.path.join(directory, fname), kg, fold)
 
 
-def _read_vocab_file(path: str) -> Vocab:
-    """One label per non-blank line; a repeated label names its line and the first."""
+def _read_vocab_file(path: str) -> dict:
+    """Each label of a one-label-per-line file mapped to its line, blank lines
+    skipped; a repeated label names its line and the first."""
     first_line: dict[str, int] = {}
     with open_text(path) as fh:
         for n, raw in enumerate(fh, start=1):
@@ -280,12 +265,17 @@ def _read_vocab_file(path: str) -> Vocab:
                 raise ParseError(f"label {label!r} repeats line {first_line[label]}", n, path)
             if label:
                 first_line[label] = n
-    return Vocab(first_line)
+    return first_line
 
 
 def load_kg_dir(directory: str) -> KnowledgeGraph:
-    entities = _read_vocab_file(os.path.join(directory, ENTITIES_FILE))
-    relations = _read_vocab_file(os.path.join(directory, RELATIONS_FILE))
+    entities = Vocab(_read_vocab_file(os.path.join(directory, ENTITIES_FILE)))
+    relations_path = os.path.join(directory, RELATIONS_FILE)
+    relation_lines = _read_vocab_file(relations_path)
+    for label, n in relation_lines.items():
+        if label.endswith(RECIPROCAL_SUFFIX):
+            raise ParseError(_reserved_suffix(label), n, relations_path)
+    relations = Vocab(relation_lines)
     folds = {}
     for fold, fname in FOLD_FILES.items():
         path = os.path.join(directory, fname)

@@ -24,12 +24,14 @@ contracts each relation matrix once per batch and sums dL/dM per relation,
 so its relation-row and core gradients are one batched matmul each. Only
 Tucker's three dropout sites are worked through one query at a time.
 
-The model decides where dropout masks apply. A trainer always hands over its
-mask sampler; only Tucker's query loop calls it, at three sites with inverted
-scaling, so inference needs no rescaling: on the head entity row, on the
+Dropout masks apply only inside batch_loss_and_grads, through its
+draw_masks argument: a trainer always hands over its mask sampler, and only
+Tucker's query loop calls it, at three sites with inverted scaling, so
+inference needs no rescaling: on the head entity row, on the
 relation-transformed core matrix, and on the combined query vector. A sampled
 (entity, relation_core, combination) mask tuple is reused verbatim by the
-forward and backward passes of its query.
+forward and backward passes of its query. Every other function here, and so
+every evaluation, explanation and export, scores without dropout.
 """
 
 from dataclasses import asdict, dataclass, replace
@@ -45,16 +47,16 @@ class DropoutSpec:
     after_relation_rate: float = 0.0
     after_combination_rate: float = 0.0
 
+    # The train.* and grid.* config keys that set each rate, in field order.
+    KEYS = ("dropout_input", "dropout_relation", "dropout_combination")
+
     def __post_init__(self):
-        for name, rate in self.rates().items():
+        for key, (name, rate) in zip(self.KEYS, self.rates().items()):
             if not 0.0 <= rate < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {rate}")
+                raise ValueError(f"{key} ({name}) must lie in [0, 1), got {rate}")
 
     def rates(self) -> dict:
         return asdict(self)
-
-
-_NO_MASKS = (None, None, None)
 
 
 def sample_masks(spec: DropoutSpec, d_e: int, rng: np.random.Generator) -> tuple:
@@ -151,15 +153,6 @@ def relation_matrix(params: ModelParams, r: int) -> np.ndarray:
 
 # --- per-model query vectors ---
 
-def _tucker_forward(e_h: np.ndarray, M: np.ndarray, masks: tuple | None):
-    """Tucker query through its three dropout sites: returns (a, B, q), q = (a B) m3."""
-    m1, m2, m3 = masks or _NO_MASKS
-    a = e_h if m1 is None else e_h * m1
-    B = M if m2 is None else M * m2
-    u = a @ B
-    return a, B, (u if m3 is None else u * m3)
-
-
 def _complex_product(a: np.ndarray, b: np.ndarray, conj_b: bool = False) -> np.ndarray:
     """Elementwise a * b (or a * conj(b)) of [real half | imaginary half] rows."""
     d = a.shape[-1] // 2
@@ -183,13 +176,11 @@ MODELS = ("tucker",) + tuple(_BASELINES)
 
 # --- shared 1:N head ---
 
-def _query(params: ModelParams, h: int, r: int, masks: tuple | None,
-           M: np.ndarray | None = None) -> np.ndarray:
+def _query(params: ModelParams, h: int, r: int, M: np.ndarray | None = None) -> np.ndarray:
     if not (0 <= h < params.n_entities and 0 <= r < params.n_relations):
         raise IndexError(f"entity {h} or relation {r} out of range")
     if params.G is not None:
-        M = relation_matrix(params, r) if M is None else M
-        return _tucker_forward(params.E[h], M, masks)[2]
+        return params.E[h] @ (relation_matrix(params, r) if M is None else M)
     return _BASELINES[params.model][0](params.E[h], params.R[r])
 
 
@@ -205,10 +196,9 @@ def _logits(params: ModelParams, Q: np.ndarray) -> np.ndarray:
     return out
 
 
-def score_all_tails(params: ModelParams, h: int, r: int,
-                    masks: tuple | None = None) -> np.ndarray:
-    """Logits of (h, r, t) for every entity t, sharing one dropout mask."""
-    return _logits(params, _query(params, h, r, masks)[None])[0]
+def score_all_tails(params: ModelParams, h: int, r: int) -> np.ndarray:
+    """Logits of (h, r, t) for every entity t."""
+    return _logits(params, _query(params, h, r)[None])[0]
 
 
 def score_queries(params: ModelParams, queries):
@@ -220,14 +210,13 @@ def score_queries(params: ModelParams, queries):
     for h, r in queries:
         if params.G is not None and r not in matrices:
             matrices[r] = relation_matrix(params, r)
-        yield _logits(params, _query(params, h, r, None, matrices.get(r))[None])[0]
+        yield _logits(params, _query(params, h, r, matrices.get(r))[None])[0]
 
 
-def score_tucker(params: ModelParams, h: int, r: int, t: int,
-                 masks: tuple | None = None) -> float:
+def score_tucker(params: ModelParams, h: int, r: int, t: int) -> float:
     if not 0 <= t < params.n_entities:
         raise IndexError("entity id out of range")
-    return float(_query(params, h, r, masks) @ params.E[t])
+    return float(_query(params, h, r) @ params.E[t])
 
 
 def predict_sigmoid(logits) -> np.ndarray:
@@ -289,9 +278,12 @@ def _tucker_batch(params: ModelParams, hs: np.ndarray, rs: np.ndarray, head, dra
     dM = np.empty((params.d_e, params.d_e))
     d_head = np.empty((len(hs), params.d_e))
     for i, (h, k) in enumerate(zip(hs, slot)):
-        masks = draw_masks() if draw_masks is not None else _NO_MASKS
-        m1, m2, m3 = masks
-        a, B, q = _tucker_forward(params.E[h], M[:, k], masks)
+        m1, m2, m3 = draw_masks() if draw_masks is not None else (None, None, None)
+        a = params.E[h] if m1 is None else params.E[h] * m1
+        B = M[:, k] if m2 is None else M[:, k] * m2
+        q = a @ B
+        if m3 is not None:
+            q *= m3
         dv = head(slice(i, i + 1), q[None])[0]
         du = dv if m3 is None else dv * m3
         np.outer(a, du, out=dM)
@@ -361,15 +353,10 @@ def batch_loss_and_grads(params: ModelParams, hs, rs, Y, draw_masks=None):
     return losses, dict(zip(block_names(params.model), (grad_E, grad_R, d_core))), clamped
 
 
-def loss_and_grads(params: ModelParams, h: int, r: int, y,
-                   masks: tuple | None = None):
-    """One (h, r) query of batch_loss_and_grads: returns (loss, grads).
-
-    Dropout masks, when given, are applied identically in the forward and
-    backward passes.
-    """
-    losses, grads, _ = batch_loss_and_grads(params, [h], [r], np.asarray(y)[None],
-                                            None if masks is None else lambda: masks)
+def loss_and_grads(params: ModelParams, h: int, r: int, y):
+    """One (h, r) query of batch_loss_and_grads, without dropout: returns
+    (loss, grads)."""
+    losses, grads, _ = batch_loss_and_grads(params, [h], [r], np.asarray(y)[None])
     return float(losses[0]), grads
 
 

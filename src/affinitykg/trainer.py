@@ -255,6 +255,10 @@ class GridSpec:
         for axis in fields(self):
             if not getattr(self, axis.name):
                 raise ValueError(f"grid axis {axis.name} is empty")
+        # Every rate axis value, checked before any cell trains.
+        rate_axes = (getattr(self, key) for key in DropoutSpec.KEYS)
+        for rates in itertools.zip_longest(*rate_axes, fillvalue=0.0):
+            DropoutSpec(*rates)
 
     def cells(self):
         for d_r, d_e, *rates in itertools.product(*astuple(self)):

@@ -49,6 +49,12 @@ class TestNormalizeSes:
         with pytest.raises(ValueError):
             normalize_ses([5.0, 5.0, 5.0])
 
+    def test_range_whose_width_overflows_is_named(self):
+        with pytest.raises(ValueError, match=r"SES range \[-1e\+308, 1e\+308\] is too wide"):
+            normalize_ses([-1e308, 0.0, 1e308])
+        # A range just inside the overflow still rescales to its endpoints.
+        assert normalize_ses([0.0, 1.7e306]).tolist() == [0.0, 100.0]
+
     def test_top_score_is_exactly_100(self):
         # 100 * (hi - lo) / (hi - lo) rounds to 100.00000000000001 here.
         assert normalize_ses([-28.050229646245484, 144.75867847299656]).max() == 100.0
@@ -208,40 +214,42 @@ def peeling_oracle(edges, k):
         alive -= doomed
 
 
+def core_pairs(pairs, core):
+    """The pairs with both endpoints in the core."""
+    return [pair for pair in pairs if pair[0] in core and pair[1] in core]
+
+
 class TestKcorePrune:
     def test_path_has_no_2core(self):
-        pairs = {("a", "b"): {1: 1}, ("b", "c"): {1: 1}}
-        kept, core = kcore_prune(pairs, 2)
-        assert kept == {} and core == set()
+        pairs = [("a", "b"), ("b", "c")]
+        core = kcore_prune(pairs, 2)
+        assert core == set() and core_pairs(pairs, core) == []
 
     def test_triangle_survives(self):
-        pairs = {("a", "b"): {1: 1}, ("b", "c"): {1: 1}, ("a", "c"): {1: 1}}
-        kept, core = kcore_prune(pairs, 2)
-        assert set(kept) == set(pairs) and core == {"a", "b", "c"}
+        pairs = [("a", "b"), ("b", "c"), ("a", "c")]
+        core = kcore_prune(iter(pairs), 2)
+        assert core == {"a", "b", "c"} and core_pairs(pairs, core) == pairs
 
     def test_matches_peeling_oracle_on_random_graphs(self):
         rng = np.random.default_rng(11)
         for trial in range(10):
             n, p = 100, 0.05
-            pairs = {}
+            pairs = []
             for i in range(n):
                 for j in range(i + 1, n):
                     if rng.random() < p:
-                        pairs[(f"v{i:03d}", f"v{j:03d}")] = {1: 1}
-            kept, core = kcore_prune(pairs, 2)
-            assert core == peeling_oracle(list(pairs), 2)
-            assert set(kept) == {
-                pair for pair in pairs if pair[0] in core and pair[1] in core
-            }
+                        pairs.append((f"v{i:03d}", f"v{j:03d}"))
+            assert kcore_prune(pairs, 2) == peeling_oracle(pairs, 2)
 
     def test_post_core_min_degree(self):
         rng = np.random.default_rng(13)
-        pairs = {}
+        pairs = []
         for i in range(60):
             for j in range(i + 1, 60):
                 if rng.random() < 0.06:
-                    pairs[(f"v{i:02d}", f"v{j:02d}")] = {1: 1}
-        kept, core = kcore_prune(pairs, 3)
+                    pairs.append((f"v{i:02d}", f"v{j:02d}"))
+        core = kcore_prune(pairs, 3)
+        kept = core_pairs(pairs, core)
         degree = {}
         for a, b in kept:
             degree[a] = degree.get(a, 0) + 1
@@ -286,10 +294,11 @@ class TestBuildPipeline:
         assert mateos_keeps(total[once], n1[once], n2[once], n_total, 20.0).all()
         rare_once = once & min_occurrence_filter(n1, n2, 20)
         assert min_occurrence_filter(n1[rare_once], n2[rare_once], 20).all()
-        survivors = {pair: None for pair, kept in zip(weights, rare_once) if kept}
-        core_once, nodes = kcore_prune(survivors, 2)
-        core_twice, nodes2 = kcore_prune(core_once, 2)
-        assert core_twice == core_once and nodes2 == nodes
+        survivors = [pair for pair, kept in zip(weights, rare_once) if kept]
+        nodes = kcore_prune(survivors, 2)
+        core_once = core_pairs(survivors, nodes)
+        nodes2 = kcore_prune(core_once, 2)
+        assert nodes2 == nodes and core_pairs(core_once, nodes2) == core_once
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -384,6 +384,7 @@ class TestConfigHandling:
         ("learning_rate", "nan"), ("learning_rate", "inf"), ("label_smoothing", "-3"),
         ("label_smoothing", "1"), ("adam_beta1", "1"), ("adam_beta2", "-0.5"),
         ("adam_eps", "0"), ("adam_eps", "inf"), ("adam_eps", "nan"), ("d_e", "0"), ("d_r", "0"),
+        ("dropout_input", "1.5"), ("dropout_relation", "-0.1"), ("dropout_combination", "1"),
     ])
     def test_out_of_range_train_value_exits_2(self, pipeline, tmp_path, capsys, key, value):
         out = tmp_path / "out"
@@ -407,6 +408,23 @@ class TestConfigHandling:
         assert run([*stage.get(key.partition(".")[0], ["gen-synthetic"]), "--out", out,
                     "--set", f"{key}={value}"]) == 2
         assert key.rpartition(".")[2] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,values", [
+        ("dropout_input", "0.2,1.5"), ("dropout_relation", "0.1,-1"),
+        ("dropout_combination", "1.0"),
+    ])
+    def test_out_of_range_grid_rate_exits_2_naming_its_key_before_training(
+            self, pipeline, tmp_path, capsys, monkeypatch, key, values):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a cell trained before the grid was checked")
+
+        monkeypatch.setattr(trainer, "fit", no_training)
+        out = tmp_path / "out"
+        assert run(["grid-search", "--data", pipeline["data"], "--out", out, *FAST_TRAIN,
+                    "--set", "grid.d_e=8", "--set", "grid.d_r=4",
+                    "--set", f"grid.{key}={values}"]) == 2
+        assert key in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_option_exits_2_naming_it(self, tmp_path, capsys):
@@ -557,6 +575,30 @@ class TestTextInputs:
         err = capsys.readouterr().err
         assert f"{triples}:3:" in err and "'d2_inv'" in err
         assert not (tmp_path / "out").exists()
+
+    def test_reciprocal_suffix_in_relations_txt_names_its_line(self, pipeline, tmp_path,
+                                                                capsys):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data, ignore=shutil.ignore_patterns("*.cfg"))
+        relations = (data / "relations.txt").read_text().splitlines()
+        line = relations.index("d2") + 1
+        for path in data.iterdir():
+            path.write_text(path.read_text().replace("d2\n", "d2_inv\n")
+                            .replace("\td2\t", "\td2_inv\t"))
+        out = tmp_path / "out"
+        assert run(["train", "--data", data, "--out", out, *FAST_TRAIN]) == 2
+        err = capsys.readouterr().err
+        assert f"relations.txt:{line}:" in err and "'d2_inv'" in err
+        assert not out.exists()
+
+    def test_ses_range_too_wide_to_rescale_exits_2_naming_it(self, tmp_path, capsys):
+        records = tmp_path / "records.csv"
+        rows = [f"s{i % 4},t{i % 5},{ses!r},b"
+                for i, ses in enumerate([-1e308, 0.0, 1e308] * 7)]
+        records.write_text("paternal,maternal,ses,block\n" + "".join(r + "\n" for r in rows))
+        assert run(["build-network", "--records", records, "--out", tmp_path / "net"]) == 2
+        assert "SES range [-1e+308, 1e+308] is too wide" in capsys.readouterr().err
+        assert not (tmp_path / "net").exists()
 
     def test_config_with_bom_accepted(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,6 +1,7 @@
 """Every module under src/affinitykg imports at module level, uses every
-name it imports, and reads every private name it defines; only the modules
-that own a file format write files.
+name it imports, and reads every private name it defines; every public
+function and class it defines is read outside the unit tests; only the
+modules that own a file format write files.
 
 The project ships no linter; these stdlib-ast checks keep a deletion from
 leaving an orphaned import or private helper behind, and keep imports where a
@@ -11,8 +12,11 @@ import ast
 import glob
 import os
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "affinitykg")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "affinitykg")
+# The code whose reads keep a public name alive: the package, its scripts, the
+# benchmark (whose tracer names its targets in strings) and the acceptance suite.
+READERS = ("src/affinitykg/*.py", "scripts/*.py", "perfbench/*.py", "tests/test_acceptance.py")
 
 
 def unused_imports(source: str) -> list:
@@ -96,6 +100,36 @@ def file_writes(source: str) -> list:
                   & {"atomic_write_text", "atomic_write_bytes"})
 
 
+def public_definitions(source: str) -> list:
+    """Module-level functions and classes without a leading underscore."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def names_read(source: str) -> set:
+    """Every name a module reads: as a name, an attribute or an imported name,
+    or as a dotted part of a string constant (a tracer target, an __all__ entry)."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            continue
+        read.update(_names_read(node))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.update(node.value.split("."))
+    return read
+
+
+def unread_public_names() -> dict:
+    """The public functions and classes of each module that no reader reads."""
+    read = set()
+    for pattern in READERS:
+        for path in glob.glob(os.path.join(ROOT, pattern)):
+            with open(path, encoding="utf-8") as fh:
+                read |= names_read(fh.read())
+    return findings(lambda source: sorted(set(public_definitions(source)) - read))
+
+
 def findings(check) -> dict:
     """check(source) of every module under src/affinitykg, by file, where non-empty."""
     found = {}
@@ -121,6 +155,10 @@ def test_every_module_reads_every_private_name_it_defines():
 
 def test_no_module_imports_a_private_name():
     assert findings(private_imports) == {}
+
+
+def test_every_public_name_is_read_outside_the_unit_tests():
+    assert unread_public_names() == {}
 
 
 def test_only_the_format_owners_write_files():
@@ -152,6 +190,15 @@ def test_check_finds_unread_private_names():
 def test_check_finds_private_imports():
     source = "from a import b, _c\nfrom d import _e as e\n"
     assert private_imports(source) == ["_c", "_e"]
+
+
+def test_check_finds_public_names_and_their_reads():
+    source = ("def f():\n    return g()\ndef g():\n    pass\nclass C:\n    pass\n"
+              "def _h():\n    pass\nx = 1\n")
+    assert public_definitions(source) == ["f", "g", "C"]
+    assert "g" in names_read(source) and not {"f", "C"} & names_read(source)
+    reads = names_read("from m import a\nimport n\nn.b\nc = 1\nT = ('m', 'K.d')\n")
+    assert {"a", "b", "K", "d"} <= reads and "c" not in reads
 
 
 def test_check_finds_file_writes():

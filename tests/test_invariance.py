@@ -4,11 +4,14 @@ Builder: the order of the records, a power-of-two scale of every SES score,
 and the case and surrounding spaces of the surnames in records.csv leave the
 triples and the build report identical. Evaluate: numbering the entities or
 the base relations differently, with the embedding rows moved to match, leaves
-the metrics report and per_relation.csv identical.
+the metrics report and per_relation.csv identical. Analyze: numbering the
+entities differently, with the embedding rows and the hits moved to match,
+leaves the SNN report identical. The analyze laws over the relation
+vocabulary (its order, an absent decile) are in tests/test_snn.py.
 """
 
 import functools
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from affinitykg.builder import BuilderConfig, Records, build, read_records_csv
 from affinitykg.evaluator import evaluate, per_relation_csv
 from affinitykg.kg import KnowledgeGraph, Vocab
 from affinitykg.models import MODELS, init_params
+from affinitykg.snn import analyze_predictions
 from affinitykg.synthetic import (
     PopulationSpec,
     generate_population,
@@ -145,3 +149,19 @@ class TestEvaluateLaws:
         new_id = np.random.default_rng(rng_seed).permutation(kg.n_base_relations)
         assert (evaluated(*relabel_relations(params, kg, new_id), mode)
                 == evaluated(params, kg, mode))
+
+
+class TestAnalyzeLaws:
+    @settings(max_examples=8, deadline=None)
+    @given(SEEDS, RNG_SEEDS, RNG_SEEDS, st.integers(1, 39))
+    def test_entity_numbering_moves_nothing(self, graph_seed, params_seed, rng_seed, knn_k):
+        # Continuous random embeddings: no two kNN distances tie, so no
+        # neighbour set depends on the lower-id tie rule.
+        params, kg = graph_and_params(graph_seed, params_seed, "tucker")
+        hits = kg.test.tolist()
+        new_id = np.random.default_rng(rng_seed).permutation(kg.n_entities)
+        moved_hits = [(new_id[h], r, new_id[t]) for h, r, t in hits]
+        report = asdict(analyze_predictions(params, kg, hits, knn_k=knn_k))
+        assert report["deciles"]
+        assert asdict(analyze_predictions(*relabel_entities(params, kg, new_id), moved_hits,
+                                          knn_k=knn_k)) == report

@@ -9,7 +9,6 @@ from affinitykg.kg import (
     KnownTrueSet,
     Vocab,
     add_reciprocals,
-    from_label_triples,
     load_kg_dir,
     load_triples,
     save_kg_dir,
@@ -17,40 +16,45 @@ from affinitykg.kg import (
 )
 
 
+def label_triples(rows):
+    """load_triples over (head, relation, tail) label tuples, TAB-joined."""
+    return load_triples(["\t".join(row) for row in rows])
+
+
 def small_kg(rows):
-    kg, _ = from_label_triples(rows)
+    kg, _ = label_triples(rows)
     return kg
 
 
 class TestIngestion:
     def test_single_triple(self):
-        kg, dups = from_label_triples([("perez", "d10", "soto")])
+        kg, dups = label_triples([("perez", "d10", "soto")])
         assert kg.n_entities == 2 and kg.n_relations == 1
         assert len(kg.train) == 1 and dups == 0
 
     def test_duplicate_collapsed_with_count(self):
-        kg, dups = from_label_triples([("a", "d1", "b"), ("a", "d1", "b")])
+        kg, dups = label_triples([("a", "d1", "b"), ("a", "d1", "b")])
         assert len(kg.train) == 1 and dups == 1
 
     def test_symmetry_collapse(self):
-        kg, dups = from_label_triples([("b", "d1", "a"), ("a", "d1", "b")])
+        kg, dups = label_triples([("b", "d1", "a"), ("a", "d1", "b")])
         assert len(kg.train) == 1 and dups == 1
         # Canonical form: the endpoint whose label sorts first is the head.
         h, _, t = kg.train[0]
         assert (kg.entities.label_of(h), kg.entities.label_of(t)) == ("a", "b")
 
     def test_first_appearance_vocab_order(self):
-        kg, _ = from_label_triples([("m", "d2", "z"), ("a", "d1", "m")])
+        kg, _ = label_triples([("m", "d2", "z"), ("a", "d1", "m")])
         assert kg.entities.labels == ("m", "z", "a")
         assert kg.relations.labels == ("d2", "d1")
 
     def test_rejects_self_affinity(self):
         with pytest.raises(ParseError):
-            from_label_triples([("a", "d1", "a")])
+            label_triples([("a", "d1", "a")])
 
     def test_rejects_empty_label(self):
         with pytest.raises(ParseError):
-            from_label_triples([("a", "", "b")])
+            label_triples([("a", "", "b")])
 
     def test_reciprocal_suffix_reports_the_label_and_line(self):
         with pytest.raises(ParseError, match="'d2_inv'") as err:

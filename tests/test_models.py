@@ -105,13 +105,6 @@ class TestScoreAllTails:
         scores = score_all_tails(params, 0, 0)
         np.testing.assert_allclose(scores, M[0], atol=1e-12)
 
-    def test_same_mask_as_score_tucker(self):
-        params = init_params(12, 4, 6, 3, seed=9)
-        masks = sample_masks(DropoutSpec(0.5, 0.2, 0.2), params.d_e, np.random.default_rng(4))
-        batched = score_all_tails(params, 2, 1, masks)
-        pointwise = np.array([score_tucker(params, 2, 1, t, masks) for t in range(12)])
-        assert np.max(np.abs(batched - pointwise)) < 1e-12
-
 
 class TestScoreQueries:
     @pytest.mark.parametrize("n_e,d_e", [(57, 16), (198, 32), (1187, 200)])
@@ -131,11 +124,17 @@ class TestScoreQueries:
 class TestDropout:
     def test_rate_zero_is_identity(self):
         params = init_params(8, 2, 4, 2, seed=2)
-        masks = sample_masks(DropoutSpec(), params.d_e, np.random.default_rng(0))
-        assert masks == (None, None, None)
-        np.testing.assert_array_equal(
-            score_all_tails(params, 1, 0, masks), score_all_tails(params, 1, 0)
-        )
+        rng = np.random.default_rng(0)
+        assert sample_masks(DropoutSpec(), params.d_e, rng) == (None, None, None)
+        y = np.zeros((2, 8))
+        y[0, 3] = y[1, 5] = 1.0
+        zero_rate = batch_loss_and_grads(
+            params, [1, 4], [0, 1], y, lambda: sample_masks(DropoutSpec(), params.d_e, rng))
+        plain = batch_loss_and_grads(params, [1, 4], [0, 1], y, None)
+        np.testing.assert_array_equal(zero_rate[0], plain[0])
+        assert zero_rate[1].keys() == plain[1].keys()
+        for name, g in zero_rate[1].items():
+            np.testing.assert_array_equal(g, plain[1][name])
 
     def test_inverted_scaling_preserves_mean(self):
         rng = np.random.default_rng(8)
@@ -252,12 +251,13 @@ class TestTuckerGradients:
         params = init_params(15, 4, 6, 3, seed=4)
         masks = sample_masks(DropoutSpec(0.5, 0.2, 0.2), params.d_e, rng)
         h, r = 3, 1
-        y = random_labels(rng, 15)
-        _, grads = grad_tucker(params, h, r, y, masks)
-        numeric = finite_difference_grads(
-            lambda: grad_tucker(params, h, r, y, masks)[0], params
-        )
-        assert_grads_close(grads, numeric)
+        y = random_labels(rng, 15)[None]
+
+        def masked_step():
+            return batch_loss_and_grads(params, [h], [r], y, draw_masks=lambda: masks)
+
+        numeric = finite_difference_grads(lambda: masked_step()[0][0], params)
+        assert_grads_close(masked_step()[1], numeric)
 
     def test_zero_core_gradient_structure(self):
         params = init_params(10, 4, 5, 3, seed=6)
@@ -541,9 +541,9 @@ class TestBatchedHead:
         assert_grads_close(grads, numeric)
 
     def test_one_query_case_is_loss_and_grads(self):
-        params, Y, masks = batch_case("tucker")
-        losses, grads, _ = run_batch(params, BATCH_HEADS[:1], BATCH_RELATIONS[:1], Y[:1], masks)
-        loss, single = loss_and_grads(params, BATCH_HEADS[0], BATCH_RELATIONS[0], Y[0], masks[0])
+        params, Y, _ = batch_case("tucker")
+        losses, grads, _ = run_batch(params, BATCH_HEADS[:1], BATCH_RELATIONS[:1], Y[:1], None)
+        loss, single = loss_and_grads(params, BATCH_HEADS[0], BATCH_RELATIONS[0], Y[0])
         assert loss == losses[0]
         for name, g in grads.items():
             np.testing.assert_array_equal(g, single[name])

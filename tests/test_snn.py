@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affinitykg.cli import main as cli_main
-from affinitykg.kg import KnowledgeGraph, Vocab, from_label_triples, load_kg_dir
+from affinitykg.kg import KnowledgeGraph, Vocab, load_kg_dir, load_triples
 from affinitykg.models import init_params, score_tucker
 from affinitykg.snn import (
     analyze_predictions,
@@ -82,7 +82,7 @@ def star_kg():
         ("a", "d4", "d"),
         ("b", "d2", "d"),
     ]
-    kg, _ = from_label_triples(rows)
+    kg, _ = load_triples(["\t".join(row) for row in rows])
     return kg
 
 
@@ -313,7 +313,7 @@ class TestAnalyzePredictions:
             ("a", "d1", "c"),
             ("b", "d1", "c"),  # the predicted pair's shared neighbor is a
         ]
-        kg, _ = from_label_triples(rows)
+        kg, _ = load_triples(["\t".join(row) for row in rows])
         kg.test = kg.train[2:].copy()
         kg.train = kg.train[:2]
         params = init_params(kg.n_entities, 2 * kg.n_base_relations, 4, 2, seed=0)
@@ -323,7 +323,7 @@ class TestAnalyzePredictions:
 
     def test_embedding_only_overlap_classifies_embedding(self):
         rows = [("a", "d1", "b"), ("c", "d1", "d")]
-        kg, _ = from_label_triples(rows)
+        kg, _ = load_triples(["\t".join(row) for row in rows])
         kg.test = kg.train[1:].copy()
         kg.train = kg.train[:1]
         params = init_params(kg.n_entities, 2 * kg.n_base_relations, 4, 2, seed=0)

@@ -10,7 +10,7 @@ import pytest
 
 from affinitykg import models
 from affinitykg.errors import ConsistencyError
-from affinitykg.kg import add_reciprocals, from_label_triples
+from affinitykg.kg import add_reciprocals, load_triples
 from affinitykg.models import DropoutSpec, init_params, sample_masks
 from affinitykg.synthetic import two_block_kg
 from affinitykg.trainer import (
@@ -104,7 +104,7 @@ class TestAdamStep:
 
 
 def tiny_kg():
-    kg, _ = from_label_triples([("a", "d1", "b")])
+    kg, _ = load_triples(["a\td1\tb"])
     return add_reciprocals(kg)
 
 
