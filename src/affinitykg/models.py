@@ -21,19 +21,20 @@ Training scores a batch of queries at once (batch_loss_and_grads, of which
 loss_and_grads is the one-query case): the tail gradient of the whole batch
 is one GEMM, head and relation rows are scattered with np.add.at, and Tucker
 contracts each relation matrix once per batch and sums dL/dM per relation,
-so its relation-row and core gradients are one batched matmul each. Only
-Tucker's three dropout sites are worked through one query at a time.
+so its relation-row and core gradients are one batched matmul each. Tucker
+goes through a batch in chunks of queries sized by CHUNK_BYTES.
 
 Dropout masks apply only inside batch_loss_and_grads, through its
 draw_masks argument: a trainer always hands over its mask sampler, and only
-Tucker's query loop calls it, at three sites with inverted scaling, so
-inference needs no rescaling: on the head entity row, on the
-relation-transformed core matrix, and on the combined query vector. A sampled
-(entity, relation_core, combination) mask tuple is reused verbatim by the
-forward and backward passes of its query. Every other function here, and so
-every evaluation, explanation and export, scores without dropout.
+Tucker's chunk loop calls it, once per chunk, at three sites with inverted
+scaling, so inference needs no rescaling: on the head entity row, on the
+relation-transformed core matrix, and on the combined query vector. A
+query's sampled (entity, relation_core, combination) masks are reused
+verbatim by its forward and backward passes. Every other function here, and
+so every evaluation, explanation and export, scores without dropout.
 """
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -59,20 +60,24 @@ class DropoutSpec:
         return asdict(self)
 
 
-def sample_masks(spec: DropoutSpec, d_e: int, rng: np.random.Generator) -> tuple:
-    """Inverted-scaling (entity, relation_core, combination) masks, drawn in
-    that order; None means pass-through."""
-    def mask(rate, shape):
+def sample_masks(spec: DropoutSpec, d_e: int, rng: np.random.Generator, n: int) -> tuple:
+    """Inverted-scaling (entity, relation_core, combination) masks of the next n
+    queries, stacked; None means pass-through. One draw holds a row per query
+    with its masks in that order: the stream of drawing query by query."""
+    sites = ((spec.input_rate, (d_e,)), (spec.after_relation_rate, (d_e, d_e)),
+             (spec.after_combination_rate, (d_e,)))
+    keep = rng.random((n, sum(math.prod(shape) for rate, shape in sites if rate > 0.0)))
+    masks, start = [], 0
+    for rate, shape in sites:
         if rate <= 0.0:
-            return None
-        keep = rng.random(shape)
-        np.greater_equal(keep, rate, out=keep)
-        keep *= 1.0 / (1.0 - rate)
-        return keep
-
-    return (mask(spec.input_rate, d_e),
-            mask(spec.after_relation_rate, (d_e, d_e)),
-            mask(spec.after_combination_rate, d_e))
+            masks.append(None)
+            continue
+        mask = keep[:, start:start + math.prod(shape)]
+        start += mask.shape[1]
+        np.greater_equal(mask, rate, out=mask)
+        mask *= 1.0 / (1.0 - rate)
+        masks.append(mask.reshape(n, *shape))
+    return tuple(masks)
 
 
 def block_names(model: str) -> tuple:
@@ -184,10 +189,10 @@ def _query(params: ModelParams, h: int, r: int, M: np.ndarray | None = None) -> 
     return _BASELINES[params.model][0](params.E[h], params.R[r])
 
 
-def _logits(params: ModelParams, Q: np.ndarray) -> np.ndarray:
+def _logits(params: ModelParams, Q: np.ndarray, matmul=np.matmul) -> np.ndarray:
     """Logits of every entity as the tail, one row per query vector in Q."""
     if params.model != "transe":
-        return Q @ params.E.T
+        return matmul(Q, params.E.T)
     # One query at a time, so the difference temporary is never larger than E.
     out = np.empty((len(Q), params.n_entities))
     for q, logits in zip(Q, out):
@@ -262,39 +267,54 @@ def smooth_labels(y: np.ndarray, label_smoothing: float) -> np.ndarray:
     return (1.0 - label_smoothing) * y + label_smoothing / y.shape[-1]
 
 
-def _tucker_batch(params: ModelParams, hs: np.ndarray, rs: np.ndarray, head, draw_masks):
-    """Tucker's part of a batch, one query at a time for the three dropout
-    sites: returns (head-row gradients, relation ids, their gradient rows,
-    core gradient).
+# Bytes of each (C, d_e, d_e) temporary of a chunk of C Tucker queries (16 at d_e=32, one
+# from d_e=91 up). On a 2-vCPU Skylake-X VM, batches at d_e=32 and 64 ran as fast at 128 KB
+# as at 256 KB and 4-20% slower at 64 KB; 256 KB raised peak memory by 0.6 MB more.
+CHUNK_BYTES = 128 * 1024
 
-    Query i uses relation matrix M[:, slot[i]], contracted once per batch, and
-    S[:, k] sums dL/dM per relation, so the relation-row and core gradients
-    are one batched matmul each. Peak resident memory measured higher when
-    either (d_e, n_rel, d_e) stack outlived its use.
+
+def _rowwise(X: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row i of X times B (or B[i]) as its own vector-matrix product, as if alone."""
+    return np.matmul(X[:, None, :], B)[:, 0, :]
+
+
+def _masked(x: np.ndarray, mask) -> np.ndarray:
+    """x times a dropout mask, in place; a None mask passes x through."""
+    if mask is not None:
+        x *= mask
+    return x
+
+
+def _tucker_batch(params: ModelParams, hs: np.ndarray, rs: np.ndarray, head, draw_masks):
+    """Tucker's part of a batch, in chunks of queries sized by CHUNK_BYTES:
+    returns (head-row gradients, relation ids, their gradient rows, core
+    gradient), with the bits of going through the queries one at a time.
+
+    Query i uses relation matrix Mt[slot[i]], contracted once per batch, and
+    St[k] sums dL/dM of relation k in query order, so the relation-row and
+    core gradients are one batched matmul each. Peak resident memory
+    measured higher when either (n_rel, d_e, d_e) stack outlived its use.
     """
     rels, slot = np.unique(rs, return_inverse=True)
-    M = np.matmul(params.R[rels], params.G)
-    S = np.zeros_like(M)
-    dM = np.empty((params.d_e, params.d_e))
+    Mt = np.empty((len(rels), params.d_e, params.d_e))
+    np.matmul(params.R[rels], params.G, out=Mt.transpose(1, 0, 2))
+    St = np.zeros_like(Mt)
     d_head = np.empty((len(hs), params.d_e))
-    for i, (h, k) in enumerate(zip(hs, slot)):
-        m1, m2, m3 = draw_masks() if draw_masks is not None else (None, None, None)
-        a = params.E[h] if m1 is None else params.E[h] * m1
-        B = M[:, k] if m2 is None else M[:, k] * m2
-        q = a @ B
-        if m3 is not None:
-            q *= m3
-        dv = head(slice(i, i + 1), q[None])[0]
-        du = dv if m3 is None else dv * m3
-        np.outer(a, du, out=dM)
-        if m2 is not None:
-            dM *= m2
-        S[:, k] += dM
-        da = B @ du
-        d_head[i] = da if m1 is None else da * m1
-    M = B = None  # B may view M: drop both before the gradient matmuls
-    d_rel = np.matmul(params.G, S.transpose(0, 2, 1)).sum(axis=0).T
-    return d_head, rels, d_rel, np.matmul(params.R[rels].T, S)
+    chunk = max(1, CHUNK_BYTES // Mt[0].nbytes)
+    for start in range(0, len(hs), chunk):
+        rows = slice(start, start + chunk)
+        k = slot[rows]
+        m1, m2, m3 = draw_masks(len(k)) if draw_masks is not None else (None, None, None)
+        a = _masked(params.E[hs[rows]], m1)
+        B = _masked(Mt[k], m2)
+        du = _masked(head(rows, _masked(_rowwise(a, B), m3)), m3)
+        d_head[rows] = _masked(_rowwise(du, B.transpose(0, 2, 1)), m1)
+        dM = _masked(np.multiply(a[:, :, None], du[:, None, :], out=B), m2)  # B is spent
+        for kj, dMj in zip(k, dM):
+            St[kj] += dMj
+    Mt = None  # drop the stack before the gradient matmuls
+    d_rel = np.matmul(params.G, St.transpose(1, 2, 0)).sum(axis=0).T
+    return d_head, rels, d_rel, np.matmul(params.R[rels].T, St.transpose(1, 0, 2))
 
 
 def batch_loss_and_grads(params: ModelParams, hs, rs, Y, draw_masks=None):
@@ -303,9 +323,9 @@ def batch_loss_and_grads(params: ModelParams, hs, rs, Y, draw_masks=None):
     Y holds one label row per query. Returns (losses, grads, clamped): the
     per-query losses, the gradients summed over the batch, keyed like
     param_blocks(), and the number of probabilities the loss clamped.
-    draw_masks, when given, is called once per query in batch order for that
-    query's dropout masks, which are used by its forward and backward passes
-    and then dropped.
+    draw_masks, when given, is called with n for the dropout masks of the
+    next n queries in batch order (see sample_masks); a query's masks are
+    used by its forward and backward passes and then dropped.
     """
     hs = np.asarray(hs, dtype=np.int64)
     rs = np.asarray(rs, dtype=np.int64)
@@ -317,6 +337,7 @@ def batch_loss_and_grads(params: ModelParams, hs, rs, Y, draw_masks=None):
                     or rs.max() >= params.n_relations):
         raise IndexError("entity or relation id out of range")
     transe = params.model == "transe"
+    matmul = _rowwise if params.G is not None else np.matmul
     Q = np.empty((hs.size, params.d_e))
     P = np.empty_like(Y)  # probabilities
     W = np.empty_like(Y)  # dL/dlogits; for TransE divided by the distance
@@ -324,7 +345,7 @@ def batch_loss_and_grads(params: ModelParams, hs, rs, Y, draw_masks=None):
     def head(rows, q):
         """dL/dq of the queries in `rows`, given their query vectors q."""
         Q[rows] = q
-        logits = _logits(params, q)
+        logits = _logits(params, q, matmul)
         P[rows] = p = predict_sigmoid(logits)
         w = W[rows]
         np.subtract(p, Y[rows], out=w)
@@ -333,7 +354,7 @@ def batch_loss_and_grads(params: ModelParams, hs, rs, Y, draw_masks=None):
             # logit_t = -||q - e_t||: d/dq = -(q - e_t) / ||q - e_t|| = -d/de_t
             w /= np.maximum(-logits, 1e-12)
             return w @ params.E - w.sum(axis=1)[:, None] * q
-        return w @ params.E
+        return matmul(w, params.E)
 
     if params.G is not None:
         d_head, rel_ids, d_rel, d_core = _tucker_batch(params, hs, rs, head, draw_masks)

@@ -9,7 +9,7 @@ applied in place. A fixed seed reproduces the parameter trajectory bit for bit.
 RNG discipline: fit derives one generator per epoch as
 default_rng([seed, epoch]); within an epoch that stream is consumed first by
 the batch shuffle, then by the per-query dropout masks, in iteration order.
-Batching does not change it: each query still draws its own masks.
+A chunk of Tucker queries draws its masks in one call that takes that stream.
 
 Checkpoint layout: a directory holding meta.json plus one raw little-endian
 float64 array per parameter block (E.bin, R.bin, G.bin) and per Adam moment
@@ -255,7 +255,9 @@ class GridSpec:
         for axis in fields(self):
             if not getattr(self, axis.name):
                 raise ValueError(f"grid axis {axis.name} is empty")
-        # Every rate axis value, checked before any cell trains.
+        # Every dimension and rate axis value, checked before any cell trains.
+        for d_e, d_r in itertools.zip_longest(self.d_e, self.d_r, fillvalue=1):
+            TrainConfig(d_e=d_e, d_r=d_r)
         rate_axes = (getattr(self, key) for key in DropoutSpec.KEYS)
         for rates in itertools.zip_longest(*rate_axes, fillvalue=0.0):
             DropoutSpec(*rates)

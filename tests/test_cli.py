@@ -427,6 +427,20 @@ class TestConfigHandling:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,values", [("d_e", "8,0"), ("d_r", "4,-1")])
+    def test_out_of_range_grid_dim_exits_2_naming_its_key_before_training(
+            self, pipeline, tmp_path, capsys, monkeypatch, key, values):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a cell trained before the grid was checked")
+
+        monkeypatch.setattr(trainer, "fit", no_training)
+        out = tmp_path / "out"
+        assert run(["grid-search", "--data", pipeline["data"], "--out", out, *FAST_TRAIN,
+                    "--set", "grid.d_e=8", "--set", "grid.d_r=4",
+                    "--set", f"grid.{key}={values}"]) == 2
+        assert f"{key} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_option_exits_2_naming_it(self, tmp_path, capsys):
         assert run(["gen-synthetic", "--out", tmp_path / "out", "--seed", "-1"]) == 2
         assert "seed" in capsys.readouterr().err

@@ -1,8 +1,12 @@
 """Scoring and gradient checks: loop oracles and central finite differences."""
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
+from affinitykg import models
 from affinitykg.models import (
     MODELS,
     DropoutSpec,
@@ -125,11 +129,11 @@ class TestDropout:
     def test_rate_zero_is_identity(self):
         params = init_params(8, 2, 4, 2, seed=2)
         rng = np.random.default_rng(0)
-        assert sample_masks(DropoutSpec(), params.d_e, rng) == (None, None, None)
+        assert sample_masks(DropoutSpec(), params.d_e, rng, 2) == (None, None, None)
         y = np.zeros((2, 8))
         y[0, 3] = y[1, 5] = 1.0
-        zero_rate = batch_loss_and_grads(
-            params, [1, 4], [0, 1], y, lambda: sample_masks(DropoutSpec(), params.d_e, rng))
+        draw = functools.partial(sample_masks, DropoutSpec(), params.d_e, rng)
+        zero_rate = batch_loss_and_grads(params, [1, 4], [0, 1], y, draw)
         plain = batch_loss_and_grads(params, [1, 4], [0, 1], y, None)
         np.testing.assert_array_equal(zero_rate[0], plain[0])
         assert zero_rate[1].keys() == plain[1].keys()
@@ -140,11 +144,8 @@ class TestDropout:
         rng = np.random.default_rng(8)
         rate = 0.3
         x = np.ones(200)
-        samples = []
-        for _ in range(3000):
-            masks = sample_masks(DropoutSpec(input_rate=rate), 200, rng)
-            samples.append(float(np.mean(x * masks[0])))
-        samples = np.array(samples)
+        masks = sample_masks(DropoutSpec(input_rate=rate), 200, rng, 3000)
+        samples = np.mean(x * masks[0], axis=1)
         sem = samples.std(ddof=1) / np.sqrt(samples.size)
         assert abs(samples.mean() - 1.0) < 3 * sem
 
@@ -249,12 +250,12 @@ class TestTuckerGradients:
     def test_matches_finite_differences_with_fixed_masks(self):
         rng = np.random.default_rng(99)
         params = init_params(15, 4, 6, 3, seed=4)
-        masks = sample_masks(DropoutSpec(0.5, 0.2, 0.2), params.d_e, rng)
+        masks = sample_masks(DropoutSpec(0.5, 0.2, 0.2), params.d_e, rng, 1)
         h, r = 3, 1
         y = random_labels(rng, 15)[None]
 
         def masked_step():
-            return batch_loss_and_grads(params, [h], [r], y, draw_masks=lambda: masks)
+            return batch_loss_and_grads(params, [h], [r], y, draw_masks=lambda n: masks)
 
         numeric = finite_difference_grads(lambda: masked_step()[0][0], params)
         assert_grads_close(masked_step()[1], numeric)
@@ -497,18 +498,30 @@ BATCH_RELATIONS = [1, 1, 2, 1, 0, 2, 0]
 
 
 def batch_case(model, seed=0):
-    """Parameters, a labelled batch and (for Tucker) one dropout draw per query."""
+    """Parameters, a labelled batch and (for Tucker) its stacked dropout masks."""
     rng = np.random.default_rng(seed)
     params = init_params(9, 3, 6, 4, seed=seed, model=model)
     Y = np.stack([random_labels(rng, 9, n_pos=2) for _ in BATCH_HEADS])
-    masks = ([sample_masks(DropoutSpec(0.5, 0.2, 0.2), params.d_e, rng) for _ in BATCH_HEADS]
+    masks = (sample_masks(DropoutSpec(0.5, 0.2, 0.2), params.d_e, rng, len(BATCH_HEADS))
              if model == "tucker" else None)
     return params, Y, masks
 
 
+def query_masks(masks, rows):
+    """The masks of the queries in `rows` (an index or a slice) of a stack."""
+    return tuple(m[rows] for m in masks) if masks is not None else None
+
+
 def run_batch(params, hs, rs, Y, masks):
-    draw = iter(masks).__next__ if masks is not None else None
-    return batch_loss_and_grads(params, hs, rs, Y, draw)
+    """batch_loss_and_grads, its draw_masks handing out the next n stacked masks."""
+    drawn = 0
+
+    def draw(n):
+        nonlocal drawn
+        drawn += n
+        return query_masks(masks, slice(drawn - n, drawn))
+
+    return batch_loss_and_grads(params, hs, rs, Y, draw if masks is not None else None)
 
 
 class TestBatchedHead:
@@ -519,7 +532,7 @@ class TestBatchedHead:
         ref_loss = 0.0
         ref = {name: np.zeros_like(arr) for name, arr in params.param_blocks().items()}
         for i, (h, r) in enumerate(zip(BATCH_HEADS, BATCH_RELATIONS)):
-            loss, g = per_query_reference(params, h, r, Y[i], masks[i] if masks else None)
+            loss, g = per_query_reference(params, h, r, Y[i], query_masks(masks, i))
             assert losses[i] == pytest.approx(loss, rel=1e-12)
             ref_loss += loss
             for name in ref:
@@ -534,7 +547,7 @@ class TestBatchedHead:
     def test_matches_finite_differences_with_a_repeated_head(self, model):
         params, Y, masks = batch_case(model, seed=1)
         hs, rs = [2, 2, 4, 2, 1], [0, 1, 1, 0, 2]
-        Y, masks = Y[:5], masks[:5] if masks else None
+        Y, masks = Y[:5], query_masks(masks, slice(5))
         _, grads, _ = run_batch(params, hs, rs, Y, masks)
         numeric = finite_difference_grads(
             lambda: run_batch(params, hs, rs, Y, masks)[0].sum(), params)
@@ -556,3 +569,64 @@ class TestBatchedHead:
             batch_loss_and_grads(params, [0, 1], [0, 1], Y[:3])
         with pytest.raises(IndexError):
             batch_loss_and_grads(params, [0, 9], [0, 1], Y[:2])
+
+
+def tucker_batch_oracle(params, hs, rs, head, draw_masks):
+    """Tucker's part of a batch as it was written before it went by chunks:
+    one query at a time, each drawing its own masks, with plain 2-D products."""
+    rels, slot = np.unique(rs, return_inverse=True)
+    M = np.matmul(params.R[rels], params.G)
+    S = np.zeros_like(M)
+    dM = np.empty((params.d_e, params.d_e))
+    d_head = np.empty((len(hs), params.d_e))
+    for i, (h, k) in enumerate(zip(hs, slot)):
+        m1, m2, m3 = (None if m is None else m[0] for m in draw_masks(1))
+        a = params.E[h] if m1 is None else params.E[h] * m1
+        B = M[:, k] if m2 is None else M[:, k] * m2
+        q = a @ B
+        if m3 is not None:
+            q *= m3
+        dv = head(slice(i, i + 1), q[None])[0]
+        du = dv if m3 is None else dv * m3
+        np.outer(a, du, out=dM)
+        if m2 is not None:
+            dM *= m2
+        S[:, k] += dM
+        da = B @ du
+        d_head[i] = da if m1 is None else da * m1
+    M = B = None
+    d_rel = np.matmul(params.G, S.transpose(0, 2, 1)).sum(axis=0).T
+    return d_head, rels, d_rel, np.matmul(params.R[rels].T, S)
+
+
+class TestChunkedTucker:
+    """The chunked Tucker batch against its per-query oracle, bit for bit."""
+
+    @pytest.mark.parametrize("on", list(itertools.product((False, True), repeat=3)),
+                             ids=lambda on: "".join("mM"[bit] for bit in on))
+    @pytest.mark.parametrize("d_e,size", [
+        # A chunk holds 16 queries at d_e=32 and one at d_e=200.
+        (32, 1), (32, 5), (32, 16), (32, 77), (200, 1), (200, 3)])
+    def test_matches_per_query_oracle(self, monkeypatch, on, d_e, size):
+        assert max(1, models.CHUNK_BYTES // (8 * d_e * d_e)) == {32: 16, 200: 1}[d_e]
+        spec = DropoutSpec(*(rate if bit else 0.0 for rate, bit in zip((0.5, 0.2, 0.2), on)))
+        rng = np.random.default_rng(d_e + size)
+        params = init_params(40, 5, d_e, 4, seed=size)
+        hs, rs = rng.integers(40, size=size), rng.integers(5, size=size)
+        Y = (rng.random((size, 40)) < 0.1).astype(float)
+
+        def run():
+            draws = np.random.default_rng(7)
+            out = batch_loss_and_grads(params, hs, rs, Y,
+                                       functools.partial(sample_masks, spec, d_e, draws))
+            return out, draws.bit_generator.state
+
+        (losses, grads, clamped), state = run()
+        monkeypatch.setattr(models, "_tucker_batch", tucker_batch_oracle)
+        monkeypatch.setattr(models, "_rowwise", np.matmul)
+        (ref_losses, ref_grads, ref_clamped), ref_state = run()
+        assert np.array_equal(losses, ref_losses) and clamped == ref_clamped
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            assert np.array_equal(g, ref_grads[name]), name
+        assert state == ref_state

@@ -201,7 +201,7 @@ class TestTrainEpoch:
         reference.permutation(len(groups))
         if draws_masks:
             for _ in groups:
-                sample_masks(config.dropout, config.d_e, reference)
+                sample_masks(config.dropout, config.d_e, reference, 1)
         assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_epoch_contracts_relation_matrices_per_batch_not_per_query(self, monkeypatch):
