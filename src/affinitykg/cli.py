@@ -12,6 +12,7 @@ Logs go to stderr; data only ever goes to files.
 """
 
 import argparse
+import ctypes
 import dataclasses
 import functools
 import json
@@ -382,7 +383,23 @@ def _check_out(out: str) -> None:
         raise ParseError(f"--out {out!r}: {path!r} is not a directory")
 
 
+def _hold_heap() -> None:
+    """Pin glibc's malloc thresholds where its dynamic rule tops out (mmap 32 MB,
+    trim 64 MB). Training's per-batch temporaries then stay on the heap; under
+    the dynamic rule, depending on what the process freed before, the heap top
+    went back to the system after one batch and was faulted in by the next.
+    Elsewhere than glibc this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _hold_heap()
     args = build_parser().parse_args(argv)
     try:
         config = load_run_config(args)

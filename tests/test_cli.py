@@ -13,7 +13,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from affinitykg import builder, synthetic, trainer
+from affinitykg import builder, cli, synthetic, trainer
 from affinitykg import kg as kgmod
 from affinitykg.cli import CONFIG_KEYS, build_parser, main
 from affinitykg.errors import ParseError
@@ -542,6 +542,18 @@ class TestStageShell:
                     "--out", tmp_path]) == 2
         target = str(tmp_path / "triples.tsv")
         assert f"{target!r} is a directory, not a file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("libc", [OSError, object], ids=["no-libc", "no-mallopt"])
+    def test_runs_where_the_malloc_thresholds_cannot_be_set(self, pipeline, tmp_path,
+                                                            monkeypatch, libc):
+        def cdll(name):
+            if libc is OSError:
+                raise OSError("no C library")
+            return libc()
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert run(["split", "--triples", pipeline["net"] / "triples.tsv", "--out", tmp_path,
+                    "--set", "split.valid_size=50", "--set", "split.test_size=50"]) == 0
 
 
 class TestTextInputs:
