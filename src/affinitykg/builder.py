@@ -38,21 +38,20 @@ class Records:
     paternal: np.ndarray    # int64 ids into labels
     maternal: np.ndarray    # int64 ids into labels
     ses: np.ndarray         # float64 raw SES scores
-    blocks: list[str]       # block labels
 
     def __len__(self) -> int:
         return len(self.ses)
 
     @classmethod
-    def intern(cls, paternal, maternal, ses, blocks, label_of: dict) -> "Records":
-        """Columns from per-individual surname lists; label_of maps each
-        distinct surname in them to its label."""
-        labels = sorted(set(label_of.values()))
+    def intern(cls, names, paternal, maternal, ses) -> "Records":
+        """Columns from per-individual ids into names, where names[i] is the
+        label of id i and two ids may share a label; the ids are renumbered to
+        the sorted distinct labels."""
+        labels = sorted(set(names))
         index = {label: i for i, label in enumerate(labels)}
-        id_of = {name: index[label] for name, label in label_of.items()}
-        ids = [np.fromiter(map(id_of.__getitem__, names), np.int64, count=len(names))
-               for names in (paternal, maternal)]
-        return cls(labels, *ids, np.asarray(ses, dtype=np.float64), blocks)
+        renumber = np.array([index[name] for name in names], dtype=np.int64)
+        ids = [renumber[np.asarray(column, dtype=np.int64)] for column in (paternal, maternal)]
+        return cls(labels, *ids, np.asarray(ses, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -111,14 +110,16 @@ class BuildReport:
         }
 
 
-def _check_rows(path: str, paternals, maternals, ses_strings) -> None:
-    """Raise the ParseError of the first bad row, rows counted from line 2."""
-    for n, (paternal, maternal, ses) in enumerate(zip(paternals, maternals, ses_strings),
-                                                  start=2):
-        paternal, maternal = paternal.strip().casefold(), maternal.strip().casefold()
-        if not paternal or not maternal:
+def _check_rows(path: str, raw_names, paternal, maternal, ses_strings) -> None:
+    """Raise the ParseError of the first bad row, rows counted from line 2;
+    paternal and maternal are ids into raw_names, the surnames as read."""
+    rows = zip(map(raw_names.__getitem__, paternal), map(raw_names.__getitem__, maternal),
+               ses_strings)
+    for n, (paternal_raw, maternal_raw, ses) in enumerate(rows, start=2):
+        surnames = (paternal_raw.strip().casefold(), maternal_raw.strip().casefold())
+        if not all(surnames):
             raise ParseError("empty surname", n, path)
-        for surname in (paternal, maternal):
+        for surname in surnames:
             if _UNSTORABLE_LABEL.search(surname):
                 raise ParseError(f"surname {surname!r} starts with '#' or contains "
                                  "TAB, CR or LF", n, path)
@@ -133,13 +134,15 @@ def _check_rows(path: str, paternals, maternals, ses_strings) -> None:
 def read_records_csv(path: str) -> Records:
     """Load `paternal,maternal,ses,block` rows; surnames are trimmed and case-folded.
 
-    An empty surname, one triples.tsv could not carry (see _UNSTORABLE_LABEL),
-    or an SES value Python's float() rejects or reads as non-finite is a
-    ParseError naming its line. Each distinct surname is normalized and
-    checked once and the SES column is parsed in one pass; on a failure the
+    The block cell is required and dropped. An empty surname, one triples.tsv
+    could not carry (see _UNSTORABLE_LABEL), or an SES value Python's float()
+    rejects or reads as non-finite is a ParseError naming its line. Each raw
+    surname gets an id as it is read; each distinct one is normalized and
+    checked once and the SES column is parsed in one pass. On a failure the
     rows are rescanned one by one, so the error names the first bad row.
     """
-    paternal, maternal, ses, blocks = [], [], [], []
+    ids: dict = {}
+    paternal, maternal, ses = [], [], []
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -149,27 +152,24 @@ def read_records_csv(path: str) -> Records:
             for row in reader:
                 if len(row) != 4:
                     raise ParseError(f"expected 4 fields, got {len(row)}", len(ses) + 2, path)
-                paternal_raw, maternal_raw, ses_raw, block_raw = row
-                paternal.append(paternal_raw)
-                maternal.append(maternal_raw)
+                paternal_raw, maternal_raw, ses_raw, _ = row
+                paternal.append(ids.setdefault(paternal_raw, len(ids)))
+                maternal.append(ids.setdefault(maternal_raw, len(ids)))
                 ses.append(ses_raw)
-                blocks.append(block_raw)
         except (ParseError, csv.Error, UnicodeDecodeError):
             # A bad row before the one that stopped the reader is reported first.
-            _check_rows(path, paternal, maternal, ses)
+            _check_rows(path, list(ids), paternal, maternal, ses)
             raise
-    label_of = {name: name.strip().casefold() for name in {*paternal, *maternal}}
-    labels = set(label_of.values())
+    names = [raw.strip().casefold() for raw in ids]
     try:
         ses_values = np.fromiter(map(float, ses), np.float64, count=len(ses))
-        valid = ("" not in labels and not any(map(_UNSTORABLE_LABEL.search, labels))
+        valid = (all(names) and not any(map(_UNSTORABLE_LABEL.search, names))
                  and bool(np.isfinite(ses_values).all()))
     except ValueError:
         valid = False
     if not valid:
-        _check_rows(path, paternal, maternal, ses)
-    return Records.intern(paternal, maternal, ses_values, list(map(str.strip, blocks)),
-                          label_of)
+        _check_rows(path, list(ids), paternal, maternal, ses)
+    return Records.intern(names, paternal, maternal, ses_values)
 
 
 def normalize_ses(values) -> np.ndarray:

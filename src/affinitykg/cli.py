@@ -55,7 +55,8 @@ _DEFAULTS = {
 
 _HELP = {
     "seed": "global random seed",
-    "threads": "reserved; has no effect (runs start no worker threads and are bit-reproducible)",
+    "threads": "reserved; has no effect (OpenBLAS may use several threads; artifacts do "
+               "not depend on how many)",
     "builder.k_security": "security factor over expected random co-occurrence",
     "builder.min_occurrences": "drop surnames borne by fewer individuals",
     "builder.kcore_k": "k-core threshold for periphery pruning",
@@ -230,8 +231,8 @@ def _load_trained(args, tucker_error: str | None = None):
 
 def cmd_gen_synthetic(args, config: RunConfig) -> tuple[dict, str]:
     spec = _section(config, "synth")
-    records, planted = synthetic.generate_population(spec)
-    synthetic.write_records_csv(os.path.join(args.out, "records.csv"), records)
+    records, blocks, planted = synthetic.generate_population(spec)
+    synthetic.write_records_csv(os.path.join(args.out, "records.csv"), records, blocks)
     sidecar = {"planted_pairs": [list(p) for p in sorted(planted)],
                "spec": dataclasses.asdict(spec)}
     return ({"ground_truth.json": canonical_json(sidecar)},

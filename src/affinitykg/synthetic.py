@@ -69,7 +69,7 @@ def _ses_center(community: int, n_communities: int) -> float:
 
 
 def generate_population(spec: PopulationSpec):
-    """Draw individuals; returns (records, planted pair list).
+    """Draw individuals; returns (records, block labels, planted pair list).
 
     Each individual belongs to one community. With probability intra_bias the
     surname pair is one of that community's planted pairs (random slot order);
@@ -87,6 +87,7 @@ def generate_population(spec: PopulationSpec):
         for c in range(spec.n_communities)
         for i in range(spec.surnames_per_community)
     ]
+    ids: dict = {}
     paternals, maternals, ses_values, blocks = [], [], [], []
     for _ in range(spec.n_individuals):
         community = int(rng.integers(spec.n_communities))
@@ -98,23 +99,21 @@ def generate_population(spec: PopulationSpec):
             paternal = all_surnames[int(rng.integers(len(all_surnames)))]
             maternal = all_surnames[int(rng.integers(len(all_surnames)))]
         ses = _ses_center(community, spec.n_communities) + float(rng.normal(0.0, spec.ses_noise))
-        paternals.append(paternal)
-        maternals.append(maternal)
+        paternals.append(ids.setdefault(paternal, len(ids)))
+        maternals.append(ids.setdefault(maternal, len(ids)))
         ses_values.append(ses)
         blocks.append(f"c{community}-{int(rng.integers(100)):02d}")
-    used = {*paternals, *maternals}
-    records = Records.intern(paternals, maternals, ses_values, blocks, dict(zip(used, used)))
-    return records, planted
+    return Records.intern(list(ids), paternals, maternals, ses_values), blocks, planted
 
 
-def write_records_csv(path: str, records: Records) -> None:
+def write_records_csv(path: str, records: Records, blocks: list[str]) -> None:
     labels = records.labels
     lines = [",".join(RECORDS_HEADER)]
     lines += [
         f"{labels[paternal]},{labels[maternal]},{format_float(ses)},{block}"
         for paternal, maternal, ses, block in zip(records.paternal.tolist(),
                                                    records.maternal.tolist(),
-                                                   records.ses.tolist(), records.blocks)
+                                                   records.ses.tolist(), blocks)
     ]
     atomic_write_text(path, "".join(line + "\n" for line in lines))
 

@@ -197,7 +197,7 @@ def fit(kg: KnowledgeGraph, config: TrainConfig) -> TrainResult:
     state = AdamState.for_params(params)
     groups = group_queries(aug.train)
 
-    best_params = params.copy()
+    best_params = None
     best_epoch = -1
     best_mrr = -np.inf
     best_report = None
@@ -277,17 +277,23 @@ class GridCell:
 
 
 def grid_search(kg: KnowledgeGraph, grid: GridSpec, base: TrainConfig) -> list:
-    """Full Cartesian sweep, every cell trained with the base seed.
+    """Sweep of the grid, every cell trained with the base seed.
 
-    Every cell is validated at least once, so the sweep needs a non-empty
-    validation fold and at least one epoch. Returns cells sorted by
-    validation MRR (descending), ties broken by hits@1 then by grid order.
+    Tucker trains the full Cartesian product. A model without a core has no
+    relation dim apart from d_e and no dropout, so it trains one cell per d_e
+    value, keeping the base's other fields. Every cell is validated at least
+    once, so the sweep needs a non-empty validation fold and at least one
+    epoch. Returns cells sorted by validation MRR (descending), ties broken
+    by hits@1 then by grid order.
     """
     if len(kg.valid) == 0 or base.epochs < 1:
         raise ValueError("grid search needs a non-empty validation fold and train.epochs >= 1")
+    if "G" in models.block_names(base.model):
+        configs = [replace(base, **cell) for cell in grid.cells()]
+    else:
+        configs = [replace(base, d_e=d_e) for d_e in grid.d_e]
     results = []
-    for cell in grid.cells():
-        config = replace(base, d_r=cell["d_r"], d_e=cell["d_e"], dropout=cell["dropout"])
+    for config in configs:
         outcome = fit(kg, config)
         results.append(GridCell(config, outcome.best_val_mrr, outcome.best_val_report.hits1,
                                 outcome.best_epoch, outcome.epochs_run))

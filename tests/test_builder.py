@@ -6,6 +6,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -91,10 +92,10 @@ class TestDeciles:
 def make_records(*pairs):
     """Records of one individual per (paternal, maternal) surname pair, with
     SES scores 0, 1, 2, ... in that order."""
-    paternal, maternal = [p for p, _ in pairs], [m for _, m in pairs]
-    names = {*paternal, *maternal}
-    return Records.intern(paternal, maternal, np.arange(len(pairs), dtype=np.float64),
-                          ["b0"] * len(pairs), dict(zip(names, names)))
+    ids = {}
+    paternal = [ids.setdefault(p, len(ids)) for p, _ in pairs]
+    maternal = [ids.setdefault(m, len(ids)) for _, m in pairs]
+    return Records.intern(list(ids), paternal, maternal, np.arange(len(pairs), dtype=np.float64))
 
 
 def pair_table(records, deciles):
@@ -260,7 +261,7 @@ class TestKcorePrune:
 
 class TestBuildPipeline:
     def test_planted_pairs_recovered(self):
-        records, planted = generate_population(PopulationSpec(seed=5))
+        records, _, planted = generate_population(PopulationSpec(seed=5))
         triples, report = build(records, BuilderConfig(k_security=20.0))
         got = {(h, t) for h, r, t in triples}
         tp = len(got & set(planted))
@@ -269,7 +270,7 @@ class TestBuildPipeline:
         assert report.n_triples == len(triples)
 
     def test_triple_count_identity(self):
-        records, _ = generate_population(PopulationSpec(seed=6, n_individuals=5000))
+        records, _, _ = generate_population(PopulationSpec(seed=6, n_individuals=5000))
         triples, report = build(records)
         pair_deciles = {}
         for h, r, t in triples:
@@ -278,12 +279,12 @@ class TestBuildPipeline:
         assert report.n_pairs == len(pair_deciles)
 
     def test_decile_fractions_sum_to_one(self):
-        records, _ = generate_population(PopulationSpec(seed=7, n_individuals=5000))
+        records, _, _ = generate_population(PopulationSpec(seed=7, n_individuals=5000))
         _, report = build(records)
         assert sum(report.decile_fractions.values()) == pytest.approx(1.0)
 
     def test_filter_stages_idempotent(self):
-        records, _ = generate_population(PopulationSpec(seed=10, n_individuals=5000))
+        records, _, _ = generate_population(PopulationSpec(seed=10, n_individuals=5000))
         z = normalize_ses(records.ses)
         deciles = assign_deciles(z, quantile_boundaries(z))
         weights, n_s, n_total = pair_table(records, deciles)
@@ -312,14 +313,32 @@ class TestBuildPipeline:
 
 class TestRecordsCsv:
     def test_round_trip(self, tmp_path):
-        records, _ = generate_population(PopulationSpec(seed=9, n_individuals=50))
+        records, blocks, _ = generate_population(PopulationSpec(seed=9, n_individuals=50))
         path = tmp_path / "records.csv"
-        write_records_csv(str(path), records)
+        write_records_csv(str(path), records, blocks)
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert [row[3] for row in csv.reader(fh)] == ["block", *blocks]
         back = read_records_csv(str(path))
-        assert back.labels == records.labels and back.blocks == records.blocks
+        assert back.labels == records.labels
         for column in ("paternal", "maternal", "ses"):
             np.testing.assert_array_equal(getattr(back, column), getattr(records, column))
         assert back.paternal.dtype == np.int64 and back.ses.dtype == np.float64
+
+    def test_reader_keeps_no_string_per_row(self, tmp_path):
+        # 20000 rows: three int64 or float64 columns are 0.48 MB. Four strings
+        # a row, or a block column, would be several times that.
+        records, blocks, _ = generate_population(PopulationSpec(seed=7, n_individuals=20_000))
+        path = str(tmp_path / "records.csv")
+        write_records_csv(path, records, blocks)
+        tracemalloc.start()
+        try:
+            back = read_records_csv(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(back) == 20_000
+        assert peak < 4_000_000, f"traced peak {peak} B"
+        assert held < 1_000_000, f"{held} B still held after the read"
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "records.csv"
@@ -373,8 +392,8 @@ _ORACLE_UNSTORABLE = re.compile(r"^#|[\t\r\n]")
 
 
 def oracle_read_records_csv(path):
-    """The row-by-row reader, with (paternal, maternal, ses, block) tuples for
-    its per-row records."""
+    """The row-by-row reader, with (paternal, maternal, ses) tuples for its
+    per-row records; the block cell is required and dropped."""
     records = []
     storable = set()
     with open_text(path, newline="") as fh:
@@ -385,7 +404,7 @@ def oracle_read_records_csv(path):
         for n, row in enumerate(reader, start=2):
             if len(row) != 4:
                 raise ParseError(f"expected 4 fields, got {len(row)}", n, path)
-            paternal, maternal, ses, block = row
+            paternal, maternal, ses, _ = row
             paternal, maternal = paternal.strip().casefold(), maternal.strip().casefold()
             if not paternal or not maternal:
                 raise ParseError("empty surname", n, path)
@@ -401,7 +420,7 @@ def oracle_read_records_csv(path):
                 raise ParseError(f"bad SES value {ses!r}", n, path) from None
             if not math.isfinite(ses_value):
                 raise ParseError(f"non-finite SES value {ses!r}", n, path)
-            records.append((paternal, maternal, ses_value, block.strip()))
+            records.append((paternal, maternal, ses_value))
     return records
 
 
@@ -450,12 +469,12 @@ class TestReaderOracle:
                 return
             records = read_records_csv(path)
             labels = records.labels
-            assert labels == sorted({name for p, m, _, _ in expected for name in (p, m)})
+            assert labels == sorted({name for p, m, _ in expected for name in (p, m)})
             assert records.paternal.dtype == records.maternal.dtype == np.int64
             assert records.ses.dtype == np.float64 and len(records) == len(expected)
             got_rows = list(zip([labels[i] for i in records.paternal.tolist()],
                                 [labels[i] for i in records.maternal.tolist()],
-                                records.ses.tolist(), records.blocks))
+                                records.ses.tolist()))
             assert got_rows == expected
             event("accepted")
 

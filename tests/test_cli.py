@@ -145,6 +145,28 @@ class TestSplitAndTrain:
                     "--set", "grid.dropout_combination=0.2"]) == 2
         assert "validation fold" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model,cells", [("distmult", 1), ("tucker", 6)])
+    def test_grid_search_trains_each_distinct_fit_once(self, pipeline, tmp_path, monkeypatch,
+                                                       model, cells):
+        # Only Tucker reads d_r and the dropout rates; the other axes are one fit.
+        fits = []
+        real_fit = trainer.fit
+
+        def counted_fit(kg, config):
+            fits.append(config)
+            return real_fit(kg, config)
+
+        monkeypatch.setattr(trainer, "fit", counted_fit)
+        out = tmp_path / "grid"
+        assert run(["grid-search", "--data", pipeline["data"], "--out", out,
+                    "--set", f"train.model={model}", "--set", "train.epochs=1",
+                    "--set", "grid.d_e=8", "--set", "grid.d_r=10,20,30",
+                    "--set", "grid.dropout_input=0.2", "--set", "grid.dropout_relation=0.2",
+                    "--set", "grid.dropout_combination=0.2,0.5"]) == 0
+        assert len(fits) == cells
+        with open(out / "grid_results.csv", newline="") as fh:
+            assert len(list(csv.reader(fh))) == 1 + cells
+
 
 class TestEvaluateAnalyzeExport:
     def test_evaluate_outputs(self, pipeline, tmp_path):

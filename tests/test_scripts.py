@@ -1,5 +1,6 @@
 """Smoke runs of the example scripts as separate processes."""
 
+import json
 import os
 import re
 import subprocess
@@ -25,6 +26,20 @@ def test_run_pipeline_prints_metrics(tmp_path):
     assert re.search(r"^decile +\d+: +\d+ hits, SNN grounded=", done.stdout, re.MULTILINE)
     for stage in ("gen", "net", "data", "ckpt", "eval", "snn", "heatmaps"):
         assert (tmp_path / "run" / stage / "effective_config.cfg").exists()
+
+
+def test_chain_digests_match_the_golden_manifest(tmp_path):
+    # gen-synthetic, build-network and split call no BLAS routine, so their
+    # bits must match the committed manifest on every machine and numpy.
+    done = run_script("chain_digests.py", cwd=tmp_path, TMPDIR=str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    with open(os.path.join(ROOT, "tests", "golden", "chain_digests.json"), encoding="utf-8") as fh:
+        golden = json.load(fh)
+    digests = json.loads(done.stdout)
+    assert len(digests) == 13
+    differ = sorted(name for name in golden.keys() | digests.keys()
+                    if golden.get(name) != digests.get(name))
+    assert not differ, f"files that differ from tests/golden/chain_digests.json: {differ}"
 
 
 def assert_pipeline_byte_identical(tmp_path, env_name, values):
