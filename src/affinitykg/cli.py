@@ -216,9 +216,8 @@ def _load_trained(args, tucker_error: str | None = None):
     given, fails."""
     graph = kgmod.load_kg_dir(args.data)
     params, _, meta = trainer.load_checkpoint(args.checkpoint)
-    recorded = meta.get("vocab_hash") or {}
     for key, digest in _split_hashes(args.data, graph).items():
-        if recorded.get(key) != digest:
+        if meta["vocab_hash"].get(key) != digest:
             raise ConsistencyError(f"checkpoint was trained on another split or vocabulary: "
                                    f"{key} differs; refusing to proceed")
     if tucker_error is not None and meta["model"] != "tucker":
@@ -292,8 +291,7 @@ def cmd_grid_search(args, config: RunConfig) -> tuple[dict, str]:
         }
         for i, cell in enumerate(cells)
     ]
-    header = ("rank", "d_r", "d_e", "dropout_input", "dropout_relation", "dropout_combination",
-              "val_mrr", "val_hits1")
+    header = ("rank", "d_r", "d_e", *trainer.DropoutSpec.KEYS, "val_mrr", "val_hits1")
     return ({"grid_results.json": canonical_json(rows),
              "grid_results.csv": csv_text([header] + [
                  (row["rank"], row["d_r"], row["d_e"], *row["dropout"].values(),
@@ -432,3 +430,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

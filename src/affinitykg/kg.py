@@ -90,17 +90,14 @@ class KnowledgeGraph:
         return np.vstack([self.train, self.valid, self.test])
 
 
-def neighbour_index(rows: np.ndarray, n_base: int) -> dict:
-    """Map (base relation, entity) to the entities joined to it by a row.
+def neighbour_index(rows: np.ndarray) -> dict:
+    """Map (relation id, entity) to the entities joined to it by a row.
 
-    Each row counts in both orientations, and a reciprocal relation id
-    (>= n_base) counts as its base. A self-loop row makes an entity its own
-    neighbour.
+    Each row counts in both orientations. A self-loop row makes an entity its
+    own neighbour.
     """
-    heads, relations, tails = rows.T
-    relations = np.where(relations >= n_base, relations - n_base, relations)
     index: dict[tuple[int, int], set[int]] = {}
-    for h, r, t in zip(heads.tolist(), relations.tolist(), tails.tolist()):
+    for h, r, t in rows.tolist():
         index.setdefault((r, h), set()).add(t)
         index.setdefault((r, t), set()).add(h)
     return index
@@ -211,14 +208,14 @@ def add_reciprocals(kg: KnowledgeGraph) -> KnowledgeGraph:
 class KnownTrueSet:
     """Known neighbours over train + valid + test, for filtered ranking.
 
-    Queries accept reciprocal relation ids (>= n_base_relations); the graph
-    is undirected, so (a, r, b) known means b is known for (a, r) and a for
-    (b, r).
+    Queries accept reciprocal relation ids (>= n_base_relations), answered as
+    their base relation; the graph is undirected, so (a, r, b) known means b
+    is known for (a, r) and a for (b, r).
     """
 
     def __init__(self, kg: KnowledgeGraph):
         self.n_base = kg.n_base_relations
-        self._index = neighbour_index(kg.all_triples(), self.n_base)
+        self._index = neighbour_index(kg.all_triples())
 
     def tails_of(self, entity: int, relation: int) -> frozenset:
         base = relation - self.n_base if relation >= self.n_base else relation

@@ -11,9 +11,9 @@ A hit counts as network-grounded when the empirical sources share at least one
 neighbor (SNN above the threshold tau, default 0); otherwise it counts as
 embedding-grounded when the kNN sets overlap; otherwise it is unexplained.
 Neighborhoods use the training fold only, so the predicted edge itself never
-leaks into its own explanation. They are read from one (decile, entity)
-adjacency index, built by the same kg.neighbour_index that serves filtered
-ranking.
+leaks into its own explanation. Every one is read from kg.neighbour_index over
+the training fold, the index that also serves filtered ranking, with deciles
+mapped to relation ids by decile_relations, the one reader of decile labels.
 """
 
 import re
@@ -40,39 +40,29 @@ DECILE_LABEL = re.compile(r"d[1-9][0-9]*")
 
 
 def decile_relations(kg: KnowledgeGraph) -> dict:
-    """Map decile k to the id of base relation d<k>; other base labels are left out."""
-    return {int(label[1:]): rid
-            for rid, label in enumerate(kg.relations.labels[:kg.n_base_relations])
-            if DECILE_LABEL.fullmatch(label)}
-
-
-def _check_decile_labels(kg: KnowledgeGraph) -> None:
-    """Raise ValueError naming the first base relation label not spelled d<k>."""
-    for label in kg.relations.labels[:kg.n_base_relations]:
+    """Map decile k to the id of base relation d<k>; a base label not spelled
+    d<k> raises ValueError naming it."""
+    rid_of = {}
+    for rid, label in enumerate(kg.relations.labels[:kg.n_base_relations]):
         if not DECILE_LABEL.fullmatch(label):
             raise ValueError(f"relation label {label!r} is not a decile label d<k>")
+        rid_of[int(label[1:])] = rid
+    return rid_of
 
 
-def decile_adjacency(kg: KnowledgeGraph, deciles) -> dict:
-    """Training-fold adjacency of the given deciles, from kg.neighbour_index.
-
-    Maps (decile, entity) to the set of entities joined to it by a d<decile>
-    training edge. A decile absent from the relation vocabulary has no edges.
-    """
-    rid_of = decile_relations(kg)
-    rids = {rid_of[d]: d for d in deciles if d in rid_of}
-    wanted = np.array(list(rids), dtype=np.int64)
-    rows = kg.train[(kg.train[:, 1:2] == wanted).any(axis=1)]
-    return {(rids[r], entity): nbrs
-            for (r, entity), nbrs in neighbour_index(rows, kg.n_base_relations).items()}
+def _near_window(decile: int) -> tuple:
+    """The deciles of a near-decile neighbourhood: d-1, d and d+1."""
+    return decile - 1, decile, decile + 1
 
 
-def _neighbors(index: dict, entity: int, deciles) -> set:
-    """Union of the entity's neighbors over the deciles of a decile_adjacency
-    index; no entity is its own neighbor."""
+def _neighbors(index: dict, rid_of: dict, entity: int, deciles) -> set:
+    """Union of the entity's neighbors over the deciles, read from a
+    kg.neighbour_index; an absent decile adds nothing, and no entity is its
+    own neighbor."""
     out = set()
     for d in deciles:
-        out |= index.get((d, entity), set())
+        if d in rid_of:
+            out |= index.get((rid_of[d], entity), set())
     out.discard(entity)
     return out
 
@@ -82,15 +72,13 @@ def neighbors_grounded(kg: KnowledgeGraph, entity: int, decile: int) -> set:
 
     A decile label absent from the relation vocabulary has no edges.
     """
-    return _neighbors(decile_adjacency(kg, [decile]), entity, [decile])
+    return _neighbors(neighbour_index(kg.train), decile_relations(kg), entity, [decile])
 
 
-def neighbors_near_deciles(kg: KnowledgeGraph, entity: int, decile: int,
-                           n_deciles: int = 10) -> set:
-    """Union of grounded neighbors over the decile and its two nearest deciles,
-    leaving out a decile above n_deciles."""
-    near = [d for d in (decile - 1, decile, decile + 1) if d <= n_deciles]
-    return _neighbors(decile_adjacency(kg, near), entity, near)
+def neighbors_near_deciles(kg: KnowledgeGraph, entity: int, decile: int) -> set:
+    """Union of grounded neighbors over the near window of the decile."""
+    return _neighbors(neighbour_index(kg.train), decile_relations(kg), entity,
+                      _near_window(decile))
 
 
 def transform_embeddings(params: ModelParams, relation_id: int) -> np.ndarray:
@@ -167,25 +155,24 @@ def analyze_predictions(params: ModelParams, kg: KnowledgeGraph, hits,
         raise ValueError(f"snn tau must be finite, got {tau}")
     if not 1 <= knn_k < kg.n_entities:
         raise ValueError(f"snn.k must lie in [1, {kg.n_entities - 1}], got {knn_k}")
-    _check_decile_labels(kg)
     rid_of = decile_relations(kg)
     report = SNNReport(knn_k=knn_k, tau=tau)
     decile_of = {rid: d for d, rid in rid_of.items()}
     by_decile: dict[int, list] = {}
     for hit in hits:
         by_decile.setdefault(decile_of[hit[1]], []).append(hit)
-    near_of = {d: (d - 1, d, d + 1) for d in by_decile}
-    index = decile_adjacency(kg, set().union(*near_of.values()))
+    index = neighbour_index(kg.train)
+
+    def shared(h, t, deciles):
+        return snn(_neighbors(index, rid_of, h, deciles), _neighbors(index, rid_of, t, deciles))
 
     for decile in sorted(by_decile):
-        group, near = by_decile[decile], near_of[decile]
+        group, near = by_decile[decile], _near_window(decile)
         transformed = transform_embeddings(params, rid_of[decile])
         entities = {e for h, _, t in group for e in (h, t)}
         knn = {e: knn_embedding(transformed, e, knn_k) for e in entities}
-        grounded = [snn(_neighbors(index, h, [decile]), _neighbors(index, t, [decile]))
-                    for h, _, t in group]
-        near_snn = [snn(_neighbors(index, h, near), _neighbors(index, t, near))
-                    for h, _, t in group]
+        grounded = [shared(h, t, [decile]) for h, _, t in group]
+        near_snn = [shared(h, t, near) for h, _, t in group]
         embedding = [snn(knn[h], knn[t]) for h, _, t in group]
         klasses = ["network" if g > tau or n > tau else "embedding" if e > tau else "unexplained"
                    for g, n, e in zip(grounded, near_snn, embedding)]
@@ -228,9 +215,8 @@ def parse_relation_matrix_csv(text: str) -> np.ndarray:
 def export_relation_heatmaps(params: ModelParams, kg: KnowledgeGraph) -> tuple[dict, dict]:
     """The text of relmat_d<k>.csv per base decile, by file name, and label ->
     asymmetry index. A base label not spelled d<k> raises ValueError first."""
-    _check_decile_labels(kg)
     files, indices = {}, {}
-    for rid in range(kg.n_base_relations):
+    for rid in sorted(decile_relations(kg).values()):
         label = kg.relations.label_of(rid)
         M = relation_matrix(params, rid)
         files[f"relmat_{label}.csv"] = relation_matrix_csv(M)

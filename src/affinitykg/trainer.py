@@ -29,7 +29,7 @@ import numpy as np
 
 from affinitykg import evaluator as evalmod
 from affinitykg import models
-from affinitykg.errors import ConsistencyError
+from affinitykg.errors import ConsistencyError, ParseError
 from affinitykg.kg import KnowledgeGraph, add_reciprocals
 from affinitykg.models import (
     DropoutSpec,
@@ -347,15 +347,29 @@ def _read_block(directory: str, name: str, shape) -> np.ndarray:
 
 
 def load_checkpoint(directory: str):
-    """Returns (params, adam_state, meta dict)."""
-    with open(os.path.join(directory, META_FILE), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    """Returns (params, adam_state, meta dict).
+
+    A meta.json that is not JSON is a ParseError naming its line; one that is
+    not an object, or lacks a key or holds it with the wrong type, is a
+    ConsistencyError naming the file and the key.
+    """
+    path = os.path.join(directory, META_FILE)
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ParseError(f"{err.msg} (column {err.colno})", err.lineno, path) from None
+    if not isinstance(meta, dict):
+        raise ConsistencyError(f"{path}: not a JSON object")
     model, blocks = meta.get("model"), meta.get("blocks") or {}
     if model not in models.MODELS:
         raise ConsistencyError(f"{directory}: unknown model {model!r} in {META_FILE}")
     if sorted(blocks) != sorted(models.block_names(model)):
         raise ConsistencyError(f"{directory}: {META_FILE} lists blocks {sorted(blocks)}, "
                                f"but {model} has {sorted(models.block_names(model))}")
+    for key, kind, noun in (("adam_step", int, "an integer"), ("vocab_hash", dict, "an object")):
+        if not isinstance(meta.get(key), kind):
+            raise ConsistencyError(f"{path}: key {key!r} is missing or not {noun}")
     shapes = {name: tuple(shape) for name, shape in blocks.items()}
     params = ModelParams(model, **{name: _read_block(directory, name, shape)
                                    for name, shape in shapes.items()})

@@ -6,6 +6,8 @@ import itertools
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -59,6 +61,17 @@ class TestGenSynthetic:
                         "--set", "synth.individuals=500"]) == 0
         for name in ("records.csv", "ground_truth.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_module_run_does_the_command(self, tmp_path):
+        # `python -m affinitykg.cli` runs the same command as the script entry point.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "affinitykg.cli", "gen-synthetic",
+                               "--out", str(tmp_path / "x"), "--seed", "1",
+                               "--set", "synth.individuals=500"], env=env, check=False)
+        assert done.returncode == 0
+        assert (tmp_path / "x" / "records.csv").exists()
 
     def test_zero_bias_plants_nothing_detectable(self, tmp_path):
         assert run(["gen-synthetic", "--out", tmp_path, "--seed", 1,
@@ -265,6 +278,27 @@ class TestEvaluateAnalyzeExport:
         assert run(["evaluate", "--checkpoint", ckpt, "--data", pipeline["data"],
                     "--out", tmp_path / "out"]) == 3
         assert "blocks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault, code, named", [
+        ("missing-adam-step", 3, "meta.json: key 'adam_step' is missing"),
+        ("vocab-hash-not-object", 3, "meta.json: key 'vocab_hash' is missing or not an object"),
+        ("not-json", 2, "meta.json:1: "),
+    ], ids=["missing-adam-step", "vocab-hash-not-object", "not-json"])
+    def test_checkpoint_meta_fault_is_named(self, pipeline, tmp_path, capsys, fault, code,
+                                            named):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(pipeline["ckpt"], ckpt)
+        meta = json.loads((ckpt / "meta.json").read_text())
+        if fault == "missing-adam-step":
+            del meta["adam_step"]
+        elif fault == "vocab-hash-not-object":
+            meta["vocab_hash"] = "entities"
+        text = json.dumps(meta)
+        (ckpt / "meta.json").write_text(text[:-1] if fault == "not-json" else text)
+        assert run(["analyze", "--checkpoint", ckpt, "--data", pipeline["data"],
+                    "--out", tmp_path / "out"]) == code
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_misspelled_eval_mode_exits_2(self, pipeline, tmp_path, capsys):
         assert run(["evaluate", "--checkpoint", pipeline["ckpt"], "--data", pipeline["data"],

@@ -67,11 +67,10 @@ def scan_grounded(kg, entity, decile):
     return out
 
 
-def scan_near(kg, entity, decile, n_deciles):
+def scan_near(kg, entity, decile):
     out = set()
     for d in (decile - 1, decile, decile + 1):
-        if 1 <= d <= n_deciles:
-            out |= scan_grounded(kg, entity, d)
+        out |= scan_grounded(kg, entity, d)
     return out
 
 
@@ -104,13 +103,13 @@ class TestNeighborSets:
     def test_near_deciles_clamped_at_boundary(self):
         kg = star_kg()
         b = kg.entities.id_of("b")
-        # d=1 unions deciles {1, 2} only; b has a d2 edge to d.
-        assert neighbors_near_deciles(kg, b, 1, n_deciles=4) == {kg.entities.id_of("d")}
+        # d=1 unions deciles {0, 1, 2}, and d0 is absent; b has a d2 edge to d.
+        assert neighbors_near_deciles(kg, b, 1) == {kg.entities.id_of("d")}
 
     def test_near_deciles_unions_adjacent(self):
         kg = star_kg()
         a = kg.entities.id_of("a")
-        got = neighbors_near_deciles(kg, a, 3, n_deciles=4)
+        got = neighbors_near_deciles(kg, a, 3)
         assert got == {kg.entities.id_of(x) for x in ("b", "c", "d")}
 
     def test_near_superset_of_grounded(self):
@@ -140,10 +139,10 @@ def id_graph(n_entities, labels, rows):
 
 @st.composite
 def decile_graphs(draw):
-    """Small graphs whose relation vocabulary leaves some decile labels out
-    (and may hold a non-decile label), with self-loops allowed."""
+    """Small graphs whose relation vocabulary leaves some decile labels out,
+    with self-loops allowed."""
     n_e = draw(st.integers(2, 8))
-    labels = draw(st.lists(st.sampled_from(["d1", "d2", "d3", "d4", "d5", "x"]),
+    labels = draw(st.lists(st.sampled_from(["d1", "d2", "d3", "d4", "d5"]),
                            min_size=1, max_size=5, unique=True))
     rows = draw(st.lists(st.tuples(st.integers(0, n_e - 1), st.integers(0, len(labels) - 1),
                                    st.integers(0, n_e - 1)), max_size=30))
@@ -151,13 +150,12 @@ def decile_graphs(draw):
 
 
 class TestAdjacencyIndex:
-    @given(decile_graphs(), st.integers(1, 6))
-    def test_matches_rescan_oracle(self, kg, n_deciles):
+    @given(decile_graphs())
+    def test_matches_rescan_oracle(self, kg):
         for entity in range(kg.n_entities):
             for decile in range(0, 8):
                 assert neighbors_grounded(kg, entity, decile) == scan_grounded(kg, entity, decile)
-                assert (neighbors_near_deciles(kg, entity, decile, n_deciles)
-                        == scan_near(kg, entity, decile, n_deciles))
+                assert neighbors_near_deciles(kg, entity, decile) == scan_near(kg, entity, decile)
 
     def test_analyze_matches_per_hit_oracle(self, tmp_path):
         gen, net, data = tmp_path / "gen", tmp_path / "net", tmp_path / "data"
@@ -172,14 +170,14 @@ class TestAdjacencyIndex:
         kg = load_kg_dir(str(data))
         params = init_params(kg.n_entities, 2 * kg.n_base_relations, 8, 4, seed=8)
         hits = [(h, r, t) for h, r, t in kg.test.tolist()]
-        knn_k, n_deciles = 10, kg.n_base_relations
+        knn_k = 10
 
         rows = {}
         for h, r, t in hits:
             decile = int(kg.relations.label_of(r)[1:])
             transformed = transform_embeddings(params, r)
             grounded = snn(scan_grounded(kg, h, decile), scan_grounded(kg, t, decile))
-            near = snn(scan_near(kg, h, decile, n_deciles), scan_near(kg, t, decile, n_deciles))
+            near = snn(scan_near(kg, h, decile), scan_near(kg, t, decile))
             embedding = snn(knn_embedding(transformed, h, knn_k),
                             knn_embedding(transformed, t, knn_k))
             klass = ("network" if grounded > 0 or near > 0
@@ -386,6 +384,21 @@ class TestDecileVocabulary:
                 analyze_predictions(params, kg, hits, knn_k=1)
         with pytest.raises(ValueError, match=repr(label)):
             export_relation_heatmaps(params, kg)
+        for helper in (neighbors_grounded, neighbors_near_deciles):
+            with pytest.raises(ValueError, match=repr(label)):
+                helper(kg, 0, 1)
+
+    def test_near_window_reaches_above_ten(self):
+        # Deciles d1-d12; a and b share the neighbour c only through d11, so
+        # the near window of d10 holds c for both.
+        labels = [f"d{k}" for k in range(1, 13)]
+        d10, d11 = labels.index("d10"), labels.index("d11")
+        kg = id_graph(3, labels, [(0, d11, 2), (1, d11, 2)])
+        params = init_params(3, 2 * len(labels), 4, 2, seed=0)
+        near = [neighbors_near_deciles(kg, entity, 10) for entity in (0, 1)]
+        assert near == [{2}, {2}]
+        row, = analyze_predictions(params, kg, [(0, d10, 1)], knn_k=1).deciles
+        assert row.snn_near == snn(*near) == 1.0
 
     @pytest.mark.parametrize("knn_k", [0, -1, 3])
     def test_knn_k_out_of_range_rejected_naming_key(self, knn_k):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from affinitykg import models
-from affinitykg.errors import ConsistencyError
+from affinitykg.errors import ConsistencyError, ParseError
 from affinitykg.kg import add_reciprocals, load_triples
 from affinitykg.models import DropoutSpec, init_params, sample_masks
 from affinitykg.synthetic import two_block_kg
@@ -398,21 +398,38 @@ class TestCheckpoint:
         params, _, meta = load_checkpoint(str(tmp_path / "reused"))
         assert params.model == meta["model"] == "distmult"
 
-    @pytest.mark.parametrize("edit", [
-        lambda meta: meta["blocks"].pop("G"),
-        lambda meta: meta["blocks"].update(X=[1]),
-        lambda meta: meta.update(model="rescal"),
-        lambda meta: meta.update(model="transe"),
-    ], ids=["missing-core", "extra-block", "unknown-model", "wrong-model"])
-    def test_bad_meta_is_a_consistency_error(self, tmp_path, edit):
+    @pytest.mark.parametrize("edit, named", [
+        (lambda meta: meta["blocks"].pop("G"), "blocks"),
+        (lambda meta: meta["blocks"].update(X=[1]), "blocks"),
+        (lambda meta: meta.update(model="rescal"), "model"),
+        (lambda meta: meta.update(model="transe"), "blocks"),
+        (lambda meta: meta.pop("adam_step"), "'adam_step'"),
+        (lambda meta: meta.update(vocab_hash=["entities"]), "'vocab_hash'"),
+    ], ids=["missing-core", "extra-block", "unknown-model", "wrong-model",
+            "missing-adam-step", "vocab-hash-not-object"])
+    def test_bad_meta_is_a_consistency_error(self, tmp_path, edit, named):
         params = init_params(5, 2, 4, 3, seed=0)
         save_checkpoint(str(tmp_path), params, AdamState.for_params(params),
                         TrainConfig(), 0, {}, {})
         meta = json.loads((tmp_path / "meta.json").read_text())
         edit(meta)
         (tmp_path / "meta.json").write_text(json.dumps(meta))
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError) as caught:
             load_checkpoint(str(tmp_path))
+        assert "meta.json" in str(caught.value) and named in str(caught.value)
+
+    @pytest.mark.parametrize("text, error, named", [
+        ('{"model": "tucker",\n oops}', ParseError, "meta.json:2: "),
+        ("[1, 2]", ConsistencyError, "meta.json: not a JSON object"),
+    ], ids=["not-json", "not-an-object"])
+    def test_unreadable_meta_is_named(self, tmp_path, text, error, named):
+        params = init_params(5, 2, 4, 3, seed=0)
+        save_checkpoint(str(tmp_path), params, AdamState.for_params(params),
+                        TrainConfig(), 0, {}, {})
+        (tmp_path / "meta.json").write_text(text)
+        with pytest.raises(error) as caught:
+            load_checkpoint(str(tmp_path))
+        assert named in str(caught.value)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
