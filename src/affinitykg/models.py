@@ -60,15 +60,23 @@ class DropoutSpec:
         return asdict(self)
 
 
+def _mask_sites(spec: DropoutSpec, d_e: int) -> tuple:
+    return ((spec.input_rate, (d_e,)), (spec.after_relation_rate, (d_e, d_e)),
+            (spec.after_combination_rate, (d_e,)))
+
+
+def mask_width(spec: DropoutSpec, d_e: int) -> int:
+    """Doubles sample_masks draws per query; 0 when every rate is 0."""
+    return sum(math.prod(shape) for rate, shape in _mask_sites(spec, d_e) if rate > 0.0)
+
+
 def sample_masks(spec: DropoutSpec, d_e: int, rng: np.random.Generator, n: int) -> tuple:
     """Inverted-scaling (entity, relation_core, combination) masks of the next n
     queries, stacked; None means pass-through. One draw holds a row per query
     with its masks in that order: the stream of drawing query by query."""
-    sites = ((spec.input_rate, (d_e,)), (spec.after_relation_rate, (d_e, d_e)),
-             (spec.after_combination_rate, (d_e,)))
-    keep = rng.random((n, sum(math.prod(shape) for rate, shape in sites if rate > 0.0)))
+    keep = rng.random((n, mask_width(spec, d_e)))
     masks, start = [], 0
-    for rate, shape in sites:
+    for rate, shape in _mask_sites(spec, d_e):
         if rate <= 0.0:
             masks.append(None)
             continue
@@ -271,6 +279,17 @@ def smooth_labels(y: np.ndarray, label_smoothing: float) -> np.ndarray:
 # from d_e=91 up). On a 2-vCPU Skylake-X VM, batches at d_e=32 and 64 ran as fast at 128 KB
 # as at 256 KB and 4-20% slower at 64 KB; 256 KB raised peak memory by 0.6 MB more.
 CHUNK_BYTES = 128 * 1024
+# Bytes of the masks a trainer draws in one sample_masks call, ahead of the chunks that
+# use them: whole chunks, at least one. Under the default rates a block is one chunk at
+# d_e=32 (139 KB) and one query at d_e=200. Up to three blocks are alive at once: training
+# the four models at d_e=32 peaked at 57.9 MB with 1 MB blocks, 54.8 MB with 128 KB and
+# 53.4 MB when every chunk drew its own masks.
+MASK_BLOCK_BYTES = 128 * 1024
+
+
+def chunk_size(d_e: int) -> int:
+    """Queries per chunk of a Tucker batch at entity dim d_e."""
+    return max(1, CHUNK_BYTES // (8 * d_e * d_e))
 
 
 def _rowwise(X: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -300,7 +319,7 @@ def _tucker_batch(params: ModelParams, hs: np.ndarray, rs: np.ndarray, head, dra
     np.matmul(params.R[rels], params.G, out=Mt.transpose(1, 0, 2))
     St = np.zeros_like(Mt)
     d_head = np.empty((len(hs), params.d_e))
-    chunk = max(1, CHUNK_BYTES // Mt[0].nbytes)
+    chunk = chunk_size(params.d_e)
     for start in range(0, len(hs), chunk):
         rows = slice(start, start + chunk)
         k = slot[rows]

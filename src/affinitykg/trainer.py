@@ -10,6 +10,9 @@ RNG discipline: fit derives one generator per epoch as
 default_rng([seed, epoch]); within an epoch that stream is consumed first by
 the batch shuffle, then by the per-query dropout masks, in iteration order.
 A chunk of Tucker queries draws its masks in one call that takes that stream.
+The masks depend on nothing else, so an epoch that draws any has one helper
+thread draw them ahead, in blocks of whole chunks, while OpenBLAS is held to
+one thread; the doubles and their order are those of drawing chunk by chunk.
 
 Checkpoint layout: a directory holding meta.json plus one raw little-endian
 float64 array per parameter block (E.bin, R.bin, G.bin) and per Adam moment
@@ -18,11 +21,15 @@ vocabulary and of the fold files trained on, the epoch, and the validation
 metrics of the stored parameters.
 """
 
+import collections
 import contextlib
+import ctypes
 import functools
+import importlib
 import itertools
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
@@ -39,7 +46,7 @@ from affinitykg.models import (
     sample_masks,
     smooth_labels,
 )
-from affinitykg.util import atomic_write_bytes, atomic_write_text, canonical_json
+from affinitykg.util import atomic_write_bytes, atomic_write_text, canonical_json, open_text
 
 
 @dataclass(frozen=True)
@@ -139,6 +146,67 @@ def group_queries(train_triples: np.ndarray):
     ]
 
 
+@functools.cache
+def openblas_threads():
+    """OpenBLAS's (get, set) thread-count functions, found through the numpy
+    extension that links it, or None where numpy links another BLAS."""
+    for module in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+        except (ImportError, OSError):
+            continue
+        for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("64_", "")):
+            try:
+                get, set_ = (getattr(lib, f"{prefix}_{op}_num_threads{suffix}")
+                             for op in ("get", "set"))
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """OpenBLAS held to one thread, and its count restored on exit. Its idle
+    helper would otherwise spin on the core the mask worker needs; the bits do
+    not depend on the count. Without OpenBLAS this does nothing."""
+    control = openblas_threads()
+    if control is None:
+        yield
+        return
+    get, set_ = control
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def _masks_ahead(pool, draw, chunks, block_rows):
+    """The masks of each chunk of `chunks` (query counts), in order. Runs of
+    whole chunks of at most block_rows queries (at least one chunk) are drawn
+    by one draw(n) call each on pool, up to two blocks before they are read,
+    and handed out as row slices: the doubles of drawing chunk by chunk."""
+    blocks, rows = [], block_rows
+    for n in chunks:
+        if rows + n > block_rows:
+            blocks.append([])
+            rows = 0
+        blocks[-1].append(n)
+        rows += n
+    pending = collections.deque(pool.submit(draw, sum(block)) for block in blocks[:2])
+    for i, block in enumerate(blocks):
+        if i + 2 < len(blocks):
+            pending.append(pool.submit(draw, sum(blocks[i + 2])))
+        masks, start = pending.popleft().result(), 0
+        for n in block:
+            yield tuple(None if m is None else m[start:start + n] for m in masks)
+            start += n
+
+
 def train_epoch(groups, params, state: AdamState, config: TrainConfig,
                 rng: np.random.Generator, lr: float) -> tuple[float, int]:
     """One pass over the (h, r, tails) queries of group_queries, in shuffled
@@ -150,22 +218,34 @@ def train_epoch(groups, params, state: AdamState, config: TrainConfig,
     heads = np.array([h for h, _, _ in groups], dtype=np.int64)
     relations = np.array([r for _, r, _ in groups], dtype=np.int64)
     order = rng.permutation(len(groups))
+    batches = [order[start:start + config.batch_size]
+               for start in range(0, len(order), config.batch_size)]
     draw_masks = functools.partial(sample_masks, config.dropout, params.d_e, rng)
     total_loss = 0.0
     clamped = 0
-    for start in range(0, len(order), config.batch_size):
-        batch = order[start:start + config.batch_size]
-        Y = np.zeros((len(batch), params.n_entities))
-        for row, gi in zip(Y, batch):
-            row[groups[gi][2]] = 1.0
-        Y = smooth_labels(Y, config.label_smoothing)
-        losses, grads, n_clamped = batch_loss_and_grads(params, heads[batch], relations[batch],
-                                                        Y, draw_masks)
-        clamped += n_clamped
-        for loss in losses.tolist():
-            total_loss += loss
-        adam_step(params, grads, state, lr,
-                  config.adam_beta1, config.adam_beta2, config.adam_eps)
+    with contextlib.ExitStack() as worker:
+        width = models.mask_width(config.dropout, params.d_e) if params.G is not None else 0
+        if width:
+            worker.enter_context(_one_blas_thread())
+            pool = worker.enter_context(ThreadPoolExecutor(max_workers=1))
+            chunk = models.chunk_size(params.d_e)
+            feed = _masks_ahead(pool, draw_masks,
+                                [min(chunk, len(batch) - start) for batch in batches
+                                 for start in range(0, len(batch), chunk)],
+                                models.MASK_BLOCK_BYTES // (8 * width))
+            draw_masks = lambda n: next(feed)  # the feed knows each chunk's size n
+        for batch in batches:
+            Y = np.zeros((len(batch), params.n_entities))
+            for row, gi in zip(Y, batch):
+                row[groups[gi][2]] = 1.0
+            Y = smooth_labels(Y, config.label_smoothing)
+            losses, grads, n_clamped = batch_loss_and_grads(params, heads[batch],
+                                                            relations[batch], Y, draw_masks)
+            clamped += n_clamped
+            for loss in losses.tolist():
+                total_loss += loss
+            adam_step(params, grads, state, lr,
+                      config.adam_beta1, config.adam_beta2, config.adam_eps)
     return total_loss / len(groups), clamped
 
 
@@ -349,12 +429,12 @@ def _read_block(directory: str, name: str, shape) -> np.ndarray:
 def load_checkpoint(directory: str):
     """Returns (params, adam_state, meta dict).
 
-    A meta.json that is not JSON is a ParseError naming its line; one that is
-    not an object, or lacks a key or holds it with the wrong type, is a
-    ConsistencyError naming the file and the key.
+    A meta.json that is not UTF-8 or not JSON is a ParseError naming its line;
+    one that is not an object, or lacks a key or holds it with the wrong type,
+    is a ConsistencyError naming the file and the key.
     """
     path = os.path.join(directory, META_FILE)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             meta = json.load(fh)
         except json.JSONDecodeError as err:

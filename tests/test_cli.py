@@ -283,7 +283,8 @@ class TestEvaluateAnalyzeExport:
         ("missing-adam-step", 3, "meta.json: key 'adam_step' is missing"),
         ("vocab-hash-not-object", 3, "meta.json: key 'vocab_hash' is missing or not an object"),
         ("not-json", 2, "meta.json:1: "),
-    ], ids=["missing-adam-step", "vocab-hash-not-object", "not-json"])
+        ("not-utf8", 2, "meta.json:1: not valid UTF-8"),
+    ], ids=["missing-adam-step", "vocab-hash-not-object", "not-json", "not-utf8"])
     def test_checkpoint_meta_fault_is_named(self, pipeline, tmp_path, capsys, fault, code,
                                             named):
         ckpt = tmp_path / "ckpt"
@@ -295,6 +296,9 @@ class TestEvaluateAnalyzeExport:
             meta["vocab_hash"] = "entities"
         text = json.dumps(meta)
         (ckpt / "meta.json").write_text(text[:-1] if fault == "not-json" else text)
+        if fault == "not-utf8":
+            # An encoded surrogate: ED A0 80 is not UTF-8.
+            (ckpt / "meta.json").write_bytes(b'{"model": "\xed\xa0\x80"}')
         assert run(["analyze", "--checkpoint", ckpt, "--data", pipeline["data"],
                     "--out", tmp_path / "out"]) == code
         assert named in capsys.readouterr().err

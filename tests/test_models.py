@@ -608,7 +608,7 @@ class TestChunkedTucker:
         # A chunk holds 16 queries at d_e=32 and one at d_e=200.
         (32, 1), (32, 5), (32, 16), (32, 77), (200, 1), (200, 3)])
     def test_matches_per_query_oracle(self, monkeypatch, on, d_e, size):
-        assert max(1, models.CHUNK_BYTES // (8 * d_e * d_e)) == {32: 16, 200: 1}[d_e]
+        assert models.chunk_size(d_e) == {32: 16, 200: 1}[d_e]
         spec = DropoutSpec(*(rate if bit else 0.0 for rate, bit in zip((0.5, 0.2, 0.2), on)))
         rng = np.random.default_rng(d_e + size)
         params = init_params(40, 5, d_e, 4, seed=size)

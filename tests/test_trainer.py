@@ -1,14 +1,16 @@
 """Optimizer, training loop, early stopping, grid search, checkpoints."""
 
 import dataclasses
+import functools
 import json
 import os
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from affinitykg import models
+from affinitykg import models, trainer
 from affinitykg.errors import ConsistencyError, ParseError
 from affinitykg.kg import add_reciprocals, load_triples
 from affinitykg.models import DropoutSpec, init_params, sample_masks
@@ -22,6 +24,7 @@ from affinitykg.trainer import (
     grid_search,
     group_queries,
     load_checkpoint,
+    openblas_threads,
     save_checkpoint,
     train_epoch,
 )
@@ -230,6 +233,104 @@ class TestTrainEpoch:
         finally:
             tracemalloc.stop()
         assert peak <= limit_mb * 1e6
+
+    @pytest.mark.parametrize("d_e,rates", [
+        # 16 queries per chunk, one chunk per block.
+        (32, (0.5, 0.2, 0.2)),
+        # 16 per chunk and 32 chunks per block, so blocks run across batches.
+        (32, (0.5, 0.0, 0.0)),
+        # One query per chunk and per block.
+        (96, (0.5, 0.2, 0.2)),
+        # One query per chunk, 170 chunks per block.
+        (96, (0.0, 0.0, 0.2)),
+    ])
+    def test_mask_worker_matches_serial_draws(self, monkeypatch, d_e, rates):
+        kg = add_reciprocals(two_block_kg(seed=0, valid_size=0, test_size=0))
+        groups = group_queries(kg.train)
+        # 50 queries per batch: neither the chunks nor the blocks divide it.
+        config = TrainConfig(d_e=d_e, d_r=3, batch_size=50, dropout=DropoutSpec(*rates),
+                             label_smoothing=0.1)
+        assert models.chunk_size(d_e) == {32: 16, 96: 1}[d_e]
+
+        def start():
+            params = init_params(kg.n_entities, kg.n_relations, d_e, 3, seed=2)
+            return params, AdamState.for_params(params), np.random.default_rng(5)
+
+        # Serial reference: every chunk draws its masks on the training thread.
+        params, state, rng = start()
+        draw = functools.partial(sample_masks, config.dropout, d_e, rng)
+        ref_losses, ref_clamped = [], 0
+        order = rng.permutation(len(groups))
+        for begin in range(0, len(order), config.batch_size):
+            batch = order[begin:begin + config.batch_size]
+            Y = np.zeros((len(batch), kg.n_entities))
+            for row, gi in zip(Y, batch):
+                row[groups[gi][2]] = 1.0
+            losses, grads, clamped = models.batch_loss_and_grads(
+                params, [groups[gi][0] for gi in batch], [groups[gi][1] for gi in batch],
+                models.smooth_labels(Y, config.label_smoothing), draw)
+            ref_losses += losses.tolist()
+            ref_clamped += clamped
+            adam_step(params, grads, state, config.learning_rate)
+        reference = params, state, rng.bit_generator.state
+
+        losses, drawn_on = [], set()
+
+        def recording(*args):
+            out = models.batch_loss_and_grads(*args)
+            losses.extend(out[0].tolist())
+            return out
+
+        def sampler(*args):
+            drawn_on.add(threading.current_thread())
+            return sample_masks(*args)
+
+        monkeypatch.setattr(trainer, "batch_loss_and_grads", recording)
+        monkeypatch.setattr(trainer, "sample_masks", sampler)
+        params, state, rng = start()
+        mean, clamped = train_epoch(groups, params, state, config, rng, config.learning_rate)
+        assert drawn_on and threading.main_thread() not in drawn_on
+        assert losses == ref_losses and clamped == ref_clamped
+        assert mean == sum(ref_losses) / len(groups)
+        ref_params, ref_state, ref_rng = reference
+        for name, arr in params.param_blocks().items():
+            assert np.array_equal(arr, ref_params.param_blocks()[name]), name
+            assert np.array_equal(state.m[name], ref_state.m[name]), name
+            assert np.array_equal(state.v[name], ref_state.v[name]), name
+        assert state.step == ref_state.step
+        assert rng.bit_generator.state == ref_rng
+
+    def test_mask_worker_stops_and_blas_threads_return_when_a_batch_fails(self, monkeypatch):
+        kg = add_reciprocals(two_block_kg(seed=0, valid_size=0, test_size=0))
+        config = TrainConfig(d_e=8, d_r=3, batch_size=16)
+        params = init_params(kg.n_entities, kg.n_relations, 8, 3, seed=0)
+        control = openblas_threads()
+        threads_before = threading.active_count()
+        calls = []
+
+        def failing(*args):
+            calls.append(control[0]() if control else None)
+            if len(calls) == 3:
+                raise RuntimeError("third batch fails")
+            return models.batch_loss_and_grads(*args)
+
+        monkeypatch.setattr(trainer, "batch_loss_and_grads", failing)
+        if control is not None:
+            # Two threads, so a count left at one shows even on a one-core machine.
+            blas_default = control[0]()
+            control[1](2)
+        try:
+            with pytest.raises(RuntimeError, match="third batch fails"):
+                run_epoch(kg, params, AdamState.for_params(params), config,
+                          np.random.default_rng(0))
+            blas_after = control[0]() if control else None
+        finally:
+            if control is not None:
+                control[1](blas_default)
+        assert len(calls) == 3
+        assert threading.active_count() == threads_before
+        if control is not None:
+            assert calls == [1, 1, 1] and blas_after == 2
 
     def test_group_queries_collapses_tails(self):
         triples = np.array([[0, 0, 1], [0, 0, 2], [1, 0, 2]])
