@@ -55,10 +55,9 @@ _DEFAULTS = {
 
 _HELP = {
     "seed": "global random seed",
-    "threads": "reserved; has no effect (no worker processes are started; OpenBLAS may use "
-               "several threads, except that an epoch that draws dropout masks draws them on "
-               "one helper thread and holds OpenBLAS to one thread until it ends; artifacts "
-               "do not depend on either)",
+    "threads": "reserved; has no effect (no worker processes are started; every training "
+               "epoch holds OpenBLAS to one thread, and one that draws dropout masks draws "
+               "them on one helper thread; artifacts do not depend on either)",
     "builder.k_security": "security factor over expected random co-occurrence",
     "builder.min_occurrences": "drop surnames borne by fewer individuals",
     "builder.kcore_k": "k-core threshold for periphery pruning",

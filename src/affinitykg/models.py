@@ -279,12 +279,6 @@ def smooth_labels(y: np.ndarray, label_smoothing: float) -> np.ndarray:
 # from d_e=91 up). On a 2-vCPU Skylake-X VM, batches at d_e=32 and 64 ran as fast at 128 KB
 # as at 256 KB and 4-20% slower at 64 KB; 256 KB raised peak memory by 0.6 MB more.
 CHUNK_BYTES = 128 * 1024
-# Bytes of the masks a trainer draws in one sample_masks call, ahead of the chunks that
-# use them: whole chunks, at least one. Under the default rates a block is one chunk at
-# d_e=32 (139 KB) and one query at d_e=200. Up to three blocks are alive at once: training
-# the four models at d_e=32 peaked at 57.9 MB with 1 MB blocks, 54.8 MB with 128 KB and
-# 53.4 MB when every chunk drew its own masks.
-MASK_BLOCK_BYTES = 128 * 1024
 
 
 def chunk_size(d_e: int) -> int:

@@ -11,8 +11,9 @@ default_rng([seed, epoch]); within an epoch that stream is consumed first by
 the batch shuffle, then by the per-query dropout masks, in iteration order.
 A chunk of Tucker queries draws its masks in one call that takes that stream.
 The masks depend on nothing else, so an epoch that draws any has one helper
-thread draw them ahead, in blocks of whole chunks, while OpenBLAS is held to
-one thread; the doubles and their order are those of drawing chunk by chunk.
+thread draw them, a chunk per call, up to two chunks ahead; the doubles and
+their order are those of drawing on the training thread. Every epoch holds
+OpenBLAS to one thread.
 
 Checkpoint layout: a directory holding meta.json plus one raw little-endian
 float64 array per parameter block (E.bin, R.bin, G.bin) and per Adam moment
@@ -170,8 +171,9 @@ def openblas_threads():
 @contextlib.contextmanager
 def _one_blas_thread():
     """OpenBLAS held to one thread, and its count restored on exit. Its idle
-    helper would otherwise spin on the core the mask worker needs; the bits do
-    not depend on the count. Without OpenBLAS this does nothing."""
+    helper would otherwise spin on the core the mask worker needs, and training
+    at the default count ran no faster; the bits do not depend on the count.
+    Without OpenBLAS this does nothing."""
     control = openblas_threads()
     if control is None:
         yield
@@ -185,26 +187,16 @@ def _one_blas_thread():
         set_(before)
 
 
-def _masks_ahead(pool, draw, chunks, block_rows):
-    """The masks of each chunk of `chunks` (query counts), in order. Runs of
-    whole chunks of at most block_rows queries (at least one chunk) are drawn
-    by one draw(n) call each on pool, up to two blocks before they are read,
-    and handed out as row slices: the doubles of drawing chunk by chunk."""
-    blocks, rows = [], block_rows
+def _masks_ahead(pool, draw, chunks):
+    """The masks of each chunk of `chunks` (query counts), in order, each
+    drawn by one draw(n) call on pool while the two chunks before it are read."""
+    pending = collections.deque()
     for n in chunks:
-        if rows + n > block_rows:
-            blocks.append([])
-            rows = 0
-        blocks[-1].append(n)
-        rows += n
-    pending = collections.deque(pool.submit(draw, sum(block)) for block in blocks[:2])
-    for i, block in enumerate(blocks):
-        if i + 2 < len(blocks):
-            pending.append(pool.submit(draw, sum(blocks[i + 2])))
-        masks, start = pending.popleft().result(), 0
-        for n in block:
-            yield tuple(None if m is None else m[start:start + n] for m in masks)
-            start += n
+        pending.append(pool.submit(draw, n))
+        if len(pending) > 2:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def train_epoch(groups, params, state: AdamState, config: TrainConfig,
@@ -223,16 +215,12 @@ def train_epoch(groups, params, state: AdamState, config: TrainConfig,
     draw_masks = functools.partial(sample_masks, config.dropout, params.d_e, rng)
     total_loss = 0.0
     clamped = 0
-    with contextlib.ExitStack() as worker:
-        width = models.mask_width(config.dropout, params.d_e) if params.G is not None else 0
-        if width:
-            worker.enter_context(_one_blas_thread())
-            pool = worker.enter_context(ThreadPoolExecutor(max_workers=1))
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
+        if params.G is not None and models.mask_width(config.dropout, params.d_e):
             chunk = models.chunk_size(params.d_e)
             feed = _masks_ahead(pool, draw_masks,
                                 [min(chunk, len(batch) - start) for batch in batches
-                                 for start in range(0, len(batch), chunk)],
-                                models.MASK_BLOCK_BYTES // (8 * width))
+                                 for start in range(0, len(batch), chunk)])
             draw_masks = lambda n: next(feed)  # the feed knows each chunk's size n
         for batch in batches:
             Y = np.zeros((len(batch), params.n_entities))

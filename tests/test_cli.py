@@ -4,7 +4,9 @@ import codecs
 import csv
 import itertools
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -614,6 +616,61 @@ class TestStageShell:
         monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
         assert run(["split", "--triples", pipeline["net"] / "triples.tsv", "--out", tmp_path,
                     "--set", "split.valid_size=50", "--set", "split.test_size=50"]) == 0
+
+
+# The command that reads each section's keys; the global seed and threads go through
+# gen-synthetic.
+SWEEP_COMMANDS = {"synth": "gen-synthetic", "builder": "build-network", "split": "split",
+                  "train": "train", "grid": "grid-search", "eval": "evaluate",
+                  "snn": "analyze"}
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    assert math.isfinite(value), text
+    return value
+
+
+def assert_artifacts_finite(out) -> None:
+    """Every file under out parses, and every number it holds is finite."""
+    for path in sorted(out.rglob("*")):
+        if path.suffix == ".bin":
+            assert np.isfinite(np.fromfile(path, dtype="<f8")).all(), path
+        elif path.suffix in (".json", ".jsonl"):
+            text = path.read_text(encoding="utf-8")
+            for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
+                json.loads(doc, parse_float=_finite, parse_constant=_finite)
+        elif path.is_file():
+            for token in re.split(r"[\s,=]+", path.read_text(encoding="utf-8")):
+                try:
+                    value = float(token)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), (path, token)
+
+
+class TestConfigSweep:
+    """Every key with every edge value, through the command that reads it: it
+    runs and writes finite artifacts, or exits 2 or 3 naming the key. The one
+    exit 4 is a learning rate so large that training diverges."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0", "1e300", ""])
+    @pytest.mark.parametrize("key", list(CONFIG_KEYS))
+    def test_edge_value_runs_or_is_named(self, pipeline, tmp_path, capsys, key, value):
+        command = SWEEP_COMMANDS.get(key.partition(".")[0], "gen-synthetic")
+        out = tmp_path / "out"
+        code = run([command, *COMMAND_INPUTS[command](pipeline), "--out", out,
+                    "--set", f"{key}={value}"])
+        err = capsys.readouterr().err
+        if (key, value) == ("train.learning_rate", "1e300"):
+            assert code == 4 and "training diverged" in err
+        elif code == 0:
+            assert_artifacts_finite(out)
+        else:
+            assert code in (2, 3), err
+            assert key.rpartition(".")[2] in err
+        if code:
+            assert not out.exists()
 
 
 class TestTextInputs:

@@ -235,19 +235,19 @@ class TestTrainEpoch:
         assert peak <= limit_mb * 1e6
 
     @pytest.mark.parametrize("d_e,rates", [
-        # 16 queries per chunk, one chunk per block.
+        # 16 queries per chunk, every mask site drawn.
         (32, (0.5, 0.2, 0.2)),
-        # 16 per chunk and 32 chunks per block, so blocks run across batches.
+        # 16 per chunk, only the entity mask drawn.
         (32, (0.5, 0.0, 0.0)),
-        # One query per chunk and per block.
+        # One query per chunk, every mask site drawn.
         (96, (0.5, 0.2, 0.2)),
-        # One query per chunk, 170 chunks per block.
+        # One query per chunk, only the combination mask drawn.
         (96, (0.0, 0.0, 0.2)),
     ])
     def test_mask_worker_matches_serial_draws(self, monkeypatch, d_e, rates):
         kg = add_reciprocals(two_block_kg(seed=0, valid_size=0, test_size=0))
         groups = group_queries(kg.train)
-        # 50 queries per batch: neither the chunks nor the blocks divide it.
+        # 50 queries per batch: the chunks of 16 do not divide it.
         config = TrainConfig(d_e=d_e, d_r=3, batch_size=50, dropout=DropoutSpec(*rates),
                              label_smoothing=0.1)
         assert models.chunk_size(d_e) == {32: 16, 96: 1}[d_e]
@@ -301,9 +301,24 @@ class TestTrainEpoch:
         assert rng.bit_generator.state == ref_rng
 
     def test_mask_worker_stops_and_blas_threads_return_when_a_batch_fails(self, monkeypatch):
+        self.fail_third_batch(monkeypatch, "tucker", DropoutSpec(0.5, 0.2, 0.2))
+
+    @pytest.mark.parametrize("model,dropout", [
+        # Every epoch holds OpenBLAS to one thread, whether or not it draws masks.
+        pytest.param("tucker", DropoutSpec(), id="tucker-no-dropout"),
+        pytest.param("distmult", DropoutSpec(0.5, 0.2, 0.2), id="distmult"),
+    ])
+    def test_epoch_without_masks_holds_one_blas_thread_until_a_batch_fails(
+            self, monkeypatch, model, dropout):
+        self.fail_third_batch(monkeypatch, model, dropout)
+
+    @staticmethod
+    def fail_third_batch(monkeypatch, model, dropout):
+        """An epoch whose third batch raises: every batch saw one BLAS thread, and
+        afterwards no thread is left and the OpenBLAS count is back."""
         kg = add_reciprocals(two_block_kg(seed=0, valid_size=0, test_size=0))
-        config = TrainConfig(d_e=8, d_r=3, batch_size=16)
-        params = init_params(kg.n_entities, kg.n_relations, 8, 3, seed=0)
+        config = TrainConfig(d_e=8, d_r=3, batch_size=16, model=model, dropout=dropout)
+        params = init_params(kg.n_entities, kg.n_relations, 8, 3, seed=0, model=model)
         control = openblas_threads()
         threads_before = threading.active_count()
         calls = []
@@ -331,6 +346,16 @@ class TestTrainEpoch:
         assert threading.active_count() == threads_before
         if control is not None:
             assert calls == [1, 1, 1] and blas_after == 2
+
+    def test_blas_hold_finds_openblas_where_numpy_links_it(self):
+        # Otherwise the one-thread hold of every epoch would do nothing, silently.
+        try:
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        except (TypeError, KeyError):
+            pytest.skip("this numpy does not report its BLAS as a dict")
+        if "openblas" not in blas.lower():
+            pytest.skip(f"numpy links {blas}, not OpenBLAS")
+        assert openblas_threads() is not None
 
     def test_group_queries_collapses_tails(self):
         triples = np.array([[0, 0, 1], [0, 0, 2], [1, 0, 2]])
