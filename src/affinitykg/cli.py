@@ -55,9 +55,9 @@ _DEFAULTS = {
 
 _HELP = {
     "seed": "global random seed",
-    "threads": "reserved; has no effect (no worker processes are started; every training "
-               "epoch holds OpenBLAS to one thread, and one that draws dropout masks draws "
-               "them on one helper thread; artifacts do not depend on either)",
+    "threads": "reserved; has no effect (no worker processes are started; training holds "
+               "OpenBLAS to one thread; Tucker draws dropout masks on one helper thread where "
+               "a chunk is one query, train.d_e >= 91; artifacts do not depend on either)",
     "builder.k_security": "security factor over expected random co-occurrence",
     "builder.min_occurrences": "drop surnames borne by fewer individuals",
     "builder.kcore_k": "k-core threshold for periphery pruning",
@@ -101,15 +101,18 @@ def _field_name(key: str) -> str:
     return _FIELD_NAMES.get(key, key.partition(".")[2])
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"must be a non-negative integer, got {value}")
-    return value
+def _int_from(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be an integer >= {low}, got {value}")
+        return value
+    return parse
 
 
 # Keys whose values are checked beyond their type.
-_PARSERS = {"eval.mode": evaluator.check_mode, "seed": _non_negative_int}
+_PARSERS = {"eval.mode": evaluator.check_mode, "seed": _int_from(0),
+            "snn.k": _int_from(1), "snn.hit_rank_cutoff": _int_from(1)}
 
 
 def _key_spec(key: str, help_text: str) -> tuple:

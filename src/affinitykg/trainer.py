@@ -10,10 +10,10 @@ RNG discipline: fit derives one generator per epoch as
 default_rng([seed, epoch]); within an epoch that stream is consumed first by
 the batch shuffle, then by the per-query dropout masks, in iteration order.
 A chunk of Tucker queries draws its masks in one call that takes that stream.
-The masks depend on nothing else, so an epoch that draws any has one helper
-thread draw them, a chunk per call, up to two chunks ahead; the doubles and
-their order are those of drawing on the training thread. Every epoch holds
-OpenBLAS to one thread.
+Where a chunk is one query (models.chunk_size, d_e >= 91), one helper thread
+draws an epoch's masks, a query per call, up to two queries ahead; at smaller
+d_e the training thread draws them. The doubles and their order are the same
+either way. Every epoch holds OpenBLAS to one thread.
 
 Checkpoint layout: a directory holding meta.json plus one raw little-endian
 float64 array per parameter block (E.bin, R.bin, G.bin) and per Adam moment
@@ -187,16 +187,16 @@ def _one_blas_thread():
         set_(before)
 
 
-def _masks_ahead(pool, draw, chunks):
-    """The masks of each chunk of `chunks` (query counts), in order, each
-    drawn by one draw(n) call on pool while the two chunks before it are read."""
-    pending = collections.deque()
-    for n in chunks:
-        pending.append(pool.submit(draw, n))
-        if len(pending) > 2:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+def _masks_ahead(pool, draw, count):
+    """A stand-in for draw over count one-query chunks: pool runs the draw(1)
+    calls in order, up to two ahead of the query that takes its masks."""
+    ahead = (pool.submit(draw, 1) for _ in range(count))
+    pending = collections.deque(itertools.islice(ahead, 2))
+
+    def take(n):  # n is 1: each chunk is one query
+        pending.extend(itertools.islice(ahead, 1))
+        return pending.popleft().result()
+    return take
 
 
 def train_epoch(groups, params, state: AdamState, config: TrainConfig,
@@ -216,12 +216,9 @@ def train_epoch(groups, params, state: AdamState, config: TrainConfig,
     total_loss = 0.0
     clamped = 0
     with _one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
-        if params.G is not None and models.mask_width(config.dropout, params.d_e):
-            chunk = models.chunk_size(params.d_e)
-            feed = _masks_ahead(pool, draw_masks,
-                                [min(chunk, len(batch) - start) for batch in batches
-                                 for start in range(0, len(batch), chunk)])
-            draw_masks = lambda n: next(feed)  # the feed knows each chunk's size n
+        if (params.G is not None and models.chunk_size(params.d_e) == 1
+                and models.mask_width(config.dropout, params.d_e)):
+            draw_masks = _masks_ahead(pool, draw_masks, len(groups))
         for batch in batches:
             Y = np.zeros((len(batch), params.n_entities))
             for row, gi in zip(Y, batch):

@@ -332,6 +332,15 @@ class TestEvaluateAnalyzeExport:
         assert "snn.k" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("cutoff", ["0", "-1"])
+    def test_snn_hit_rank_cutoff_below_1_exits_2_naming_key(self, pipeline, tmp_path, capsys,
+                                                            cutoff):
+        # No rank is below 1, so such a cutoff would select no hit at all.
+        assert run(["analyze", "--checkpoint", pipeline["ckpt"], "--data", pipeline["data"],
+                    "--out", tmp_path / "out", "--set", f"snn.hit_rank_cutoff={cutoff}"]) == 2
+        assert "snn.hit_rank_cutoff" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_zero_padded_decile_label_exits_2_naming_it(self, tmp_path, capsys):
         labels = ["d4", "d05", "d6"]
         (tmp_path / "triples.tsv").write_text("".join(

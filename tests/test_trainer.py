@@ -243,6 +243,9 @@ class TestTrainEpoch:
         (96, (0.5, 0.2, 0.2)),
         # One query per chunk, only the combination mask drawn.
         (96, (0.0, 0.0, 0.2)),
+        # The boundary: the last dim with two queries per chunk, and the first with one.
+        (90, (0.5, 0.2, 0.2)),
+        (91, (0.5, 0.2, 0.2)),
     ])
     def test_mask_worker_matches_serial_draws(self, monkeypatch, d_e, rates):
         kg = add_reciprocals(two_block_kg(seed=0, valid_size=0, test_size=0))
@@ -250,7 +253,10 @@ class TestTrainEpoch:
         # 50 queries per batch: the chunks of 16 do not divide it.
         config = TrainConfig(d_e=d_e, d_r=3, batch_size=50, dropout=DropoutSpec(*rates),
                              label_smoothing=0.1)
-        assert models.chunk_size(d_e) == {32: 16, 96: 1}[d_e]
+        # Queries per chunk, and whether the worker draws the masks: only where a
+        # chunk is one query does it; otherwise the training thread does.
+        chunk, on_worker = {32: (16, False), 90: (2, False), 91: (1, True), 96: (1, True)}[d_e]
+        assert models.chunk_size(d_e) == chunk
 
         def start():
             params = init_params(kg.n_entities, kg.n_relations, d_e, 3, seed=2)
@@ -289,7 +295,10 @@ class TestTrainEpoch:
         monkeypatch.setattr(trainer, "sample_masks", sampler)
         params, state, rng = start()
         mean, clamped = train_epoch(groups, params, state, config, rng, config.learning_rate)
-        assert drawn_on and threading.main_thread() not in drawn_on
+        if on_worker:
+            assert drawn_on and threading.main_thread() not in drawn_on
+        else:
+            assert drawn_on == {threading.main_thread()}
         assert losses == ref_losses and clamped == ref_clamped
         assert mean == sum(ref_losses) / len(groups)
         ref_params, ref_state, ref_rng = reference
@@ -301,7 +310,16 @@ class TestTrainEpoch:
         assert rng.bit_generator.state == ref_rng
 
     def test_mask_worker_stops_and_blas_threads_return_when_a_batch_fails(self, monkeypatch):
-        self.fail_third_batch(monkeypatch, "tucker", DropoutSpec(0.5, 0.2, 0.2))
+        drawn_on = set()
+
+        def sampler(*args):
+            drawn_on.add(threading.current_thread())
+            return sample_masks(*args)
+
+        monkeypatch.setattr(trainer, "sample_masks", sampler)
+        # One query per chunk at d_e=96, so the worker draws the masks.
+        self.fail_third_batch(monkeypatch, "tucker", DropoutSpec(0.5, 0.2, 0.2), d_e=96)
+        assert drawn_on and threading.main_thread() not in drawn_on
 
     @pytest.mark.parametrize("model,dropout", [
         # Every epoch holds OpenBLAS to one thread, whether or not it draws masks.
@@ -313,12 +331,12 @@ class TestTrainEpoch:
         self.fail_third_batch(monkeypatch, model, dropout)
 
     @staticmethod
-    def fail_third_batch(monkeypatch, model, dropout):
+    def fail_third_batch(monkeypatch, model, dropout, d_e=8):
         """An epoch whose third batch raises: every batch saw one BLAS thread, and
         afterwards no thread is left and the OpenBLAS count is back."""
         kg = add_reciprocals(two_block_kg(seed=0, valid_size=0, test_size=0))
-        config = TrainConfig(d_e=8, d_r=3, batch_size=16, model=model, dropout=dropout)
-        params = init_params(kg.n_entities, kg.n_relations, 8, 3, seed=0, model=model)
+        config = TrainConfig(d_e=d_e, d_r=3, batch_size=16, model=model, dropout=dropout)
+        params = init_params(kg.n_entities, kg.n_relations, d_e, 3, seed=0, model=model)
         control = openblas_threads()
         threads_before = threading.active_count()
         calls = []
