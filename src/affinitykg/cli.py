@@ -57,7 +57,7 @@ _HELP = {
     "seed": "global random seed",
     "threads": "reserved; has no effect (no worker processes are started; training holds "
                "OpenBLAS to one thread; Tucker draws dropout masks on one helper thread where "
-               "a chunk is one query, train.d_e >= 91; artifacts do not depend on either)",
+               "models.chunk_size(train.d_e) is 1; artifacts do not depend on either)",
     "builder.k_security": "security factor over expected random co-occurrence",
     "builder.min_occurrences": "drop surnames borne by fewer individuals",
     "builder.kcore_k": "k-core threshold for periphery pruning",

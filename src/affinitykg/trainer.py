@@ -10,10 +10,9 @@ RNG discipline: fit derives one generator per epoch as
 default_rng([seed, epoch]); within an epoch that stream is consumed first by
 the batch shuffle, then by the per-query dropout masks, in iteration order.
 A chunk of Tucker queries draws its masks in one call that takes that stream.
-Where a chunk is one query (models.chunk_size, d_e >= 91), one helper thread
-draws an epoch's masks, a query per call, up to two queries ahead; at smaller
-d_e the training thread draws them. The doubles and their order are the same
-either way. Every epoch holds OpenBLAS to one thread.
+Where models.chunk_size(d_e) is 1, a helper thread draws an epoch's masks a
+query per call, up to two ahead; elsewhere the training thread draws them. The
+doubles and their order are the same. Every epoch holds OpenBLAS to one thread.
 
 Checkpoint layout: a directory holding meta.json plus one raw little-endian
 float64 array per parameter block (E.bin, R.bin, G.bin) and per Adam moment
@@ -170,10 +169,9 @@ def openblas_threads():
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """OpenBLAS held to one thread, and its count restored on exit. Its idle
-    helper would otherwise spin on the core the mask worker needs, and training
-    at the default count ran no faster; the bits do not depend on the count.
-    Without OpenBLAS this does nothing."""
+    """OpenBLAS held to one thread, its count restored on exit, and nothing
+    without OpenBLAS. Its idle helper would spin on the mask worker's core, and
+    training ran no faster at the default count; the bits do not depend on it."""
     control = openblas_threads()
     if control is None:
         yield
@@ -193,7 +191,9 @@ def _masks_ahead(pool, draw, count):
     ahead = (pool.submit(draw, 1) for _ in range(count))
     pending = collections.deque(itertools.islice(ahead, 2))
 
-    def take(n):  # n is 1: each chunk is one query
+    def take(n):  # one query's masks given to n > 1 queries would broadcast
+        if n != 1:
+            raise ValueError(f"the mask feed draws one query per call, not {n}")
         pending.extend(itertools.islice(ahead, 1))
         return pending.popleft().result()
     return take

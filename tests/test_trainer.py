@@ -6,6 +6,7 @@ import json
 import os
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -308,6 +309,14 @@ class TestTrainEpoch:
             assert np.array_equal(state.v[name], ref_state.v[name]), name
         assert state.step == ref_state.step
         assert rng.bit_generator.state == ref_rng
+
+    def test_mask_feed_refuses_a_chunk_of_several_queries(self):
+        # It draws one query's masks per call; handed to a chunk of two they would broadcast.
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            take = trainer._masks_ahead(pool, lambda n: ("masks", n), 3)
+            assert take(1) == ("masks", 1)
+            with pytest.raises(ValueError, match="one query per call, not 2"):
+                take(2)
 
     def test_mask_worker_stops_and_blas_threads_return_when_a_batch_fails(self, monkeypatch):
         drawn_on = set()
