@@ -189,14 +189,6 @@ MODELS = ("tucker",) + tuple(_BASELINES)
 
 # --- shared 1:N head ---
 
-def _query(params: ModelParams, h: int, r: int, M: np.ndarray | None = None) -> np.ndarray:
-    if not (0 <= h < params.n_entities and 0 <= r < params.n_relations):
-        raise IndexError(f"entity {h} or relation {r} out of range")
-    if params.G is not None:
-        return params.E[h] @ (relation_matrix(params, r) if M is None else M)
-    return _BASELINES[params.model][0](params.E[h], params.R[r])
-
-
 def _logits(params: ModelParams, Q: np.ndarray, matmul=np.matmul) -> np.ndarray:
     """Logits of every entity as the tail, one row per query vector in Q."""
     if params.model != "transe":
@@ -209,27 +201,32 @@ def _logits(params: ModelParams, Q: np.ndarray, matmul=np.matmul) -> np.ndarray:
     return out
 
 
-def score_all_tails(params: ModelParams, h: int, r: int) -> np.ndarray:
-    """Logits of (h, r, t) for every entity t."""
-    return _logits(params, _query(params, h, r)[None])[0]
-
-
 def score_queries(params: ModelParams, queries):
     """Logits of every entity as the tail for each (h, r) query, without
-    dropout, yielded in order one row at a time; each row equals
-    score_all_tails(params, h, r) bit for bit. Tucker contracts each relation
-    matrix once per call."""
+    dropout, yielded in order one row at a time. Tucker contracts each
+    relation matrix once per call."""
     matrices: dict = {}  # Tucker: relation id -> its matrix
     for h, r in queries:
-        if params.G is not None and r not in matrices:
-            matrices[r] = relation_matrix(params, r)
-        yield _logits(params, _query(params, h, r, matrices.get(r))[None])[0]
+        if not (0 <= h < params.n_entities and 0 <= r < params.n_relations):
+            raise IndexError(f"entity {h} or relation {r} out of range")
+        if params.G is not None:
+            if r not in matrices:
+                matrices[r] = relation_matrix(params, r)
+            q = params.E[h] @ matrices[r]
+        else:
+            q = _BASELINES[params.model][0](params.E[h], params.R[r])
+        yield _logits(params, q[None])[0]
+
+
+def score_all_tails(params: ModelParams, h: int, r: int) -> np.ndarray:
+    """Logits of (h, r, t) for every entity t."""
+    return next(score_queries(params, [(h, r)]))
 
 
 def score_tucker(params: ModelParams, h: int, r: int, t: int) -> float:
     if not 0 <= t < params.n_entities:
         raise IndexError("entity id out of range")
-    return float(_query(params, h, r) @ params.E[t])
+    return float(score_all_tails(params, h, r)[t])
 
 
 def predict_sigmoid(logits) -> np.ndarray:

@@ -12,8 +12,8 @@ neighbor (SNN above the threshold tau, default 0); otherwise it counts as
 embedding-grounded when the kNN sets overlap; otherwise it is unexplained.
 Neighborhoods use the training fold only, so the predicted edge itself never
 leaks into its own explanation. Every one is read from kg.neighbour_index over
-the training fold, the index that also serves filtered ranking, with deciles
-mapped to relation ids by decile_relations, the one reader of decile labels.
+training rows (for a one-entity lookup, only those touching the entity), with
+deciles mapped to relation ids by decile_relations, the one reader of labels.
 """
 
 import re
@@ -67,18 +67,23 @@ def _neighbors(index: dict, rid_of: dict, entity: int, deciles) -> set:
     return out
 
 
+def _entity_neighbors(kg: KnowledgeGraph, entity: int, deciles) -> set:
+    """_neighbors over the index of only the training rows that touch the entity."""
+    touching = (kg.train[:, 0] == entity) | (kg.train[:, 2] == entity)
+    return _neighbors(neighbour_index(kg.train[touching]), decile_relations(kg), entity, deciles)
+
+
 def neighbors_grounded(kg: KnowledgeGraph, entity: int, decile: int) -> set:
     """Training-fold neighbors of `entity` through relation d<decile>.
 
     A decile label absent from the relation vocabulary has no edges.
     """
-    return _neighbors(neighbour_index(kg.train), decile_relations(kg), entity, [decile])
+    return _entity_neighbors(kg, entity, [decile])
 
 
 def neighbors_near_deciles(kg: KnowledgeGraph, entity: int, decile: int) -> set:
     """Union of grounded neighbors over the near window of the decile."""
-    return _neighbors(neighbour_index(kg.train), decile_relations(kg), entity,
-                      _near_window(decile))
+    return _entity_neighbors(kg, entity, _near_window(decile))
 
 
 def transform_embeddings(params: ModelParams, relation_id: int) -> np.ndarray:

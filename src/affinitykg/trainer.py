@@ -1,10 +1,11 @@
 """Adam optimization, epoch orchestration, grid search, and checkpoints.
 
-Training groups the (reciprocal-augmented) triples by (head, relation) query;
-batch_size counts queries, not raw triples. Each batch goes through one
-batched forward/backward (models.batch_loss_and_grads), which sums the
-gradients of its queries with GEMMs in a fixed order; one Adam update is then
-applied in place. A fixed seed reproduces the parameter trajectory bit for bit.
+Training groups the (reciprocal-augmented) triples once per fit into a table of
+1:N queries, (head, relation) pairs and their tail ids; batch_size counts
+queries, not raw triples. Each batch goes through one batched forward/backward
+(models.batch_loss_and_grads), which sums the gradients of its queries with
+GEMMs in a fixed order; one Adam update is then applied in place. A fixed seed
+reproduces the parameter trajectory bit for bit.
 
 RNG discipline: fit derives one generator per epoch as
 default_rng([seed, epoch]); within an epoch that stream is consumed first by
@@ -132,18 +133,15 @@ def adam_step(params, grads: dict, state: AdamState, lr: float,
 
 
 def group_queries(train_triples: np.ndarray):
-    """Collapse training triples into 1:N queries: [(h, r, tail ids), ...].
-
-    Groups are sorted by (h, r) so iteration order never depends on input
-    order; tails are sorted within each group.
-    """
-    grouped: dict = {}
-    for h, r, t in train_triples:
-        grouped.setdefault((int(h), int(r)), []).append(int(t))
-    return [
-        (h, r, np.array(sorted(tails), dtype=np.int64))
-        for (h, r), tails in sorted(grouped.items())
-    ]
+    """The 1:N queries of training triples as (queries, tails): the distinct
+    (h, r) pairs as sorted (n, 2) rows, so order never depends on input order,
+    and tails[i], the sorted distinct tail ids of query i."""
+    # Sorted by h, then r, then t, a row is new where it differs from the row above
+    # (no id is -1). Not np.unique(axis=0): on numpy 2.4 it imports numpy.ma (1.2 MB).
+    rows = train_triples[np.lexsort(train_triples.T[::-1])]
+    triples = rows[np.diff(rows, axis=0, prepend=-1).any(axis=1)]
+    starts = np.flatnonzero(np.diff(triples[:, :2], axis=0, prepend=-1).any(axis=1))
+    return triples[starts, :2], np.split(triples[:, 2], starts)[1:]  # drop the piece before 0
 
 
 @functools.cache
@@ -199,39 +197,38 @@ def _masks_ahead(pool, draw, count):
     return take
 
 
-def train_epoch(groups, params, state: AdamState, config: TrainConfig,
+def train_epoch(grouped, params, state: AdamState, config: TrainConfig,
                 rng: np.random.Generator, lr: float) -> tuple[float, int]:
-    """One pass over the (h, r, tails) queries of group_queries, in shuffled
-    batches at learning rate lr; returns the mean query loss and the number
-    of probabilities the loss clamped.
+    """One pass at learning rate lr over the (queries, tails) table of
+    group_queries, in batches of shuffled rows: a batch's heads and relations
+    are the columns of queries[batch], and its label row j is tails[batch[j]].
+    Returns the mean query loss and the number of probabilities it clamped.
     """
-    if not groups:
+    queries, tails = grouped
+    if not len(queries):
         raise ValueError("empty training set")
-    heads = np.array([h for h, _, _ in groups], dtype=np.int64)
-    relations = np.array([r for _, r, _ in groups], dtype=np.int64)
-    order = rng.permutation(len(groups))
-    batches = [order[start:start + config.batch_size]
-               for start in range(0, len(order), config.batch_size)]
+    order = rng.permutation(len(queries))
     draw_masks = functools.partial(sample_masks, config.dropout, params.d_e, rng)
     total_loss = 0.0
     clamped = 0
     with _one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
         if (params.G is not None and models.chunk_size(params.d_e) == 1
                 and models.mask_width(config.dropout, params.d_e)):
-            draw_masks = _masks_ahead(pool, draw_masks, len(groups))
-        for batch in batches:
+            draw_masks = _masks_ahead(pool, draw_masks, len(queries))
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start:start + config.batch_size]
             Y = np.zeros((len(batch), params.n_entities))
-            for row, gi in zip(Y, batch):
-                row[groups[gi][2]] = 1.0
+            for row, i in zip(Y, batch):
+                row[tails[i]] = 1.0
             Y = smooth_labels(Y, config.label_smoothing)
-            losses, grads, n_clamped = batch_loss_and_grads(params, heads[batch],
-                                                            relations[batch], Y, draw_masks)
+            losses, grads, n_clamped = batch_loss_and_grads(params, queries[batch, 0],
+                                                            queries[batch, 1], Y, draw_masks)
             clamped += n_clamped
             for loss in losses.tolist():
                 total_loss += loss
             adam_step(params, grads, state, lr,
                       config.adam_beta1, config.adam_beta2, config.adam_eps)
-    return total_loss / len(groups), clamped
+    return total_loss / len(queries), clamped
 
 
 @dataclass
@@ -260,7 +257,7 @@ def fit(kg: KnowledgeGraph, config: TrainConfig) -> TrainResult:
     params = init_params(aug.n_entities, aug.n_relations, config.d_e, config.d_r,
                          config.seed, config.model)
     state = AdamState.for_params(params)
-    groups = group_queries(aug.train)
+    grouped = group_queries(aug.train)
 
     best_params = None
     best_epoch = -1
@@ -275,7 +272,7 @@ def fit(kg: KnowledgeGraph, config: TrainConfig) -> TrainResult:
 
     for epoch in range(config.epochs):
         rng = np.random.default_rng([config.seed, epoch])
-        loss, clamped = train_epoch(groups, params, state, config, rng, lr)
+        loss, clamped = train_epoch(grouped, params, state, config, rng, lr)
         for name, arr in params.param_blocks().items():
             if not np.isfinite(arr).all():
                 raise RuntimeError(f"training diverged: {name} has non-finite values "

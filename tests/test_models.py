@@ -124,6 +124,29 @@ class TestScoreQueries:
         for (h, r), row in zip(queries, rows):
             assert np.array_equal(row, score_all_tails(params, h, r))
 
+    @pytest.mark.parametrize("n_e,d_e", [(57, 16), (198, 32), (1187, 200)])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_rows_equal_the_written_out_scores_bit_for_bit(self, model, n_e, d_e):
+        # Each model's scores written out apart from score_queries, which forms the
+        # query vectors itself; ranking, SNN and heatmaps depend on these bits.
+        params = init_params(n_e, 4, d_e, 10, seed=6, model=model)
+        E, R, G = params.E, params.R, params.G
+        queries = [(0, 1), (5, 1), (3, 0), (n_e - 1, 3), (2, 0), (7, 2)]
+        for (h, r), row in zip(queries, score_queries(params, queries)):
+            if model == "tucker":
+                expected = (E[h] @ np.einsum("pqj,q->pj", G, R[r]))[None] @ E.T
+            elif model == "transe":
+                diff = (E[h] + R[r]) - E
+                expected = -np.sqrt(np.sum(diff * diff, axis=1))
+            elif model == "distmult":
+                expected = (E[h] * R[r])[None] @ E.T
+            else:
+                d = d_e // 2
+                a_re, a_im, b_re, b_im = E[h, :d], E[h, d:], R[r, :d], R[r, d:]
+                q = np.concatenate([a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re])
+                expected = q[None] @ E.T
+            assert np.array_equal(row, expected.reshape(n_e)), (h, r)
+
 
 class TestDropout:
     def test_rate_zero_is_identity(self):

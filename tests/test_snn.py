@@ -8,11 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affinitykg.cli import main as cli_main
-from affinitykg.kg import KnowledgeGraph, Vocab, load_kg_dir, load_triples
+from affinitykg.kg import KnowledgeGraph, Vocab, load_kg_dir, load_triples, neighbour_index
 from affinitykg.models import init_params, score_tucker
 from affinitykg.snn import (
+    _near_window,
+    _neighbors,
     analyze_predictions,
     asymmetry_index,
+    decile_relations,
     export_relation_heatmaps,
     knn_embedding,
     neighbors_grounded,
@@ -156,6 +159,20 @@ class TestAdjacencyIndex:
             for decile in range(0, 8):
                 assert neighbors_grounded(kg, entity, decile) == scan_grounded(kg, entity, decile)
                 assert neighbors_near_deciles(kg, entity, decile) == scan_near(kg, entity, decile)
+
+    def test_one_entity_lookups_match_the_full_training_index(self):
+        # Each lookup indexes only the rows that touch its entity; the sets must be
+        # those of the index over the whole fold, self-loops included.
+        kg = id_graph(6, ["d1", "d2", "d4"], [
+            [0, 0, 1], [1, 0, 2], [2, 2, 2], [3, 1, 0], [4, 2, 3], [3, 1, 3], [5, 0, 5],
+            [0, 2, 4], [1, 1, 5], [5, 0, 5]])
+        index, rid_of = neighbour_index(kg.train), decile_relations(kg)
+        for entity in range(kg.n_entities):
+            for decile in range(0, 7):
+                assert neighbors_grounded(kg, entity, decile) == _neighbors(
+                    index, rid_of, entity, [decile])
+                assert neighbors_near_deciles(kg, entity, decile) == _neighbors(
+                    index, rid_of, entity, _near_window(decile))
 
     def test_analyze_matches_per_hit_oracle(self, tmp_path):
         gen, net, data = tmp_path / "gen", tmp_path / "net", tmp_path / "data"

@@ -178,13 +178,16 @@ class TestTrainEpoch:
             np.testing.assert_array_equal(arr, before[name])
 
     def test_empty_training_set_rejected(self):
-        kg = tiny_kg()
+        kg = dataclasses.replace(tiny_kg(), train=np.empty((0, 3), dtype=np.int64))
         config = no_dropout_config()
         params = init_params(kg.n_entities, kg.n_relations, config.d_e, config.d_r, 0)
         state = AdamState.for_params(params)
-        with pytest.raises(ValueError):
-            train_epoch([], params, state, config, np.random.default_rng(0),
-                        config.learning_rate)
+        queries, tails = group_queries(kg.train)
+        assert queries.shape == (0, 2) and tails == []
+        with pytest.raises(ValueError, match="empty training set"):
+            run_epoch(kg, params, state, config, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="empty training set"):
+            fit(kg, config)
 
     @pytest.mark.parametrize("model,dropout,draws_masks", [
         # Only a query through a core draws masks, and a zero rate draws none,
@@ -201,10 +204,10 @@ class TestTrainEpoch:
         rng = np.random.default_rng(11)
         run_epoch(kg, params, AdamState.for_params(params), config, rng)
         reference = np.random.default_rng(11)
-        groups = group_queries(kg.train)
-        reference.permutation(len(groups))
+        queries, _ = group_queries(kg.train)
+        reference.permutation(len(queries))
         if draws_masks:
-            for _ in groups:
+            for _ in queries:
                 sample_masks(config.dropout, config.d_e, reference, 1)
         assert rng.bit_generator.state == reference.bit_generator.state
 
@@ -250,7 +253,7 @@ class TestTrainEpoch:
     ])
     def test_mask_worker_matches_serial_draws(self, monkeypatch, d_e, rates):
         kg = add_reciprocals(two_block_kg(seed=0, valid_size=0, test_size=0))
-        groups = group_queries(kg.train)
+        queries, tails = group_queries(kg.train)
         # 50 queries per batch: the chunks of 16 do not divide it.
         config = TrainConfig(d_e=d_e, d_r=3, batch_size=50, dropout=DropoutSpec(*rates),
                              label_smoothing=0.1)
@@ -267,14 +270,14 @@ class TestTrainEpoch:
         params, state, rng = start()
         draw = functools.partial(sample_masks, config.dropout, d_e, rng)
         ref_losses, ref_clamped = [], 0
-        order = rng.permutation(len(groups))
+        order = rng.permutation(len(queries))
         for begin in range(0, len(order), config.batch_size):
             batch = order[begin:begin + config.batch_size]
             Y = np.zeros((len(batch), kg.n_entities))
-            for row, gi in zip(Y, batch):
-                row[groups[gi][2]] = 1.0
+            for row, i in zip(Y, batch):
+                row[tails[i]] = 1.0
             losses, grads, clamped = models.batch_loss_and_grads(
-                params, [groups[gi][0] for gi in batch], [groups[gi][1] for gi in batch],
+                params, queries[batch, 0], queries[batch, 1],
                 models.smooth_labels(Y, config.label_smoothing), draw)
             ref_losses += losses.tolist()
             ref_clamped += clamped
@@ -295,13 +298,14 @@ class TestTrainEpoch:
         monkeypatch.setattr(trainer, "batch_loss_and_grads", recording)
         monkeypatch.setattr(trainer, "sample_masks", sampler)
         params, state, rng = start()
-        mean, clamped = train_epoch(groups, params, state, config, rng, config.learning_rate)
+        mean, clamped = train_epoch((queries, tails), params, state, config, rng,
+                                    config.learning_rate)
         if on_worker:
             assert drawn_on and threading.main_thread() not in drawn_on
         else:
             assert drawn_on == {threading.main_thread()}
         assert losses == ref_losses and clamped == ref_clamped
-        assert mean == sum(ref_losses) / len(groups)
+        assert mean == sum(ref_losses) / len(queries)
         ref_params, ref_state, ref_rng = reference
         for name, arr in params.param_blocks().items():
             assert np.array_equal(arr, ref_params.param_blocks()[name]), name
@@ -385,12 +389,17 @@ class TestTrainEpoch:
         assert openblas_threads() is not None
 
     def test_group_queries_collapses_tails(self):
-        triples = np.array([[0, 0, 1], [0, 0, 2], [1, 0, 2]])
-        groups = group_queries(triples)
-        assert [(h, r, list(t)) for h, r, t in groups] == [
-            (0, 0, [1, 2]),
-            (1, 0, [2]),
-        ]
+        # Unsorted rows over few ids, so queries share tails, plus repeated triples.
+        for seed in range(3):
+            triples = np.random.default_rng(seed).integers(0, 6, size=(80, 3))
+            triples = np.vstack([triples, triples[::7]])
+            oracle: dict = {}
+            for h, r, t in triples.tolist():
+                oracle.setdefault((h, r), set()).add(t)
+            queries, tails = group_queries(triples)
+            assert queries.dtype == np.int64 and queries.shape == (len(oracle), 2)
+            assert list(map(tuple, queries.tolist())) == sorted(oracle)
+            assert [t.tolist() for t in tails] == [sorted(oracle[q]) for q in sorted(oracle)]
 
 
 class TestFit:
