@@ -12,7 +12,8 @@ of the mean binary cross-entropy are derived in closed form; no autodiff.
 Every model, Tucker and the TransE/DistMult/ComplEx baselines, reduces a
 query to one vector q and supplies only q and the map from dL/dq to its
 head-row, relation-row and core gradients; the logits (E q, or -||q - e_t||
-for TransE), the loss, the tail gradient and the scatter are shared.
+for TransE, in chunks of queries sized by TRANSE_CHUNK_BYTES), the loss, the
+tail gradient and the scatter are shared.
 
 Inference goes through score_queries, which yields the logits of each (h, r)
 query in order, without dropout, contracting each Tucker relation matrix once.
@@ -25,8 +26,9 @@ so its relation-row and core gradients are one batched matmul each. Tucker
 goes through a batch in chunks of queries sized by CHUNK_BYTES.
 
 Dropout masks apply only inside batch_loss_and_grads, through its
-draw_masks argument: a trainer always hands over its mask sampler, and only
-Tucker's chunk loop calls it, once per chunk, at three sites with inverted
+draw_masks argument: a trainer always hands over its mask sampler (or a
+feed that hands out views of masks drawn ahead), and only Tucker's chunk
+loop calls it, once per chunk, at three sites with inverted
 scaling, so inference needs no rescaling: on the head entity row, on the
 relation-transformed core matrix, and on the combined query vector. A
 query's sampled (entity, relation_core, combination) masks are reused
@@ -70,11 +72,14 @@ def mask_width(spec: DropoutSpec, d_e: int) -> int:
     return sum(math.prod(shape) for rate, shape in _mask_sites(spec, d_e) if rate > 0.0)
 
 
-def sample_masks(spec: DropoutSpec, d_e: int, rng: np.random.Generator, n: int) -> tuple:
+def sample_masks(spec: DropoutSpec, d_e: int, rng: np.random.Generator, n: int,
+                 out: np.ndarray | None = None) -> tuple:
     """Inverted-scaling (entity, relation_core, combination) masks of the next n
     queries, stacked; None means pass-through. One draw holds a row per query
-    with its masks in that order: the stream of drawing query by query."""
-    keep = rng.random((n, mask_width(spec, d_e)))
+    with its masks in that order: the stream of drawing query by query. Given
+    a C-contiguous (n, mask_width) float64 out, the draw fills it in place and
+    the masks are views of it."""
+    keep = rng.random((n, mask_width(spec, d_e)), out=out)
     masks, start = [], 0
     for rate, shape in _mask_sites(spec, d_e):
         if rate <= 0.0:
@@ -189,16 +194,25 @@ MODELS = ("tucker",) + tuple(_BASELINES)
 
 # --- shared 1:N head ---
 
+# Bytes of each (C, n_e, d_e) TransE difference temporary: 5 queries at 200 entities and
+# d_e=32, and one where E alone is larger. On a 2-vCPU VM the logits of a 128-query batch
+# took 1.57-1.58 ms at 4-10 queries per chunk, 1.87 ms at 2 and 2.37 ms query by query.
+TRANSE_CHUNK_BYTES = 256 * 1024
+
+
 def _logits(params: ModelParams, Q: np.ndarray, matmul=np.matmul) -> np.ndarray:
     """Logits of every entity as the tail, one row per query vector in Q."""
     if params.model != "transe":
         return matmul(Q, params.E.T)
-    # One query at a time, so the difference temporary is never larger than E.
+    # Each row sums its squared differences as it would alone, so chunks do not move a bit.
     out = np.empty((len(Q), params.n_entities))
-    for q, logits in zip(Q, out):
-        diff = q - params.E
-        logits[:] = -np.sqrt(np.sum(diff * diff, axis=1))
-    return out
+    chunk = max(1, TRANSE_CHUNK_BYTES // params.E.nbytes)
+    for start in range(0, len(Q), chunk):
+        rows = out[start:start + chunk]
+        diff = Q[start:start + chunk, None, :] - params.E
+        diff *= diff
+        np.sqrt(np.sum(diff, axis=2, out=rows), out=rows)
+    return np.negative(out, out=out)
 
 
 def score_queries(params: ModelParams, queries):
@@ -302,8 +316,11 @@ def _tucker_batch(params: ModelParams, hs: np.ndarray, rs: np.ndarray, head, dra
 
     Query i uses relation matrix Mt[slot[i]], contracted once per batch, and
     St[k] sums dL/dM of relation k in query order, so the relation-row and
-    core gradients are one batched matmul each. Peak resident memory
-    measured higher when either (n_rel, d_e, d_e) stack outlived its use.
+    core gradients are one batched matmul each. A chunk's dL/dM is one
+    einsum outer product, a single product per element as in np.outer; it
+    took 24 against 47 us per query at d_e=200 for the broadcast multiply.
+    Peak resident memory measured higher when either (n_rel, d_e, d_e)
+    stack outlived its use.
     """
     rels, slot = np.unique(rs, return_inverse=True)
     Mt = np.empty((len(rels), params.d_e, params.d_e))
@@ -319,7 +336,7 @@ def _tucker_batch(params: ModelParams, hs: np.ndarray, rs: np.ndarray, head, dra
         B = _masked(Mt[k], m2)
         du = _masked(head(rows, _masked(_rowwise(a, B), m3)), m3)
         d_head[rows] = _masked(_rowwise(du, B.transpose(0, 2, 1)), m1)
-        dM = _masked(np.multiply(a[:, :, None], du[:, None, :], out=B), m2)  # B is spent
+        dM = _masked(np.einsum("ci,cj->cij", a, du, out=B), m2)  # B is spent
         for kj, dMj in zip(k, dM):
             St[kj] += dMj
     Mt = None  # drop the stack before the gradient matmuls

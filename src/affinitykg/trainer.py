@@ -12,8 +12,9 @@ default_rng([seed, epoch]); within an epoch that stream is consumed first by
 the batch shuffle, then by the per-query dropout masks, in iteration order.
 A chunk of Tucker queries draws its masks in one call that takes that stream.
 Where models.chunk_size(d_e) is 1, a helper thread draws an epoch's masks a
-query per call, up to two ahead; elsewhere the training thread draws them. The
-doubles and their order are the same. Every epoch holds OpenBLAS to one thread.
+block of queries per call into two reused buffers, one block ahead; elsewhere
+the training thread draws them. The doubles and their order are the same.
+Every epoch holds OpenBLAS to one thread.
 
 Checkpoint layout: a directory holding meta.json plus one raw little-endian
 float64 array per parameter block (E.bin, R.bin, G.bin) and per Adam moment
@@ -22,7 +23,6 @@ vocabulary and of the fold files trained on, the epoch, and the validation
 metrics of the stored parameters.
 """
 
-import collections
 import contextlib
 import ctypes
 import functools
@@ -168,8 +168,13 @@ def openblas_threads():
 @contextlib.contextmanager
 def _one_blas_thread():
     """OpenBLAS held to one thread, its count restored on exit, and nothing
-    without OpenBLAS. Its idle helper would spin on the mask worker's core, and
-    training ran no faster at the default count; the bits do not depend on it."""
+    without OpenBLAS. Every CLI command and every epoch runs inside it. Its
+    idle helper would spin on the mask worker's core, and training ran no
+    faster at the default count. Above 10 000 entries np.linalg.norm's dot
+    product splits its sum over the threads, so a d_e=200 asymmetry index
+    would depend on the count; and while the other CPU was busy, a small
+    product such as snn.transform_embeddings (1200 entities, d_e=32) took up
+    to 8 ms at two threads against 0.1 ms at one."""
     control = openblas_threads()
     if control is None:
         yield
@@ -183,17 +188,39 @@ def _one_blas_thread():
         set_(before)
 
 
-def _masks_ahead(pool, draw, count):
-    """A stand-in for draw over count one-query chunks: pool runs the draw(1)
-    calls in order, up to two ahead of the query that takes its masks."""
-    ahead = (pool.submit(draw, 1) for _ in range(count))
-    pending = collections.deque(itertools.islice(ahead, 2))
+# Bytes of each of the mask worker's two reused buffers: a block of 6 queries' masks at
+# d_e=200 (40 400 doubles each), and one query where its masks alone are larger.
+MASK_BLOCK_BYTES = 2 * 1024 * 1024
+
+
+def _masks_ahead(pool, draw, count, width):
+    """A stand-in for draw over count one-query chunks of width doubles each.
+
+    pool runs draw(n, out) over blocks of queries in order, each filling one
+    of two reused (block, width) buffers, one block ahead of the query taking
+    masks. A buffer is refilled only once the first query of the next block
+    is taken, so a query's masks, views of a buffer, stay intact until the
+    next take."""
+    block = max(1, MASK_BLOCK_BYTES // (8 * width))
+    slots = [np.empty((min(block, count), width)) for _ in range(2)]
+
+    def fill(start):
+        out = slots[start // block % 2][:count - start]
+        return pool.submit(draw, len(out), out)
+
+    def queries(ahead):
+        for start in range(0, count, block):
+            masks = ahead.result()
+            if start + block < count:  # into the buffer whose last query has been taken
+                ahead = fill(start + block)
+            for row in range(min(block, count - start)):
+                yield tuple(m if m is None else m[row:row + 1] for m in masks)
+    rows = queries(fill(0))  # the first block starts now, before any take
 
     def take(n):  # one query's masks given to n > 1 queries would broadcast
         if n != 1:
-            raise ValueError(f"the mask feed draws one query per call, not {n}")
-        pending.extend(itertools.islice(ahead, 1))
-        return pending.popleft().result()
+            raise ValueError(f"the mask feed hands out one query per call, not {n}")
+        return next(rows)
     return take
 
 
@@ -211,10 +238,10 @@ def train_epoch(grouped, params, state: AdamState, config: TrainConfig,
     draw_masks = functools.partial(sample_masks, config.dropout, params.d_e, rng)
     total_loss = 0.0
     clamped = 0
+    width = models.mask_width(config.dropout, params.d_e)
     with _one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
-        if (params.G is not None and models.chunk_size(params.d_e) == 1
-                and models.mask_width(config.dropout, params.d_e)):
-            draw_masks = _masks_ahead(pool, draw_masks, len(queries))
+        if params.G is not None and models.chunk_size(params.d_e) == 1 and width:
+            draw_masks = _masks_ahead(pool, draw_masks, len(queries), width)
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
             Y = np.zeros((len(batch), params.n_entities))

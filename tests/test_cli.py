@@ -269,6 +269,53 @@ class TestEvaluateAnalyzeExport:
             "decile,snn_grounded,snn_near,snn_embedding,frac_network_grounded,n_hits"
         )
 
+    def test_analyze_holds_one_blas_thread_and_restores_the_count(self, pipeline, tmp_path,
+                                                                  monkeypatch):
+        control = trainer.openblas_threads()
+        if control is None:
+            pytest.skip("numpy does not link OpenBLAS")
+        get, set_ = control
+        seen = []
+        analyze = cli.snn.analyze_predictions
+
+        def counting(*args, **kwargs):
+            seen.append(get())
+            return analyze(*args, **kwargs)
+
+        monkeypatch.setattr(cli.snn, "analyze_predictions", counting)
+        before = get()
+        set_(2)  # so a count left at one shows even on a one-core machine
+        try:
+            assert run(["analyze", "--checkpoint", pipeline["ckpt"], "--data", pipeline["data"],
+                        "--out", tmp_path / "snn", "--set", "snn.k=10"]) == 0
+            after = get()
+        finally:
+            set_(before)
+        assert seen == [1] and after == 2
+
+    def test_d200_heatmaps_byte_identical_at_one_and_two_blas_threads(self, pipeline, tmp_path):
+        # Unheld, np.linalg.norm's dot product over a 200 x 200 relation matrix splits
+        # its sum over two threads and moves the last bits of asymmetry.json.
+        control = trainer.openblas_threads()
+        if control is None:
+            pytest.skip("numpy does not link OpenBLAS")
+        get, set_ = control
+        ckpt = tmp_path / "ckpt"
+        assert run(["train", "--data", pipeline["data"], "--out", ckpt, "--seed", 3,
+                    "--set", "train.epochs=1", "--set", "train.d_e=200",
+                    *(f"--set=train.{key}=0" for key in trainer.DropoutSpec.KEYS)]) == 0
+        before, outputs = get(), []
+        try:
+            for threads in (1, 2):
+                set_(threads)
+                out = tmp_path / f"heatmaps{threads}"
+                assert run(["export-heatmaps", "--checkpoint", ckpt, "--data", pipeline["data"],
+                            "--out", out]) == 0
+                outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        finally:
+            set_(before)
+        assert "asymmetry.json" in outputs[0] and outputs[0] == outputs[1]
+
     def test_checkpoint_meta_without_core_exits_3(self, pipeline, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"
         ckpt.mkdir()

@@ -622,6 +622,19 @@ def tucker_batch_oracle(params, hs, rs, head, draw_masks):
     return d_head, rels, d_rel, np.matmul(params.R[rels].T, S)
 
 
+class TestTranseLogits:
+    @pytest.mark.parametrize("n_queries", [1, 4, 5, 6, 11, 128])
+    def test_chunks_match_one_query_at_a_time_bit_for_bit(self, n_queries):
+        params = init_baseline("transe", 200, 3, 32, seed=1)
+        assert models.TRANSE_CHUNK_BYTES // params.E.nbytes == 5  # queries per chunk
+        Q = np.random.default_rng(n_queries).uniform(-0.2, 0.2, size=(n_queries, 32))
+        expected = np.empty((n_queries, params.n_entities))
+        for q, row in zip(Q, expected):
+            diff = q - params.E
+            row[:] = -np.sqrt(np.sum(diff * diff, axis=1))
+        assert np.array_equal(models._logits(params, Q), expected)
+
+
 class TestChunkedTucker:
     """The chunked Tucker batch against its per-query oracle, bit for bit."""
 

@@ -27,6 +27,7 @@ from affinitykg.snn import (
     transform_embeddings,
 )
 from affinitykg.synthetic import two_block_kg
+from affinitykg.trainer import openblas_threads
 
 id_sets = st.sets(st.integers(min_value=0, max_value=30), max_size=15)
 
@@ -526,6 +527,27 @@ class TestHeatmaps:
         M = rng.normal(size=(7, 7)) * 1e3
         back = parse_relation_matrix_csv(relation_matrix_csv(M))
         np.testing.assert_array_equal(back, M)
+
+    def test_transform_and_export_byte_identical_at_one_and_two_blas_threads(self):
+        # d_e=200, so OpenBLAS has a product large enough to split over two threads.
+        # The asymmetry indices are left out: np.linalg.norm's dot product splits its
+        # sum over threads above 10 000 entries, which is why the CLI holds one thread.
+        control = openblas_threads()
+        if control is None:
+            pytest.skip("numpy does not link OpenBLAS")
+        get, set_ = control
+        kg = two_block_kg(seed=5)
+        params = init_params(kg.n_entities, 2 * kg.n_base_relations, 200, 10, seed=1)
+        before, outputs = get(), []
+        try:
+            for threads in (1, 2):
+                set_(threads)
+                transformed = [transform_embeddings(params, r).tobytes()
+                               for r in range(params.n_relations)]
+                outputs.append((transformed, export_relation_heatmaps(params, kg)[0]))
+        finally:
+            set_(before)
+        assert outputs[0] == outputs[1]
 
     def test_export_returns_one_csv_per_decile(self):
         kg = two_block_kg(seed=5, n_entities=40, clique_size=5, valid_size=10, test_size=10)

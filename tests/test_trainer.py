@@ -315,12 +315,52 @@ class TestTrainEpoch:
         assert rng.bit_generator.state == ref_rng
 
     def test_mask_feed_refuses_a_chunk_of_several_queries(self):
-        # It draws one query's masks per call; handed to a chunk of two they would broadcast.
+        # It hands out one query's masks per call; given to a chunk of two they would broadcast.
         with ThreadPoolExecutor(max_workers=1) as pool:
-            take = trainer._masks_ahead(pool, lambda n: ("masks", n), 3)
-            assert take(1) == ("masks", 1)
+            take = trainer._masks_ahead(pool, lambda n, out: (out, None), 3, 4)
+            first, none = take(1)
+            assert first.shape == (1, 4) and none is None
             with pytest.raises(ValueError, match="one query per call, not 2"):
                 take(2)
+
+    @pytest.mark.parametrize("rates", [(0.5, 0.2, 0.2), (0.0, 0.0, 0.2)])
+    def test_mask_feed_matches_one_query_draws(self, rates):
+        # d_e=200 with every site drawn is the paper's setting: 6 queries per block.
+        spec, d_e = DropoutSpec(*rates), 200
+        width = models.mask_width(spec, d_e)
+        block = trainer.MASK_BLOCK_BYTES // (8 * width)
+        assert block == {(0.5, 0.2, 0.2): 6, (0.0, 0.0, 0.2): 1310}[rates]
+        for count in (1, block - 1, block, 2 * block + 1):
+            rng, reference = np.random.default_rng(7), np.random.default_rng(7)
+            calls = []
+
+            def draw(n, out):
+                calls.append(n)
+                return sample_masks(spec, d_e, rng, n, out)
+
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                take = trainer._masks_ahead(pool, draw, count, width)
+                for _ in range(count):
+                    for got, want in zip(take(1), sample_masks(spec, d_e, reference, 1),
+                                         strict=True):
+                        assert (got is None and want is None) or (
+                            got.shape == want.shape and np.array_equal(got, want))
+            # One draw per block of queries, not one per query.
+            assert calls == [min(block, count - start) for start in range(0, count, block)]
+            assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_mask_feed_keeps_a_querys_masks_until_the_next_take(self):
+        spec, d_e = DropoutSpec(0.5, 0.2, 0.2), 200
+        width = models.mask_width(spec, d_e)
+        block = trainer.MASK_BLOCK_BYTES // (8 * width)
+        draw = functools.partial(sample_masks, spec, d_e, np.random.default_rng(3))
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            take = trainer._masks_ahead(pool, draw, 3 * block + 2, width)
+            for _ in range(3 * block + 2):
+                masks = take(1)
+                kept = [m.copy() for m in masks]
+                pool.submit(lambda: None).result(timeout=60)  # every fill so far is done
+                assert all(np.array_equal(m, k) for m, k in zip(masks, kept))
 
     def test_mask_worker_stops_and_blas_threads_return_when_a_batch_fails(self, monkeypatch):
         drawn_on = set()
