@@ -55,10 +55,7 @@ _DEFAULTS = {
 
 _HELP = {
     "seed": "global random seed",
-    "threads": "reserved; has no effect (no worker processes are started; every command "
-               "holds OpenBLAS to one thread; Tucker draws dropout masks on one helper thread, "
-               "a block of queries per call, where models.chunk_size(train.d_e) is 1; "
-               "artifacts do not depend on either)",
+    "threads": "reserved; accepted and has no effect",
     "builder.k_security": "security factor over expected random co-occurrence",
     "builder.min_occurrences": "drop surnames borne by fewer individuals",
     "builder.kcore_k": "k-core threshold for periphery pruning",
@@ -408,7 +405,7 @@ def main(argv=None) -> int:
     try:
         config = load_run_config(args)
         _check_out(args.out)
-        with trainer._one_blas_thread():
+        with trainer.one_blas_thread():
             files, summary = COMMANDS[args.command][0](args, config)
         for name, text in files.items():
             atomic_write_text(os.path.join(args.out, name), text)

@@ -3,7 +3,9 @@
 Triples are stored as (head, relation, tail) integer id rows. The graph is
 undirected: a triple is kept once in canonical form, with the endpoint whose
 label sorts first as the head; direction is re-introduced only by reciprocal
-augmentation at training time.
+augmentation at training time, which adds relation id r + n_base_relations as
+the inverse of base relation r. The relation vocabulary holds only the base
+labels; a reciprocal relation has an id and no label.
 
 File format (one triple per line, TAB separated, ``#`` starts a comment)::
 
@@ -11,14 +13,12 @@ File format (one triple per line, TAB separated, ``#`` starts a comment)::
 """
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from affinitykg.errors import ConsistencyError, ParseError
 from affinitykg.util import atomic_write_text, open_text, sha256_text
-
-RECIPROCAL_SUFFIX = "_inv"
 
 
 class Vocab:
@@ -58,20 +58,17 @@ class KnowledgeGraph:
     train: np.ndarray
     valid: np.ndarray
     test: np.ndarray
-    # Relation count before reciprocal augmentation; equals len(relations)
-    # until add_reciprocals doubles the vocabulary.
-    n_base_relations: int = field(default=-1)
+    # Set by add_reciprocals: relation id r + n_base_relations is the inverse of r.
+    has_reciprocals: bool = False
 
     def __post_init__(self):
-        if self.n_base_relations < 0:
-            self.n_base_relations = len(self.relations)
         for name in ("train", "valid", "test"):
             fold = np.asarray(getattr(self, name), dtype=np.int64).reshape(-1, 3)
             setattr(self, name, fold)
             if fold.size:
                 if fold[:, [0, 2]].max() >= len(self.entities) or fold.min() < 0:
                     raise ValueError(f"{name} fold references entity ids out of range")
-                if fold[:, 1].max() >= len(self.relations):
+                if fold[:, 1].max() >= self.n_relations:
                     raise ValueError(f"{name} fold references relation ids out of range")
 
     @property
@@ -79,12 +76,12 @@ class KnowledgeGraph:
         return len(self.entities)
 
     @property
-    def n_relations(self) -> int:
+    def n_base_relations(self) -> int:
         return len(self.relations)
 
     @property
-    def has_reciprocals(self) -> bool:
-        return len(self.relations) == 2 * self.n_base_relations
+    def n_relations(self) -> int:
+        return 2 * len(self.relations) if self.has_reciprocals else len(self.relations)
 
     def all_triples(self) -> np.ndarray:
         return np.vstack([self.train, self.valid, self.test])
@@ -132,8 +129,6 @@ def load_triples(lines, path: str | None = None):
     for n, (h_label, r_label, t_label) in _parse_triple_lines(lines, path):
         if h_label == t_label:
             raise ParseError(f"self-affinity triple {h_label!r}", n, path)
-        if r_label.endswith(RECIPROCAL_SUFFIX):
-            raise ParseError(_reserved_suffix(r_label), n, path)
         if t_label < h_label:
             h_label, t_label = t_label, h_label
         h = entity_labels.setdefault(h_label, len(entity_labels))
@@ -177,32 +172,18 @@ def split(kg: KnowledgeGraph, valid_size: int, test_size: int, seed: int) -> Kno
     return replace(kg, train=train, valid=valid, test=test)
 
 
-def _reserved_suffix(label: str) -> str:
-    return (f"relation label {label!r} ends in {RECIPROCAL_SUFFIX!r}, "
-            f"which names reciprocal relations")
-
-
 def add_reciprocals(kg: KnowledgeGraph) -> KnowledgeGraph:
-    """Double the relation vocabulary and the training fold with inverses.
+    """Double the training fold with inverses and set has_reciprocals.
 
-    Every training triple (h, r, t) gains a twin (t, r_inv, h); evaluation
-    folds keep base relation ids only. Applying this twice, or to a base
-    label ending in the reciprocal suffix, is an error.
+    Every training triple (h, r, t) gains a twin (t, r + n_base_relations, h);
+    the relation vocabulary and the evaluation folds are unchanged. Applying
+    this twice is an error.
     """
     if kg.has_reciprocals:
         raise ValueError("reciprocal relations already present")
-    for label in kg.relations.labels:
-        if label.endswith(RECIPROCAL_SUFFIX):
-            raise ValueError(_reserved_suffix(label))
-    n_base = len(kg.relations)
-    relations = Vocab(
-        list(kg.relations.labels)
-        + [label + RECIPROCAL_SUFFIX for label in kg.relations.labels]
-    )
-    inverse = kg.train[:, [2, 1, 0]].copy()
-    inverse[:, 1] += n_base
-    train = np.vstack([kg.train, inverse])
-    return replace(kg, relations=relations, train=train, n_base_relations=n_base)
+    inverse = kg.train[:, [2, 1, 0]]
+    inverse[:, 1] += kg.n_base_relations
+    return replace(kg, train=np.vstack([kg.train, inverse]), has_reciprocals=True)
 
 
 class KnownTrueSet:
@@ -267,12 +248,7 @@ def _read_vocab_file(path: str) -> dict:
 
 def load_kg_dir(directory: str) -> KnowledgeGraph:
     entities = Vocab(_read_vocab_file(os.path.join(directory, ENTITIES_FILE)))
-    relations_path = os.path.join(directory, RELATIONS_FILE)
-    relation_lines = _read_vocab_file(relations_path)
-    for label, n in relation_lines.items():
-        if label.endswith(RECIPROCAL_SUFFIX):
-            raise ParseError(_reserved_suffix(label), n, relations_path)
-    relations = Vocab(relation_lines)
+    relations = Vocab(_read_vocab_file(os.path.join(directory, RELATIONS_FILE)))
     folds = {}
     for fold, fname in FOLD_FILES.items():
         path = os.path.join(directory, fname)

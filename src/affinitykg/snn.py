@@ -24,6 +24,7 @@ import numpy as np
 from affinitykg.evaluator import check_mode
 from affinitykg.kg import KnowledgeGraph, neighbour_index
 from affinitykg.models import ModelParams, relation_matrix
+from affinitykg.trainer import one_blas_thread
 from affinitykg.util import csv_text
 
 
@@ -40,10 +41,10 @@ DECILE_LABEL = re.compile(r"d[1-9][0-9]*")
 
 
 def decile_relations(kg: KnowledgeGraph) -> dict:
-    """Map decile k to the id of base relation d<k>; a base label not spelled
-    d<k> raises ValueError naming it."""
+    """Map decile k to the id of base relation d<k>; a label not spelled d<k>
+    raises ValueError naming it."""
     rid_of = {}
-    for rid, label in enumerate(kg.relations.labels[:kg.n_base_relations]):
+    for rid, label in enumerate(kg.relations.labels):
         if not DECILE_LABEL.fullmatch(label):
             raise ValueError(f"relation label {label!r} is not a decile label d<k>")
         rid_of[int(label[1:])] = rid
@@ -196,11 +197,13 @@ def analyze_predictions(params: ModelParams, kg: KnowledgeGraph, hits,
 
 
 def asymmetry_index(M: np.ndarray) -> float:
-    """||M - M^T||_F / ||M||_F, in [0, 2]; defined as 0 for a zero matrix."""
-    norm = float(np.linalg.norm(M))
-    if norm == 0.0:
-        return 0.0
-    return float(np.linalg.norm(M - M.T) / norm)
+    """||M - M^T||_F / ||M||_F, in [0, 2]; defined as 0 for a zero matrix.
+    The norms run at one OpenBLAS thread: above 10 000 entries their last
+    bits depend on the count."""
+    with one_blas_thread():
+        norm = float(np.linalg.norm(M))
+        skew = float(np.linalg.norm(M - M.T))
+    return 0.0 if norm == 0.0 else skew / norm
 
 
 def relation_matrix_csv(M: np.ndarray) -> str:

@@ -20,7 +20,7 @@ Checkpoint layout: a directory holding meta.json plus one raw little-endian
 float64 array per parameter block (E.bin, R.bin, G.bin) and per Adam moment
 (adam_m_E.bin, ...). meta.json records shapes, config, the hashes of the
 vocabulary and of the fold files trained on, the epoch, and the validation
-metrics of the stored parameters.
+metrics of the stored parameters; it is written last.
 """
 
 import contextlib
@@ -166,15 +166,15 @@ def openblas_threads():
 
 
 @contextlib.contextmanager
-def _one_blas_thread():
+def one_blas_thread():
     """OpenBLAS held to one thread, its count restored on exit, and nothing
-    without OpenBLAS. Every CLI command and every epoch runs inside it. Its
-    idle helper would spin on the mask worker's core, and training ran no
-    faster at the default count. Above 10 000 entries np.linalg.norm's dot
-    product splits its sum over the threads, so a d_e=200 asymmetry index
-    would depend on the count; and while the other CPU was busy, a small
-    product such as snn.transform_embeddings (1200 entities, d_e=32) took up
-    to 8 ms at two threads against 0.1 ms at one."""
+    without OpenBLAS. Every CLI command, every epoch and snn.asymmetry_index
+    run inside it. Its idle helper would spin on the mask worker's core, and
+    training ran no faster at the default count. Above 10 000 entries
+    np.linalg.norm's dot product splits its sum over the threads, so a d_e=200
+    asymmetry index would depend on the count; and while the other CPU was
+    busy, a small product such as snn.transform_embeddings (1200 entities,
+    d_e=32) took up to 8 ms at two threads against 0.1 ms at one."""
     control = openblas_threads()
     if control is None:
         yield
@@ -239,7 +239,7 @@ def train_epoch(grouped, params, state: AdamState, config: TrainConfig,
     total_loss = 0.0
     clamped = 0
     width = models.mask_width(config.dropout, params.d_e)
-    with _one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
         if params.G is not None and models.chunk_size(params.d_e) == 1 and width:
             draw_masks = _masks_ahead(pool, draw_masks, len(queries), width)
         for start in range(0, len(order), config.batch_size):
@@ -398,7 +398,7 @@ META_FILE = "meta.json"
 def save_checkpoint(directory: str, params, state: AdamState, config: TrainConfig,
                     epoch: int, metrics: dict | None, vocab_hashes: dict) -> None:
     blocks = params.param_blocks()
-    meta = {
+    meta = canonical_json({
         "model": config.model,
         "blocks": {name: list(arr.shape) for name, arr in blocks.items()},
         "n_entities": params.n_entities,
@@ -408,8 +408,12 @@ def save_checkpoint(directory: str, params, state: AdamState, config: TrainConfi
         "adam_step": state.step,
         "metrics": metrics or {},
         "vocab_hash": vocab_hashes,
-    }
-    atomic_write_text(os.path.join(directory, META_FILE), canonical_json(meta))
+    })
+    # meta.json goes before the first block and comes back after the last, so a
+    # save cut short leaves no meta.json over a mix of old and new blocks.
+    meta_path = os.path.join(directory, META_FILE)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(meta_path)
     for name, arr in blocks.items():
         atomic_write_bytes(os.path.join(directory, f"{name}.bin"),
                            arr.astype("<f8").tobytes())
@@ -423,6 +427,7 @@ def save_checkpoint(directory: str, params, state: AdamState, config: TrainConfi
         for prefix in ("", "adam_m_", "adam_v_"):
             with contextlib.suppress(FileNotFoundError):
                 os.remove(os.path.join(directory, f"{prefix}{name}.bin"))
+    atomic_write_text(meta_path, meta)
 
 
 def _read_block(directory: str, name: str, shape) -> np.ndarray:

@@ -767,28 +767,23 @@ class TestTextInputs:
         assert f"{triples}:4: self-affinity triple 'c'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_reciprocal_suffix_label_names_its_file_line(self, tmp_path, capsys):
-        triples = tmp_path / "triples.tsv"
-        triples.write_text("a\td1\tb\nb\td2\tc\nc\td2_inv\ta\n")
-        assert run(["split", "--triples", triples, "--out", tmp_path / "out"]) == 2
-        err = capsys.readouterr().err
-        assert f"{triples}:3:" in err and "'d2_inv'" in err
+    def test_label_ending_in_inv_is_an_ordinary_label_until_analyze(self, tmp_path, capsys):
+        labels = ["d1", "d2", "d2_inv"]
+        (tmp_path / "triples.tsv").write_text("".join(
+            f"e{a}\t{labels[(a + b) % 3]}\te{b}\n" for a, b in itertools.combinations(range(8), 2)))
+        data, ckpt = tmp_path / "data", tmp_path / "ckpt"
+        assert run(["split", "--triples", tmp_path / "triples.tsv", "--out", data,
+                    "--set", "split.valid_size=4", "--set", "split.test_size=4"]) == 0
+        assert "d2_inv" in (data / "relations.txt").read_text().splitlines()
+        assert run(["train", "--data", data, "--out", ckpt, *FAST_TRAIN]) == 0
+        assert run(["evaluate", "--checkpoint", ckpt, "--data", data,
+                    "--out", tmp_path / "eval"]) == 0
+        capsys.readouterr()
+        # SNN analysis reads relations as deciles, and d2_inv is not one.
+        assert run(["analyze", "--checkpoint", ckpt, "--data", data, "--out", tmp_path / "out",
+                    "--set", "snn.k=2"]) == 2
+        assert "relation label 'd2_inv' is not a decile label d<k>" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-
-    def test_reciprocal_suffix_in_relations_txt_names_its_line(self, pipeline, tmp_path,
-                                                                capsys):
-        data = tmp_path / "data"
-        shutil.copytree(pipeline["data"], data, ignore=shutil.ignore_patterns("*.cfg"))
-        relations = (data / "relations.txt").read_text().splitlines()
-        line = relations.index("d2") + 1
-        for path in data.iterdir():
-            path.write_text(path.read_text().replace("d2\n", "d2_inv\n")
-                            .replace("\td2\t", "\td2_inv\t"))
-        out = tmp_path / "out"
-        assert run(["train", "--data", data, "--out", out, *FAST_TRAIN]) == 2
-        err = capsys.readouterr().err
-        assert f"relations.txt:{line}:" in err and "'d2_inv'" in err
-        assert not out.exists()
 
     def test_ses_range_too_wide_to_rescale_exits_2_naming_it(self, tmp_path, capsys):
         records = tmp_path / "records.csv"

@@ -1,11 +1,12 @@
 """Knowledge-graph storage: ingestion, canonical form, splits, reciprocals."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from affinitykg.errors import ConsistencyError, ParseError
 from affinitykg.kg import (
-    KnowledgeGraph,
     KnownTrueSet,
     Vocab,
     add_reciprocals,
@@ -56,10 +57,9 @@ class TestIngestion:
         with pytest.raises(ParseError):
             label_triples([("a", "", "b")])
 
-    def test_reciprocal_suffix_reports_the_label_and_line(self):
-        with pytest.raises(ParseError, match="'d2_inv'") as err:
-            load_triples(["a\td1\tb", "b\td2_inv\tc"])
-        assert err.value.line_no == 2
+    def test_label_ending_in_inv_is_an_ordinary_label(self):
+        kg, _ = load_triples(["a\td1\tb", "b\td2_inv\tc"])
+        assert kg.relations.labels == ("d1", "d2_inv") and len(kg.train) == 2
 
     def test_malformed_line_reports_number(self):
         lines = ["a\td1\tb", "bad line without tabs"]
@@ -162,11 +162,14 @@ class TestReciprocals:
         with pytest.raises(ValueError, match="reciprocal relations already present"):
             add_reciprocals(aug)
 
-    def test_base_label_with_the_reciprocal_suffix_is_named(self):
-        kg = KnowledgeGraph(Vocab(["a", "b"]), Vocab(["d1", "d2_inv"]),
-                            np.array([[0, 1, 1]]), np.empty((0, 3)), np.empty((0, 3)))
-        with pytest.raises(ValueError, match="'d2_inv'"):
-            add_reciprocals(kg)
+    def test_keeps_the_relation_vocabulary_and_doubles_n_relations(self):
+        kg = small_kg([("a", "d1", "b"), ("b", "d2_inv", "c")])
+        aug = add_reciprocals(kg)
+        assert aug.relations == kg.relations and aug.n_base_relations == 2
+        assert aug.n_relations == 4 and aug.has_reciprocals and not kg.has_reciprocals
+        # Reciprocal ids are in range only while the flag says they exist.
+        with pytest.raises(ValueError, match="relation ids out of range"):
+            replace(aug, has_reciprocals=False)
 
 
 class TestKnownTrueSet:
@@ -216,6 +219,13 @@ class TestPersistence:
         assert back.entities == kg.entities and back.relations == kg.relations
         for fold in ("train", "valid", "test"):
             assert np.array_equal(getattr(back, fold), getattr(kg, fold))
+
+    def test_label_ending_in_inv_round_trips(self, tmp_path):
+        kg = small_kg([("a", "d2_inv", "b"), ("b", "d1", "c")])
+        save_kg_dir(str(tmp_path), kg)
+        back = load_kg_dir(str(tmp_path))
+        assert back.relations.labels == ("d2_inv", "d1")
+        assert np.array_equal(back.train, kg.train)
 
     def test_unknown_label_rejected(self, tmp_path):
         kg = small_kg([("a", "d1", "b")])

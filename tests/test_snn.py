@@ -530,8 +530,6 @@ class TestHeatmaps:
 
     def test_transform_and_export_byte_identical_at_one_and_two_blas_threads(self):
         # d_e=200, so OpenBLAS has a product large enough to split over two threads.
-        # The asymmetry indices are left out: np.linalg.norm's dot product splits its
-        # sum over threads above 10 000 entries, which is why the CLI holds one thread.
         control = openblas_threads()
         if control is None:
             pytest.skip("numpy does not link OpenBLAS")
@@ -544,7 +542,7 @@ class TestHeatmaps:
                 set_(threads)
                 transformed = [transform_embeddings(params, r).tobytes()
                                for r in range(params.n_relations)]
-                outputs.append((transformed, export_relation_heatmaps(params, kg)[0]))
+                outputs.append((transformed, *export_relation_heatmaps(params, kg)))
         finally:
             set_(before)
         assert outputs[0] == outputs[1]

@@ -11,9 +11,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from affinitykg import models, trainer
+from affinitykg import cli, models, trainer
 from affinitykg.errors import ConsistencyError, ParseError
-from affinitykg.kg import add_reciprocals, load_triples
+from affinitykg.kg import add_reciprocals, load_triples, save_kg_dir
 from affinitykg.models import DropoutSpec, init_params, sample_masks
 from affinitykg.synthetic import two_block_kg
 from affinitykg.trainer import (
@@ -29,6 +29,7 @@ from affinitykg.trainer import (
     save_checkpoint,
     train_epoch,
 )
+from affinitykg.util import atomic_write_bytes
 
 
 @dataclasses.dataclass
@@ -325,42 +326,49 @@ class TestTrainEpoch:
 
     @pytest.mark.parametrize("rates", [(0.5, 0.2, 0.2), (0.0, 0.0, 0.2)])
     def test_mask_feed_matches_one_query_draws(self, rates):
-        # d_e=200 with every site drawn is the paper's setting: 6 queries per block.
-        spec, d_e = DropoutSpec(*rates), 200
-        width = models.mask_width(spec, d_e)
-        block = trainer.MASK_BLOCK_BYTES // (8 * width)
-        assert block == {(0.5, 0.2, 0.2): 6, (0.0, 0.0, 0.2): 1310}[rates]
-        for count in (1, block - 1, block, 2 * block + 1):
-            rng, reference = np.random.default_rng(7), np.random.default_rng(7)
-            calls = []
+        # d_e=200 with every site drawn is the paper's setting: 6 queries per block. At
+        # d_e=512 one query's masks (263 168 doubles) outgrow a buffer, so a block is one
+        # query and a buffer is refilled one take after it was handed out.
+        spec = DropoutSpec(*rates)
+        blocks = {(0.5, 0.2, 0.2): (6, 1), (0.0, 0.0, 0.2): (1310, 512)}[rates]
+        for d_e, expected_block in zip((200, 512), blocks, strict=True):
+            width = models.mask_width(spec, d_e)
+            block = max(1, trainer.MASK_BLOCK_BYTES // (8 * width))
+            assert block == expected_block
+            counts = (1, block - 1, block, 2 * block + 1) if d_e == 200 else (1, 2, 3)
+            for count in counts:
+                rng, reference = np.random.default_rng(7), np.random.default_rng(7)
+                calls = []
 
-            def draw(n, out):
-                calls.append(n)
-                return sample_masks(spec, d_e, rng, n, out)
+                def draw(n, out):
+                    calls.append(n)
+                    return sample_masks(spec, d_e, rng, n, out)
 
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                take = trainer._masks_ahead(pool, draw, count, width)
-                for _ in range(count):
-                    for got, want in zip(take(1), sample_masks(spec, d_e, reference, 1),
-                                         strict=True):
-                        assert (got is None and want is None) or (
-                            got.shape == want.shape and np.array_equal(got, want))
-            # One draw per block of queries, not one per query.
-            assert calls == [min(block, count - start) for start in range(0, count, block)]
-            assert rng.bit_generator.state == reference.bit_generator.state
+                with ThreadPoolExecutor(max_workers=1) as pool:
+                    take = trainer._masks_ahead(pool, draw, count, width)
+                    for _ in range(count):
+                        for got, want in zip(take(1), sample_masks(spec, d_e, reference, 1),
+                                             strict=True):
+                            assert (got is None and want is None) or (
+                                got.shape == want.shape and np.array_equal(got, want))
+                # One draw per block of queries, not one per query.
+                assert calls == [min(block, count - start) for start in range(0, count, block)]
+                assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_mask_feed_keeps_a_querys_masks_until_the_next_take(self):
-        spec, d_e = DropoutSpec(0.5, 0.2, 0.2), 200
-        width = models.mask_width(spec, d_e)
-        block = trainer.MASK_BLOCK_BYTES // (8 * width)
-        draw = functools.partial(sample_masks, spec, d_e, np.random.default_rng(3))
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            take = trainer._masks_ahead(pool, draw, 3 * block + 2, width)
-            for _ in range(3 * block + 2):
-                masks = take(1)
-                kept = [m.copy() for m in masks]
-                pool.submit(lambda: None).result(timeout=60)  # every fill so far is done
-                assert all(np.array_equal(m, k) for m, k in zip(masks, kept))
+        # Blocks of 6 queries at d_e=200, and of one query at d_e=512.
+        spec = DropoutSpec(0.5, 0.2, 0.2)
+        for d_e, counts in ((200, (3 * 6 + 2,)), (512, (1, 2, 3))):
+            width = models.mask_width(spec, d_e)
+            for count in counts:
+                draw = functools.partial(sample_masks, spec, d_e, np.random.default_rng(3))
+                with ThreadPoolExecutor(max_workers=1) as pool:
+                    take = trainer._masks_ahead(pool, draw, count, width)
+                    for _ in range(count):
+                        masks = take(1)
+                        kept = [m.copy() for m in masks]
+                        pool.submit(lambda: None).result(timeout=60)  # every fill so far is done
+                        assert all(np.array_equal(m, k) for m, k in zip(masks, kept))
 
     def test_mask_worker_stops_and_blas_threads_return_when_a_batch_fails(self, monkeypatch):
         drawn_on = set()
@@ -632,6 +640,29 @@ class TestCheckpoint:
         with pytest.raises(error) as caught:
             load_checkpoint(str(tmp_path))
         assert named in str(caught.value)
+
+    def test_save_cut_short_over_an_earlier_checkpoint_does_not_load(self, tmp_path,
+                                                                     monkeypatch):
+        data, ckpt = tmp_path / "data", tmp_path / "ckpt"
+        save_kg_dir(str(data), two_block_kg(seed=9))
+        train = ["train", "--data", str(data), "--out", str(ckpt), "--set", "train.epochs=2",
+                 "--set", "train.d_e=6", "--set", "train.d_r=3"]
+        assert cli.main([*train, "--seed", "1"]) == 0
+        written = []
+
+        def fourth_block_fails(path, payload):
+            written.append(path)
+            if len(written) == 4:
+                raise OSError("no space left on device")
+            atomic_write_bytes(path, payload)
+
+        monkeypatch.setattr(trainer, "atomic_write_bytes", fourth_block_fails)
+        assert cli.main([*train, "--seed", "2"]) == 4
+        # The seed-2 E block now sits beside the seed-1 R block, with no meta.json to load.
+        with pytest.raises(FileNotFoundError):
+            load_checkpoint(str(ckpt))
+        assert cli.main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
+                         "--out", str(tmp_path / "eval")]) == 2
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
