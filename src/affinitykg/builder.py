@@ -136,7 +136,8 @@ def read_records_csv(path: str) -> Records:
 
     The block cell is required and dropped. An empty surname, one triples.tsv
     could not carry (see _UNSTORABLE_LABEL), or an SES value Python's float()
-    rejects or reads as non-finite is a ParseError naming its line. Each raw
+    rejects or reads as non-finite is a ParseError naming its line, as is a row
+    the csv module refuses (say, a field over csv.field_size_limit()). Each raw
     surname gets an id as it is read; each distinct one is normalized and
     checked once and the SES column is parsed in one pass. On a failure the
     rows are rescanned one by one, so the error names the first bad row.
@@ -145,7 +146,10 @@ def read_records_csv(path: str) -> Records:
     paternal, maternal, ses = [], [], []
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as err:
+            raise ParseError(str(err), 1, path) from None
         if header is None or [h.strip() for h in header] != RECORDS_HEADER:
             raise ParseError(f"expected header {','.join(RECORDS_HEADER)!r}", 1, path)
         try:
@@ -156,9 +160,11 @@ def read_records_csv(path: str) -> Records:
                 paternal.append(ids.setdefault(paternal_raw, len(ids)))
                 maternal.append(ids.setdefault(maternal_raw, len(ids)))
                 ses.append(ses_raw)
-        except (ParseError, csv.Error, UnicodeDecodeError):
+        except (ParseError, csv.Error, UnicodeDecodeError) as err:
             # A bad row before the one that stopped the reader is reported first.
             _check_rows(path, list(ids), paternal, maternal, ses)
+            if isinstance(err, csv.Error):
+                raise ParseError(str(err), len(ses) + 2, path) from None
             raise
     names = [raw.strip().casefold() for raw in ids]
     try:

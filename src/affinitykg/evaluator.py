@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from affinitykg.errors import ConsistencyError
-from affinitykg.kg import KnowledgeGraph, KnownTrueSet
+from affinitykg.kg import FOLD_FILES, KnowledgeGraph, KnownTrueSet
 from affinitykg.models import score_queries
 from affinitykg.util import csv_text
 
@@ -94,7 +94,10 @@ def mrr(ranks) -> float:
 
 
 def compute_ranks(params, kg: KnowledgeGraph, fold: str = "test") -> list:
-    """Raw and filtered ranks for both directions of every fold triple."""
+    """Raw and filtered ranks for both directions of every fold triple; an
+    empty fold is a ValueError naming its file."""
+    if not len(getattr(kg, fold)):
+        raise ValueError(f"{FOLD_FILES[fold]}: the {fold} fold is empty")
     if params.n_entities != kg.n_entities:
         raise ConsistencyError(
             f"parameters cover {params.n_entities} entities, graph has {kg.n_entities}"

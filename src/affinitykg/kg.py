@@ -210,26 +210,19 @@ RELATIONS_FILE = "relations.txt"
 FOLD_FILES = {"train": "train.tsv", "valid": "valid.tsv", "test": "test.tsv"}
 
 
-def write_fold_tsv(path: str, kg: KnowledgeGraph, fold: str) -> None:
-    rows = getattr(kg, fold)
-    lines = [
-        f"{kg.entities.label_of(h)}\t{kg.relations.label_of(r)}\t{kg.entities.label_of(t)}"
-        for h, r, t in rows
-    ]
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
-
-
 def save_kg_dir(directory: str, kg: KnowledgeGraph) -> None:
-    atomic_write_text(
-        os.path.join(directory, ENTITIES_FILE),
-        "".join(label + "\n" for label in kg.entities.labels),
-    )
-    atomic_write_text(
-        os.path.join(directory, RELATIONS_FILE),
-        "".join(label + "\n" for label in kg.relations.labels),
-    )
-    for fold, fname in FOLD_FILES.items():
-        write_fold_tsv(os.path.join(directory, fname), kg, fold)
+    """Write the two vocabularies, then the three folds as label rows. A graph
+    with reciprocals is refused before any write: a reciprocal id has no label."""
+    if kg.has_reciprocals:
+        raise ValueError("a graph with reciprocal relations cannot be saved: "
+                         "a reciprocal relation id has no label")
+    entities, relations = kg.entities.labels, kg.relations.labels
+    texts = {ENTITIES_FILE: entities, RELATIONS_FILE: relations,
+             **{fname: [f"{entities[h]}\t{relations[r]}\t{entities[t]}"
+                        for h, r, t in getattr(kg, fold).tolist()]
+                for fold, fname in FOLD_FILES.items()}}
+    for name, lines in texts.items():
+        atomic_write_text(os.path.join(directory, name), "".join(line + "\n" for line in lines))
 
 
 def _read_vocab_file(path: str) -> dict:
@@ -269,34 +262,22 @@ def load_kg_dir(directory: str) -> KnowledgeGraph:
 
 
 def check_folds(kg: KnowledgeGraph) -> None:
-    """Raise ConsistencyError, naming the fold file and the labels, when a fold
-    holds a self-loop or a repeated triple, a valid or test triple is also in
-    train, or valid and test share a triple. Triples match in either orientation.
-    """
-    def fail(fold: str, i: int, problem: str):
-        h, r, t = getattr(kg, fold)[i]
-        labels = (kg.entities.label_of(h), kg.relations.label_of(r), kg.entities.label_of(t))
+    """Raise ConsistencyError, naming the fold file and the labels, at the first
+    row of train, valid, then test that is a self-loop or repeats an earlier row
+    in either orientation: "is repeated" in its fold, "is also in" another."""
+    rows = kg.all_triples()
+    h, r, t = rows.T
+    keys = (np.minimum(h, t) * kg.n_relations + r) * kg.n_entities + np.maximum(h, t)
+    # A 1-D unique sorts stably, so each key's index is the row it first appears in.
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    first = first[inverse]
+    bad = np.flatnonzero((h == t) | (first != np.arange(len(rows))))
+    if bad.size:
+        i = bad[0]
+        folds = np.repeat(list(FOLD_FILES), [len(getattr(kg, fold)) for fold in FOLD_FILES])
+        fold, other = str(folds[i]), str(folds[first[i]])
+        problem = ("is a self-loop" if h[i] == t[i] else "is repeated" if other == fold
+                   else f"is also in the {other} fold")
+        labels = (kg.entities.label_of(h[i]), kg.relations.label_of(r[i]),
+                  kg.entities.label_of(t[i]))
         raise ConsistencyError(f"{FOLD_FILES[fold]}: {fold} triple {labels} {problem}")
-
-    # Python sets, not np.isin: its first call grows peak RSS by ~2 MB.
-    earlier: dict[str, set] = {}
-    for fold in FOLD_FILES:
-        rows = getattr(kg, fold)
-        h, r, t = rows.T
-        loops = np.flatnonzero(h == t)
-        if loops.size:
-            fail(fold, loops[0], "is a self-loop")
-        keys = ((np.minimum(h, t) * kg.n_relations + r) * kg.n_entities
-                + np.maximum(h, t)).tolist()
-        fold_keys = set(keys)
-        if len(fold_keys) < len(keys):
-            seen = set()
-            for i, key in enumerate(keys):
-                if key in seen:
-                    fail(fold, i, "is repeated")
-                seen.add(key)
-        for other, other_keys in earlier.items():
-            for i, key in enumerate(keys):
-                if key in other_keys:
-                    fail(fold, i, f"is also in the {other} fold")
-        earlier[fold] = fold_keys

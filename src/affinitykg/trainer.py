@@ -16,11 +16,11 @@ block of queries per call into two reused buffers, one block ahead; elsewhere
 the training thread draws them. The doubles and their order are the same.
 Every epoch holds OpenBLAS to one thread.
 
-Checkpoint layout: a directory holding meta.json plus one raw little-endian
-float64 array per parameter block (E.bin, R.bin, G.bin) and per Adam moment
-(adam_m_E.bin, ...). meta.json records shapes, config, the hashes of the
-vocabulary and of the fold files trained on, the epoch, and the validation
-metrics of the stored parameters; it is written last.
+Checkpoint layout: a directory holding meta.json plus, per parameter block
+(E.bin, R.bin, G.bin), three raw little-endian float64 files named by
+BLOCK_PREFIXES: the block and its two Adam moments. meta.json records shapes,
+config, the hashes of the vocabulary and of the fold files trained on, the
+epoch, and the validation metrics of the stored parameters; it is written last.
 """
 
 import contextlib
@@ -393,6 +393,8 @@ def grid_search(kg: KnowledgeGraph, grid: GridSpec, base: TrainConfig) -> list:
 # --- checkpoints ---
 
 META_FILE = "meta.json"
+# A block's three files: the parameters, then Adam's first and second moments.
+BLOCK_PREFIXES = ("", "adam_m_", "adam_v_")
 
 
 def save_checkpoint(directory: str, params, state: AdamState, config: TrainConfig,
@@ -414,17 +416,14 @@ def save_checkpoint(directory: str, params, state: AdamState, config: TrainConfi
     meta_path = os.path.join(directory, META_FILE)
     with contextlib.suppress(FileNotFoundError):
         os.remove(meta_path)
-    for name, arr in blocks.items():
-        atomic_write_bytes(os.path.join(directory, f"{name}.bin"),
-                           arr.astype("<f8").tobytes())
-        atomic_write_bytes(os.path.join(directory, f"adam_m_{name}.bin"),
-                           state.m[name].astype("<f8").tobytes())
-        atomic_write_bytes(os.path.join(directory, f"adam_v_{name}.bin"),
-                           state.v[name].astype("<f8").tobytes())
+    for name in blocks:
+        for prefix, arrays in zip(BLOCK_PREFIXES, (blocks, state.m, state.v)):
+            atomic_write_bytes(os.path.join(directory, f"{prefix}{name}.bin"),
+                               arrays[name].astype("<f8").tobytes())
     # Blocks another model has and this one lacks, left by an earlier run.
     stale = {name for model in models.MODELS for name in models.block_names(model)} - set(blocks)
     for name in sorted(stale):
-        for prefix in ("", "adam_m_", "adam_v_"):
+        for prefix in BLOCK_PREFIXES:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(os.path.join(directory, f"{prefix}{name}.bin"))
     atomic_write_text(meta_path, meta)
@@ -464,12 +463,6 @@ def load_checkpoint(directory: str):
     for key, kind, noun in (("adam_step", int, "an integer"), ("vocab_hash", dict, "an object")):
         if not isinstance(meta.get(key), kind):
             raise ConsistencyError(f"{path}: key {key!r} is missing or not {noun}")
-    shapes = {name: tuple(shape) for name, shape in blocks.items()}
-    params = ModelParams(model, **{name: _read_block(directory, name, shape)
-                                   for name, shape in shapes.items()})
-    state = AdamState(
-        m={name: _read_block(directory, f"adam_m_{name}", shape) for name, shape in shapes.items()},
-        v={name: _read_block(directory, f"adam_v_{name}", shape) for name, shape in shapes.items()},
-        step=meta["adam_step"],
-    )
-    return params, state, meta
+    arrays, m, v = ({name: _read_block(directory, f"{prefix}{name}", shape)
+                     for name, shape in blocks.items()} for prefix in BLOCK_PREFIXES)
+    return ModelParams(model, **arrays), AdamState(m=m, v=v, step=meta["adam_step"]), meta

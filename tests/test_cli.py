@@ -101,6 +101,22 @@ class TestBuildNetwork:
         assert run(["build-network", "--records", bad, "--out", tmp_path / "out"]) == 2
         assert "bad.csv:2" in capsys.readouterr().err
 
+    # A field longer than csv.field_size_limit() (131 072 characters).
+    @pytest.mark.parametrize("lines,named", [
+        (["x" * 200_000], "records.csv:1: field larger than field limit"),
+        (["paternal,maternal,ses,block", "perez,soto,1,b", "x" * 200_000 + ",soto,2,b"],
+         "records.csv:3: field larger than field limit"),
+        # A bad row before the one the csv module refuses is named first.
+        (["paternal,maternal,ses,block", "perez,soto,oops,b", "x" * 200_000 + ",soto,2,b"],
+         "records.csv:2: bad SES value"),
+    ], ids=["header", "row", "earlier-bad-row"])
+    def test_csv_fault_exits_2_naming_its_line(self, tmp_path, capsys, lines, named):
+        records = tmp_path / "records.csv"
+        records.write_text("".join(line + "\n" for line in lines))
+        assert run(["build-network", "--records", records, "--out", tmp_path / "out"]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_input_exits_2(self, tmp_path):
         assert run(["build-network", "--records", tmp_path / "nope.csv",
                     "--out", tmp_path / "out"]) == 2
@@ -352,6 +368,41 @@ class TestEvaluateAnalyzeExport:
                     "--out", tmp_path / "out"]) == code
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_truncated_block_exits_3_naming_it(self, pipeline, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(pipeline["ckpt"], ckpt)
+        (ckpt / "E.bin").write_bytes((ckpt / "E.bin").read_bytes()[:-8])
+        assert run(["evaluate", "--checkpoint", ckpt, "--data", pipeline["data"],
+                    "--out", tmp_path / "out"]) == 3
+        assert "E.bin: expected" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_tucker_only_commands_refuse_a_distmult_checkpoint(self, pipeline, tmp_path,
+                                                               capsys):
+        ckpt = tmp_path / "ckpt"
+        assert run(["train", "--data", pipeline["data"], "--out", ckpt, *FAST_TRAIN,
+                    "--set", "train.model=distmult"]) == 0
+        for command in ("analyze", "export-heatmaps"):
+            capsys.readouterr()
+            out = tmp_path / command
+            assert run([command, "--checkpoint", ckpt, "--data", pipeline["data"],
+                        "--out", out]) == 3
+            assert "tucker checkpoint" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_empty_test_fold_exits_2_naming_it(self, pipeline, tmp_path, capsys):
+        data, ckpt = tmp_path / "data", tmp_path / "ckpt"
+        assert run(["split", "--triples", pipeline["net"] / "triples.tsv", "--out", data,
+                    "--set", "split.valid_size=100", "--set", "split.test_size=0"]) == 0
+        assert run(["train", "--data", data, "--out", ckpt, *FAST_TRAIN]) == 0
+        for command in ("evaluate", "analyze"):
+            capsys.readouterr()
+            out = tmp_path / command
+            assert run([command, "--checkpoint", ckpt, "--data", data, "--out", out,
+                        "--set", "snn.k=10"]) == 2
+            assert "test.tsv: the test fold is empty" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_misspelled_eval_mode_exits_2(self, pipeline, tmp_path, capsys):
         assert run(["evaluate", "--checkpoint", pipeline["ckpt"], "--data", pipeline["data"],

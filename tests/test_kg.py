@@ -15,6 +15,7 @@ from affinitykg.kg import (
     save_kg_dir,
     split,
 )
+from affinitykg.synthetic import two_block_kg
 
 
 def label_triples(rows):
@@ -268,3 +269,22 @@ class TestPersistence:
             load_kg_dir(str(tmp_path))
         assert str(err.value).startswith(f"{fold}.tsv: ") and problem in str(err.value)
         assert repr(tuple(line.rstrip("\n").split("\t"))) in str(err.value)
+
+    @pytest.mark.parametrize("fold,lines,message", [
+        ("train", "b\td1\ta\nc\td2\tc\n", "train triple ('b', 'd1', 'a') is repeated"),
+        ("valid", "a\td1\tb\nd\td2\td\n", "valid triple ('a', 'd1', 'b') is also in the train fold"),
+    ], ids=["repeat-before-self-loop", "leak-before-self-loop"])
+    def test_first_bad_row_in_file_order_is_named(self, tmp_path, fold, lines, message):
+        save_kg_dir(str(tmp_path), small_kg([("a", "d1", "b"), ("c", "d2", "d")]))
+        (tmp_path / "train.tsv").write_text("a\td1\tb\n")
+        (tmp_path / "valid.tsv").write_text("c\td2\td\n")
+        with open(tmp_path / f"{fold}.tsv", "a") as fh:
+            fh.write(lines)
+        with pytest.raises(ConsistencyError) as err:
+            load_kg_dir(str(tmp_path))
+        assert str(err.value) == f"{fold}.tsv: {message}"
+
+    def test_graph_with_reciprocals_refused_before_any_write(self, tmp_path):
+        with pytest.raises(ValueError, match="reciprocal"):
+            save_kg_dir(str(tmp_path), add_reciprocals(two_block_kg(seed=1)))
+        assert list(tmp_path.iterdir()) == []
