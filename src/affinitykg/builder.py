@@ -11,19 +11,16 @@ under random pairing, so surviving edges indicate genuine affinity.
 
 import csv
 import math
-import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from affinitykg.errors import ParseError
+from affinitykg.kg import UNSTORABLE_LABEL, UNSTORABLE_WHY
 from affinitykg.util import open_text
 
 RECORDS_HEADER = ["paternal", "maternal", "ses", "block"]
-# A label triples.tsv cannot carry: the file is TAB-separated, one triple per
-# line, and a line starting with '#' is a comment.
-_UNSTORABLE_LABEL = re.compile(r"^#|[\t\r\n]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,9 +117,8 @@ def _check_rows(path: str, raw_names, paternal, maternal, ses_strings) -> None:
         if not all(surnames):
             raise ParseError("empty surname", n, path)
         for surname in surnames:
-            if _UNSTORABLE_LABEL.search(surname):
-                raise ParseError(f"surname {surname!r} starts with '#' or contains "
-                                 "TAB, CR or LF", n, path)
+            if UNSTORABLE_LABEL.search(surname):
+                raise ParseError(f"surname {surname!r} {UNSTORABLE_WHY}", n, path)
         try:
             ses_value = float(ses)
         except ValueError:
@@ -135,7 +131,7 @@ def read_records_csv(path: str) -> Records:
     """Load `paternal,maternal,ses,block` rows; surnames are trimmed and case-folded.
 
     The block cell is required and dropped. An empty surname, one triples.tsv
-    could not carry (see _UNSTORABLE_LABEL), or an SES value Python's float()
+    could not carry (see kg.UNSTORABLE_LABEL), or an SES value Python's float()
     rejects or reads as non-finite is a ParseError naming its line, as is a row
     the csv module refuses (say, a field over csv.field_size_limit()). Each raw
     surname gets an id as it is read; each distinct one is normalized and
@@ -169,7 +165,7 @@ def read_records_csv(path: str) -> Records:
     names = [raw.strip().casefold() for raw in ids]
     try:
         ses_values = np.fromiter(map(float, ses), np.float64, count=len(ses))
-        valid = (all(names) and not any(map(_UNSTORABLE_LABEL.search, names))
+        valid = (all(names) and not any(map(UNSTORABLE_LABEL.search, names))
                  and bool(np.isfinite(ses_values).all()))
     except ValueError:
         valid = False

@@ -355,7 +355,10 @@ def _config_epilog() -> str:
     return "\n".join(lines)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once: parse_args returns a fresh namespace and
+    leaves the parser as it was, so main reuses it."""
     parser = argparse.ArgumentParser(
         prog="affinitykg",
         description="Surname affinity knowledge graphs: build, train, evaluate, explain.",

@@ -13,6 +13,7 @@ File format (one triple per line, TAB separated, ``#`` starts a comment)::
 """
 
 import os
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,8 +22,17 @@ from affinitykg.errors import ConsistencyError, ParseError
 from affinitykg.util import atomic_write_text, open_text, sha256_text
 
 
+# A label the split files cannot carry: they hold one label or one
+# TAB-separated triple per line, and a line starting with '#' is a comment.
+UNSTORABLE_LABEL = re.compile(r"^#|[\t\r\n]")
+UNSTORABLE_WHY = "starts with '#' or contains TAB, CR or LF"
+
+
 class Vocab:
-    """Bijection between labels and dense 0-based ids, in first-appearance order."""
+    """Bijection between labels and dense 0-based ids, in first-appearance order.
+
+    Every label must be storable (see UNSTORABLE_LABEL), so a graph that holds
+    one round-trips through save_kg_dir and load_kg_dir."""
 
     __slots__ = ("labels", "index")
 
@@ -31,6 +41,8 @@ class Vocab:
         self.index = {label: i for i, label in enumerate(self.labels)}
         if len(self.index) != len(self.labels):
             raise ValueError("duplicate labels in vocabulary")
+        for label in filter(UNSTORABLE_LABEL.search, self.labels):
+            raise ValueError(f"label {label!r} {UNSTORABLE_WHY}")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -118,8 +130,8 @@ def load_triples(lines, path: str | None = None):
 
     Vocabularies are assigned in first-appearance order (heads and tails both
     feed the entity vocabulary). Duplicate canonical triples are collapsed.
-    Returns (kg, duplicate_count). Malformed lines raise ParseError with the
-    offending line number.
+    Returns (kg, duplicate_count). Malformed lines, and labels the split files
+    could not store, raise ParseError with the offending line number.
     """
     entity_labels: dict[str, int] = {}
     relation_labels: dict[str, int] = {}
@@ -131,6 +143,10 @@ def load_triples(lines, path: str | None = None):
             raise ParseError(f"self-affinity triple {h_label!r}", n, path)
         if t_label < h_label:
             h_label, t_label = t_label, h_label
+        if (h_label not in entity_labels or r_label not in relation_labels
+                or t_label not in entity_labels):
+            for label in filter(UNSTORABLE_LABEL.search, (h_label, r_label, t_label)):
+                raise ParseError(f"label {label!r} {UNSTORABLE_WHY}", n, path)
         h = entity_labels.setdefault(h_label, len(entity_labels))
         r = relation_labels.setdefault(r_label, len(relation_labels))
         t = entity_labels.setdefault(t_label, len(entity_labels))
@@ -212,7 +228,9 @@ FOLD_FILES = {"train": "train.tsv", "valid": "valid.tsv", "test": "test.tsv"}
 
 def save_kg_dir(directory: str, kg: KnowledgeGraph) -> None:
     """Write the two vocabularies, then the three folds as label rows. A graph
-    with reciprocals is refused before any write: a reciprocal id has no label."""
+    with reciprocals is refused before any write: a reciprocal id has no label.
+    Vocab refuses a label these files could not store, so every label here
+    reads back."""
     if kg.has_reciprocals:
         raise ValueError("a graph with reciprocal relations cannot be saved: "
                          "a reciprocal relation id has no label")
@@ -227,13 +245,16 @@ def save_kg_dir(directory: str, kg: KnowledgeGraph) -> None:
 
 def _read_vocab_file(path: str) -> dict:
     """Each label of a one-label-per-line file mapped to its line, blank lines
-    skipped; a repeated label names its line and the first."""
+    skipped; a repeated label names its line and the first, and a label the
+    fold files could not carry names its line."""
     first_line: dict[str, int] = {}
     with open_text(path) as fh:
         for n, raw in enumerate(fh, start=1):
             label = raw.rstrip("\n")
             if label in first_line:
                 raise ParseError(f"label {label!r} repeats line {first_line[label]}", n, path)
+            if UNSTORABLE_LABEL.search(label):
+                raise ParseError(f"label {label!r} {UNSTORABLE_WHY}", n, path)
             if label:
                 first_line[label] = n
     return first_line

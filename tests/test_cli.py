@@ -457,6 +457,16 @@ class TestEvaluateAnalyzeExport:
         assert "relation label 'd05' is not a decile label d<k>" in capsys.readouterr().err
         assert not (tmp_path / "maps").exists()
 
+    def test_label_starting_with_hash_exits_2_naming_the_line(self, tmp_path, capsys):
+        # Stored canonically, ('e0', 'd1', '#x') would be the row '#x\td1\te0': a comment.
+        rows = [f"e{a}\td{(a + b) % 3 + 1}\te{b}\n" for a, b in itertools.combinations(range(8), 2)]
+        (tmp_path / "triples.tsv").write_text("".join(rows) + "e0\td1\t#x\ne1\td2\t#x\n")
+        assert run(["split", "--triples", tmp_path / "triples.tsv", "--out", tmp_path / "data",
+                    "--set", "split.valid_size=4", "--set", "split.test_size=4"]) == 2
+        assert (f"triples.tsv:{len(rows) + 1}: label '#x' starts with '#'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "data").exists()
+
     def test_repeated_vocabulary_label_exits_2_naming_the_line(self, pipeline, tmp_path,
                                                                capsys):
         data = tmp_path / "data"
@@ -637,6 +647,29 @@ class TestConfigHandling:
         effective = (out / "effective_config.cfg").read_text()
         assert "synth.individuals=600" in effective  # flag wins
         assert "synth.intra_bias=0.5" in effective
+
+    def test_one_parser_serves_a_failing_and_a_succeeding_call(self, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        fresh = build_parser.__wrapped__
+        failing = ["gen-synthetic", "--set", "synth.individuals=40"]   # no --out
+        passing = ["gen-synthetic", "--out", str(tmp_path / "out"),
+                   "--set", "synth.individuals=50", "--set", "synth.individuals=60"]
+        messages = []
+        for parser in (fresh(), build_parser()):
+            with pytest.raises(SystemExit) as exited:
+                parser.parse_args(failing)
+            messages.append((exited.value.code, capsys.readouterr().err))
+        assert messages[0] == messages[1] and messages[0][0] == 2
+        with pytest.raises(SystemExit) as exited:
+            main(failing)
+        assert (exited.value.code, capsys.readouterr().err) == messages[0]
+        assert main(passing) == 0
+        assert capsys.readouterr().err.startswith("gen-synthetic: 60 records")
+        assert build_parser().parse_args(passing) == fresh().parse_args(passing)
+        assert "synth.individuals=60" in (tmp_path / "out" / "effective_config.cfg").read_text()
+        with pytest.raises(SystemExit) as exited:
+            main(failing)
+        assert (exited.value.code, capsys.readouterr().err) == messages[0]
 
     def test_help_enumerates_every_key_and_default(self, capsys):
         with pytest.raises(SystemExit):

@@ -74,6 +74,21 @@ class TestIngestion:
         assert err.value.line_no == 4
         assert str(err.value).startswith("triples.tsv:4: self-affinity triple 'c'")
 
+    @pytest.mark.parametrize("line", ["e1\td2\t#x", "e1\t#d2\te2", "e1\td\r2\te2"],
+                             ids=["hash-tail", "hash-relation", "carriage-return"])
+    def test_label_the_split_files_cannot_store_names_its_line(self, line):
+        # '#x' sorts before 'e1', so it would head the stored row and make it a comment.
+        with pytest.raises(ParseError) as err:
+            load_triples(["# c", "e0\td1\te1", line], path="triples.tsv")
+        assert err.value.line_no == 3
+        assert "starts with '#' or contains TAB, CR or LF" in str(err.value)
+
+    def test_vocab_refuses_a_label_the_split_files_cannot_store(self):
+        for label in ("#x", "a\rb", "a\nb"):
+            with pytest.raises(ValueError, match="starts with '#'"):
+                Vocab(["a0", label])
+        assert Vocab(["x#", "a b"]).labels == ("x#", "a b")
+
     def test_comments_and_blanks_skipped(self):
         kg, _ = load_triples(["# header", "", "a\td1\tb"])
         assert len(kg.train) == 1
@@ -283,6 +298,16 @@ class TestPersistence:
         with pytest.raises(ConsistencyError) as err:
             load_kg_dir(str(tmp_path))
         assert str(err.value) == f"{fold}.tsv: {message}"
+
+    @pytest.mark.parametrize("name", ["entities.txt", "relations.txt"])
+    def test_unstorable_vocabulary_label_names_its_line(self, tmp_path, name):
+        save_kg_dir(str(tmp_path), small_kg([("a", "d1", "b")]))
+        n_lines = len((tmp_path / name).read_text().splitlines())
+        with open(tmp_path / name, "a", encoding="utf-8") as fh:
+            fh.write("#x\n")
+        with pytest.raises(ParseError) as err:
+            load_kg_dir(str(tmp_path))
+        assert str(err.value).startswith(f"{tmp_path / name}:{n_lines + 1}: label '#x' starts")
 
     def test_graph_with_reciprocals_refused_before_any_write(self, tmp_path):
         with pytest.raises(ValueError, match="reciprocal"):
