@@ -217,7 +217,7 @@ def _load_trained(args, tucker_error: str | None = None):
     vocabulary or split, or of another model than Tucker when tucker_error is
     given, fails."""
     graph = kgmod.load_kg_dir(args.data)
-    params, _, meta = trainer.load_checkpoint(args.checkpoint)
+    params, meta = trainer.load_params(args.checkpoint)
     for key, digest in _split_hashes(args.data, graph).items():
         if meta["vocab_hash"].get(key) != digest:
             raise ConsistencyError(f"checkpoint was trained on another split or vocabulary: "

@@ -7,6 +7,11 @@ every other entity known to complete the query in any fold, never the target.
 
 Ties rank pessimistically: a candidate scoring equal to the target counts as
 ranked above it, so a constant scorer cannot look good.
+
+compute_ranks scores a fold in blocks of queries, in relation order, bounded
+by RANK_BLOCK_BYTES, and ranks each block with array operations: one
+comparison with the targets' scores, and one boolean filter block filled
+from KnownTrueSet. rank_of_target ranks one score vector by the same rule.
 """
 
 import math
@@ -20,6 +25,11 @@ from affinitykg.models import score_queries
 from affinitykg.util import csv_text
 
 HIST_MAX_RANK = 10
+# Bytes of each block of scores compute_ranks ranks at once, a float64 row per query:
+# 109 queries at 1200 entities. On a 2-vCPU VM, ranking 200 queries over 1200 entities
+# (d_e=32) took a median 11.4-12.2 ms at every budget from 256 KB to 2 MB; a block
+# holds its scores, its filter and its comparison (1.25x the budget).
+RANK_BLOCK_BYTES = 1 << 20
 MODES = ("filtered", "raw")
 
 
@@ -58,6 +68,23 @@ class MetricsReport:
             key: value for key, value in items if value or key != "per_relation"})
 
 
+def _ranks(scores: np.ndarray, targets: np.ndarray, drop: np.ndarray) -> tuple:
+    """Raw and filtered ranks of targets[i] in row i of a score block: 1 +
+    better + ties (excluding the target itself). The filtered rank ignores
+    the candidates set in the boolean block `drop`, except the target, which
+    is always ranked; drop's target cells are cleared in place.
+    """
+    rows = np.arange(len(targets))
+    # The candidates not scoring below the target, itself included. Every
+    # comparison with NaN is false, so a NaN competitor counts and a NaN
+    # target counts every candidate.
+    not_below = ~(scores < scores[rows, targets][:, None])
+    raw = np.count_nonzero(not_below, axis=1)
+    drop[rows, targets] = False
+    not_below &= ~drop
+    return raw, np.count_nonzero(not_below, axis=1)
+
+
 def rank_of_target(scores, target: int, filter_set=frozenset(), mode: str = "filtered") -> int:
     """Rank of the target among candidates: 1 + better + ties (excluding itself).
 
@@ -69,14 +96,11 @@ def rank_of_target(scores, target: int, filter_set=frozenset(), mode: str = "fil
     scores = np.asarray(scores, dtype=np.float64)
     if not 0 <= target < scores.shape[0]:
         raise IndexError(f"target {target} out of range")
-    # The candidates not scoring below the target, itself included. Every
-    # comparison with NaN is false, so a NaN competitor counts and a NaN
-    # target counts every candidate.
-    not_below = ~(scores < scores[target])
+    drop = np.zeros((1, scores.shape[0]), dtype=bool)
     if check_mode(mode) == "filtered":
-        not_below[list(filter_set)] = False
-        not_below[target] = True
-    return int(np.count_nonzero(not_below))
+        drop[0, list(filter_set)] = True
+    raw, filtered = _ranks(scores[None], np.array([target]), drop)
+    return int((filtered if mode == "filtered" else raw)[0])
 
 
 def hits_at(ranks, n: int) -> float:
@@ -94,8 +118,9 @@ def mrr(ranks) -> float:
 
 
 def compute_ranks(params, kg: KnowledgeGraph, fold: str = "test") -> list:
-    """Raw and filtered ranks for both directions of every fold triple; an
-    empty fold is a ValueError naming its file."""
+    """Raw and filtered ranks for both directions of every fold triple, tail
+    query then head query, in fold order; an empty fold is a ValueError
+    naming its file."""
     if not len(getattr(kg, fold)):
         raise ValueError(f"{FOLD_FILES[fold]}: the {fold} fold is empty")
     if params.n_entities != kg.n_entities:
@@ -108,16 +133,33 @@ def compute_ranks(params, kg: KnowledgeGraph, fold: str = "test") -> list:
             f"{2 * kg.n_base_relations} (base + reciprocal)"
         )
     known = KnownTrueSet(kg)
-    n_base = kg.n_base_relations
+    triples = getattr(kg, fold)
+    h, r, t = triples.T
     # Per triple, the tail query (h, r) ranks t and the head query (t, r + n_base) ranks h.
-    rankings = [(h, r, t, direction, query, rel, target)
-                for h, r, t in getattr(kg, fold).tolist()
-                for direction, query, rel, target in (("tail", h, r, t),
-                                                      ("head", t, r + n_base, h))]
-    scored = score_queries(params, ((query, rel) for *_, query, rel, _ in rankings))
-    return [RankRecord(h, r, t, direction, rank_of_target(scores, target, mode="raw"),
-                       rank_of_target(scores, target, known.tails_of(query, rel)))
-            for (h, r, t, direction, query, rel, target), scores in zip(rankings, scored)]
+    heads = np.stack([h, t], axis=1).ravel()
+    rels = np.stack([r, r + kg.n_base_relations], axis=1).ravel()
+    targets = np.stack([t, h], axis=1).ravel()
+    ranks = np.empty((2, heads.size), dtype=np.int64)  # raw, filtered
+    # Blocks run in relation order, so a Tucker relation matrix outlives only
+    # the blocks its queries span and is contracted once.
+    order = np.argsort(rels, kind="stable")
+    per_block = max(1, RANK_BLOCK_BYTES // (8 * params.n_entities))
+    matrices: dict = {}
+    for start in range(0, order.size, per_block):
+        rows = order[start:start + per_block]
+        scores = score_queries(params, heads[rows], rels[rows], matrices)
+        drop = np.zeros(scores.shape, dtype=bool)
+        filters = [list(known.tails_of(q, rel))
+                   for q, rel in zip(heads[rows].tolist(), rels[rows].tolist())]
+        drop[np.repeat(np.arange(rows.size), [len(f) for f in filters]),
+             [c for f in filters for c in f]] = True
+        ranks[:, rows] = _ranks(scores, targets[rows], drop)
+        last = rels[rows[-1]]
+        matrices = {rel: m for rel, m in matrices.items() if rel == last}
+    raw, filtered = ranks.tolist()
+    return [RankRecord(h, r, t, direction, *pair)
+            for (h, r, t), direction, *pair in zip(np.repeat(triples, 2, axis=0).tolist(),
+                                                   ("tail", "head") * len(triples), raw, filtered)]
 
 
 def summarize(records, mode: str = "filtered") -> MetricsReport:

@@ -15,8 +15,10 @@ head-row, relation-row and core gradients; the logits (E q, or -||q - e_t||
 for TransE, in chunks of queries sized by TRANSE_CHUNK_BYTES), the loss, the
 tail gradient and the scatter are shared.
 
-Inference goes through score_queries, which yields the logits of each (h, r)
-query in order, without dropout, contracting each Tucker relation matrix once.
+Inference goes through score_queries, which scores a block of (h, r) queries
+at once, without dropout: every row has the bits of its query scored alone,
+and Tucker contracts each relation matrix once per call (score_all_tails is
+its one-query case).
 
 Training scores a batch of queries at once (batch_loss_and_grads, of which
 loss_and_grads is the one-query case): the tail gradient of the whole batch
@@ -215,26 +217,39 @@ def _logits(params: ModelParams, Q: np.ndarray, matmul=np.matmul) -> np.ndarray:
     return np.negative(out, out=out)
 
 
-def score_queries(params: ModelParams, queries):
-    """Logits of every entity as the tail for each (h, r) query, without
-    dropout, yielded in order one row at a time. Tucker contracts each
-    relation matrix once per call."""
-    matrices: dict = {}  # Tucker: relation id -> its matrix
-    for h, r in queries:
-        if not (0 <= h < params.n_entities and 0 <= r < params.n_relations):
-            raise IndexError(f"entity {h} or relation {r} out of range")
-        if params.G is not None:
+def score_queries(params: ModelParams, heads, rels, matrices: dict | None = None) -> np.ndarray:
+    """Logits of every entity as the tail, without dropout: an (n, n_entities)
+    array with row i for the query (heads[i], rels[i]).
+
+    Each row takes the BLAS calls of its query scored alone, through _rowwise
+    as in training, so a row's bits do not depend on the others. Tucker
+    groups the queries by relation and contracts each relation matrix once
+    per call; a caller scoring in blocks hands every call one dict
+    `matrices` (relation id -> matrix) to contract each once in all.
+    """
+    heads = np.asarray(heads, dtype=np.int64)
+    rels = np.asarray(rels, dtype=np.int64)
+    if heads.ndim != 1 or rels.shape != heads.shape:
+        raise ValueError("need one relation per head")
+    if heads.size and (min(heads.min(), rels.min()) < 0 or heads.max() >= params.n_entities
+                       or rels.max() >= params.n_relations):
+        raise IndexError("entity or relation id out of range")
+    if params.G is None:
+        Q = _BASELINES[params.model][0](params.E[heads], params.R[rels])
+    else:
+        matrices = {} if matrices is None else matrices
+        Q = np.empty((heads.size, params.d_e))
+        for r in np.unique(rels).tolist():
             if r not in matrices:
                 matrices[r] = relation_matrix(params, r)
-            q = params.E[h] @ matrices[r]
-        else:
-            q = _BASELINES[params.model][0](params.E[h], params.R[r])
-        yield _logits(params, q[None])[0]
+            rows = np.flatnonzero(rels == r)
+            Q[rows] = _rowwise(params.E[heads[rows]], matrices[r])
+    return _logits(params, Q, _rowwise)
 
 
 def score_all_tails(params: ModelParams, h: int, r: int) -> np.ndarray:
     """Logits of (h, r, t) for every entity t."""
-    return next(score_queries(params, [(h, r)]))
+    return score_queries(params, [h], [r])[0]
 
 
 def score_tucker(params: ModelParams, h: int, r: int, t: int) -> float:
@@ -247,7 +262,10 @@ def predict_sigmoid(logits) -> np.ndarray:
     """Numerically stable logistic sigmoid: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below."""
     x = np.asarray(logits, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    p = np.where(x >= 0, 1.0, e)
+    # The numerator, 1 for x >= 0 and e below, is max(x >= 0, e) since 0 <= e <= 1, and
+    # np.maximum passes a NaN on. np.where took 4x as long on a 128 x 1200 block.
+    p = np.greater_equal(x, 0.0, out=np.empty_like(x))
+    np.maximum(p, e, out=p)
     e += 1.0
     p /= e
     return p

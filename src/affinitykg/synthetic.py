@@ -22,7 +22,7 @@ import numpy as np
 from affinitykg import kg as kgmod
 from affinitykg import ziggurat
 from affinitykg.builder import RECORDS_HEADER, Records
-from affinitykg.util import atomic_write_text, format_float
+from affinitykg.util import atomic_write_text
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,9 @@ def _draw_individual(rng, spec: PopulationSpec, pairs, centers) -> tuple:
 def write_records_csv(path: str, records: Records, blocks: list[str]) -> None:
     labels = records.labels
     rows = zip(records.paternal.tolist(), records.maternal.tolist(), records.ses.tolist(), blocks)
+    # SES is a Python float here, so {ses!r} is format_float(ses) without a call per row.
     atomic_write_text(path, ",".join(RECORDS_HEADER) + "\n" + "".join([
-        f"{labels[paternal]},{labels[maternal]},{format_float(ses)},{block}\n"
+        f"{labels[paternal]},{labels[maternal]},{ses!r},{block}\n"
         for paternal, maternal, ses, block in rows]))
 
 

@@ -429,18 +429,24 @@ def save_checkpoint(directory: str, params, state: AdamState, config: TrainConfi
     atomic_write_text(meta_path, meta)
 
 
-def _read_block(directory: str, name: str, shape) -> np.ndarray:
-    path = os.path.join(directory, f"{name}.bin")
-    with open(path, "rb") as fh:
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    expected = int(np.prod(shape))
-    if data.size != expected:
-        raise ConsistencyError(f"{path}: expected {expected} float64 values, found {data.size}")
-    return data.reshape(shape).copy()
+def _read_blocks(directory: str, prefix: str, shapes: dict) -> dict:
+    """The blocks named in shapes, each from <prefix><name>.bin; a file whose
+    size does not match its shape is a ConsistencyError naming it."""
+    blocks = {}
+    for name, shape in shapes.items():
+        path = os.path.join(directory, f"{prefix}{name}.bin")
+        with open(path, "rb") as fh:
+            data = np.frombuffer(fh.read(), dtype="<f8")
+        expected = int(np.prod(shape))
+        if data.size != expected:
+            raise ConsistencyError(f"{path}: expected {expected} float64 values, found {data.size}")
+        blocks[name] = data.reshape(shape).copy()
+    return blocks
 
 
-def load_checkpoint(directory: str):
-    """Returns (params, adam_state, meta dict).
+def load_params(directory: str):
+    """Returns (params, meta dict), reading meta.json and the parameter blocks
+    only: what evaluation and analysis need, without the Adam moments.
 
     A meta.json that is not UTF-8 or not JSON is a ParseError naming its line;
     one that is not an object, or lacks a key or holds it with the wrong type,
@@ -463,6 +469,12 @@ def load_checkpoint(directory: str):
     for key, kind, noun in (("adam_step", int, "an integer"), ("vocab_hash", dict, "an object")):
         if not isinstance(meta.get(key), kind):
             raise ConsistencyError(f"{path}: key {key!r} is missing or not {noun}")
-    arrays, m, v = ({name: _read_block(directory, f"{prefix}{name}", shape)
-                     for name, shape in blocks.items()} for prefix in BLOCK_PREFIXES)
-    return ModelParams(model, **arrays), AdamState(m=m, v=v, step=meta["adam_step"]), meta
+    return ModelParams(model, **_read_blocks(directory, "", blocks)), meta
+
+
+def load_checkpoint(directory: str):
+    """Returns (params, adam_state, meta dict): load_params, then the Adam
+    moments of every block."""
+    params, meta = load_params(directory)
+    m, v = (_read_blocks(directory, prefix, meta["blocks"]) for prefix in BLOCK_PREFIXES[1:])
+    return params, AdamState(m=m, v=v, step=meta["adam_step"]), meta

@@ -480,6 +480,22 @@ class TestEvaluateAnalyzeExport:
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    def test_read_side_needs_no_adam_moments(self, pipeline, tmp_path):
+        bare = tmp_path / "bare"
+        shutil.copytree(pipeline["ckpt"], bare)
+        moments = sorted(bare.glob("adam_*.bin"))
+        assert len(moments) == 6
+        for path in moments:
+            path.unlink()
+        for command in ("evaluate", "analyze", "export-heatmaps"):
+            outputs = []
+            for ckpt in (pipeline["ckpt"], bare):
+                out = tmp_path / f"{command}-{ckpt.name}"
+                assert run([command, *COMMAND_INPUTS[command](pipeline), "--checkpoint", ckpt,
+                            "--out", out]) == 0
+                outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            assert outputs[0] == outputs[1], command
+
     def test_export_heatmaps_one_per_decile(self, pipeline, tmp_path):
         out = tmp_path / "maps"
         assert run(["export-heatmaps", "--checkpoint", pipeline["ckpt"],
@@ -756,6 +772,26 @@ class TestStageShell:
         monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
         assert run(["split", "--triples", pipeline["net"] / "triples.tsv", "--out", tmp_path,
                     "--set", "split.valid_size=50", "--set", "split.test_size=50"]) == 0
+
+    def test_malloc_thresholds_are_set_before_the_command_runs(self, pipeline, tmp_path,
+                                                               monkeypatch):
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+
+        def command(args, config):
+            calls.append("command")
+            return {}, "ran"
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
+        monkeypatch.setitem(cli.COMMANDS, "split", (command, *cli.COMMANDS["split"][1:]))
+        assert run(["split", "--triples", pipeline["net"] / "triples.tsv", "--out", tmp_path]) == 0
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20), "command"]
+        # A C library without mallopt leaves the thresholds alone and raises nothing.
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        assert cli._hold_heap() is None
 
 
 # The command that reads each section's keys; the global seed and threads go through

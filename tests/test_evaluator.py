@@ -1,5 +1,6 @@
 """Ranking metrics against sort-based and exact-arithmetic oracles."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -27,14 +28,52 @@ from affinitykg.synthetic import two_block_kg
 
 
 def rank_oracle(scores, target, filter_set, mode):
-    """Sort every candidate; ties put the target last (pessimistic)."""
+    """Sort every candidate; ties put the target last (pessimistic). A NaN
+    competitor sorts first and a NaN target last."""
     candidates = [
         (c, s)
         for c, s in enumerate(scores)
         if mode == "raw" or c == target or c not in filter_set
     ]
-    candidates.sort(key=lambda cs: (-cs[1], cs[0] == target))
+
+    def key(cs):
+        c, s = cs
+        if math.isnan(s):
+            return (2, 0.0, True) if c == target else (0, 0.0, False)
+        return (1, -s, c == target)
+
+    candidates.sort(key=key)
     return [c for c, _ in candidates].index(target) + 1
+
+
+def scores_oracle(params, h, r):
+    """One query scored as the per-query scorer did: a 1-D query vector, then one
+    product with E, or TransE's distances written out."""
+    E = params.E
+    if params.model == "tucker":
+        q = E[h] @ relation_matrix(params, r)
+    else:
+        q = models._BASELINES[params.model][0](E[h], params.R[r])
+    if params.model == "transe":
+        diff = q - E
+        return -np.sqrt(np.sum(diff * diff, axis=1))
+    return q @ E.T
+
+
+def ranks_oracle(params, kg, fold="test"):
+    """compute_ranks written out query by query, through scores_oracle,
+    rank_oracle and KnownTrueSet.tails_of."""
+    known = KnownTrueSet(kg)
+    n_base = kg.n_base_relations
+    records = []
+    for h, r, t in getattr(kg, fold).tolist():
+        for direction, query, rel, target in (("tail", h, r, t), ("head", t, r + n_base, h)):
+            scores = scores_oracle(params, query, rel)
+            filter_set = known.tails_of(query, rel)
+            records.append(RankRecord(h, r, t, direction,
+                                      rank_oracle(scores, target, filter_set, "raw"),
+                                      rank_oracle(scores, target, filter_set, "filtered")))
+    return records
 
 
 class TestRankOfTarget:
@@ -230,17 +269,8 @@ class TestComputeRanksOracle:
     def test_matches_per_query_scoring(self, model):
         kg = self.kg
         params = init_params(kg.n_entities, 2 * kg.n_base_relations, 6, 3, seed=5, model=model)
-        known = KnownTrueSet(kg)
-        n_base = kg.n_base_relations
-        expected = []
-        for h, r, t in kg.test.tolist():
-            for direction, query, rel, target in (("tail", h, r, t), ("head", t, r + n_base, h)):
-                scores = score_all_tails(params, query, rel)
-                filter_set = known.tails_of(query, rel)
-                expected.append(RankRecord(h, r, t, direction,
-                                           rank_oracle(scores, target, filter_set, "raw"),
-                                           rank_oracle(scores, target, filter_set, "filtered")))
-        assert compute_ranks(params, kg) == expected
+        for fold in ("test", "valid"):
+            assert compute_ranks(params, kg, fold) == ranks_oracle(params, kg, fold)
 
     def test_one_relation_matrix_per_relation(self, monkeypatch):
         kg = self.kg
@@ -258,6 +288,60 @@ class TestComputeRanksOracle:
                   for rec in records}
         assert set(calls) == ranked
         assert max(calls.values()) == 1
+
+    def params(self, model, d_e=6):
+        kg = self.kg
+        return init_params(kg.n_entities, 2 * kg.n_base_relations, d_e, 3, seed=7, model=model)
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("d_e", [6, 200])
+    def test_score_all_tails_equals_the_oracle_bit_for_bit(self, model, d_e):
+        params = self.params(model, d_e)
+        for h, r in ((0, 0), (7, 1), (39, 2), (7, 1)):
+            assert np.array_equal(score_all_tails(params, h, r), scores_oracle(params, h, r))
+
+    def test_all_tied_scores_rank_every_kept_candidate(self):
+        params = self.params("tucker")
+        params.G[:] = 0.0
+        records = compute_ranks(params, self.kg)
+        assert records == ranks_oracle(params, self.kg)
+        known = KnownTrueSet(self.kg)
+        n_base = self.kg.n_base_relations
+        for rec in records:
+            query, rel, target = ((rec.h, rec.r, rec.t) if rec.direction == "tail"
+                                  else (rec.t, rec.r + n_base, rec.h))
+            assert rec.raw_rank == self.kg.n_entities
+            assert rec.filtered_rank == self.kg.n_entities - len(
+                known.tails_of(query, rel) - {target})
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_nan_entity_row(self, model):
+        params = self.params(model)
+        nan_entity = int(self.kg.test[0, 0])
+        params.E[nan_entity] = np.nan  # after the finite check, as a diverged run would
+        records = compute_ranks(params, self.kg)
+        assert records == ranks_oracle(params, self.kg)
+        # As the first triple's head, the NaN entity is a NaN target: it ranks last.
+        assert records[1].raw_rank == self.kg.n_entities
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_a_budget_that_splits_a_relation_changes_nothing(self, model, monkeypatch):
+        kg = self.kg
+        params = self.params(model)
+        calls = Counter()
+
+        def counted(params, r):
+            calls[r] += 1
+            return relation_matrix(params, r)
+
+        per_block = 3
+        monkeypatch.setattr(evaluator, "RANK_BLOCK_BYTES", 8 * kg.n_entities * per_block)
+        monkeypatch.setattr(models, "relation_matrix", counted)
+        per_relation = Counter(int(r) for r in kg.test[:, 1])
+        assert max(per_relation.values()) > per_block  # a relation spans blocks
+        assert compute_ranks(params, kg) == ranks_oracle(params, kg)
+        if model == "tucker":
+            assert len(calls) == 2 * len(per_relation) and max(calls.values()) == 1
 
 
 class TestRandomTopN:

@@ -117,10 +117,8 @@ class TestScoreQueries:
         params = init_params(n_e, 4, d_e, 10, seed=6, model=model)
         # Relation 1 repeats; relations interleave; one query repeats whole.
         queries = [(0, 1), (5, 1), (3, 0), (n_e - 1, 3), (5, 1), (2, 0), (7, 2), (0, 1)]
-        scored = score_queries(params, queries)
-        assert iter(scored) is scored  # rows come one at a time
-        rows = list(scored)
-        assert len(rows) == len(queries)
+        rows = score_queries(params, *zip(*queries))
+        assert rows.shape == (len(queries), n_e)
         for (h, r), row in zip(queries, rows):
             assert np.array_equal(row, score_all_tails(params, h, r))
 
@@ -132,7 +130,7 @@ class TestScoreQueries:
         params = init_params(n_e, 4, d_e, 10, seed=6, model=model)
         E, R, G = params.E, params.R, params.G
         queries = [(0, 1), (5, 1), (3, 0), (n_e - 1, 3), (2, 0), (7, 2)]
-        for (h, r), row in zip(queries, score_queries(params, queries)):
+        for (h, r), row in zip(queries, score_queries(params, *zip(*queries))):
             if model == "tucker":
                 expected = (E[h] @ np.einsum("pqj,q->pj", G, R[r]))[None] @ E.T
             elif model == "transe":
@@ -190,6 +188,14 @@ class TestSigmoidAndLoss:
     def test_sigmoid_symmetry(self):
         x = np.random.default_rng(0).normal(scale=5, size=1000)
         np.testing.assert_allclose(predict_sigmoid(x) + predict_sigmoid(-x), 1.0, atol=1e-12)
+
+    def test_sigmoid_equals_the_where_form_bit_for_bit(self):
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 745.0, -745.0]
+        x = np.concatenate([edges, np.random.default_rng(3).normal(scale=20, size=4096)])
+        e = np.exp(-np.abs(x))
+        expected = np.where(x >= 0, 1.0, e) / (e + 1.0)
+        assert np.array_equal(predict_sigmoid(x).view(np.uint64), expected.view(np.uint64))
+        assert predict_sigmoid(-0.0) == 0.5 and np.isnan(predict_sigmoid(np.nan))
 
     def test_bce_closed_form(self):
         assert bce_loss([0.5, 0.5], [1.0, 0.0])[0] == pytest.approx(np.log(2.0))
