@@ -11,7 +11,9 @@ ranked above it, so a constant scorer cannot look good.
 compute_ranks scores a fold in blocks of queries, in relation order, bounded
 by RANK_BLOCK_BYTES, and ranks each block with array operations: one
 comparison with the targets' scores, and one boolean filter block filled
-from KnownTrueSet. rank_of_target ranks one score vector by the same rule.
+from KnownTrueSet. It returns one rank table, a record array with a row per
+query; ranks_of picks a mode's rank column, which summarize, evaluate and
+snn.select_hits read whole. rank_of_target ranks one score vector by the same rule.
 """
 
 import math
@@ -39,17 +41,9 @@ def check_mode(mode: str) -> str:
     return mode
 
 
-@dataclass(frozen=True)
-class RankRecord:
-    h: int
-    r: int          # base relation id
-    t: int
-    direction: str  # "tail" (predicting t) or "head" (predicting h)
-    raw_rank: int
-    filtered_rank: int
-
-    def rank(self, mode: str) -> int:
-        return self.filtered_rank if check_mode(mode) == "filtered" else self.raw_rank
+def ranks_of(table, mode: str) -> np.ndarray:
+    """The rank column of a compute_ranks table that the mode selects."""
+    return table[f"{check_mode(mode)}_rank"]
 
 
 @dataclass
@@ -96,11 +90,11 @@ def rank_of_target(scores, target: int, filter_set=frozenset(), mode: str = "fil
     scores = np.asarray(scores, dtype=np.float64)
     if not 0 <= target < scores.shape[0]:
         raise IndexError(f"target {target} out of range")
+    # In raw mode nothing is dropped, so the filtered count is the raw rank.
     drop = np.zeros((1, scores.shape[0]), dtype=bool)
     if check_mode(mode) == "filtered":
         drop[0, list(filter_set)] = True
-    raw, filtered = _ranks(scores[None], np.array([target]), drop)
-    return int((filtered if mode == "filtered" else raw)[0])
+    return int(_ranks(scores[None], np.array([target]), drop)[1][0])
 
 
 def hits_at(ranks, n: int) -> float:
@@ -117,10 +111,11 @@ def mrr(ranks) -> float:
     return float(np.mean(1.0 / ranks))
 
 
-def compute_ranks(params, kg: KnowledgeGraph, fold: str = "test") -> list:
+def compute_ranks(params, kg: KnowledgeGraph, fold: str = "test") -> np.recarray:
     """Raw and filtered ranks for both directions of every fold triple, tail
-    query then head query, in fold order; an empty fold is a ValueError
-    naming its file."""
+    query then head query, in fold order, as a record array with the columns
+    h, r (base relation id), t, direction ("tail" ranks t, "head" ranks h),
+    raw_rank and filtered_rank; an empty fold is a ValueError naming its file."""
     if not len(getattr(kg, fold)):
         raise ValueError(f"{FOLD_FILES[fold]}: the {fold} fold is empty")
     if params.n_entities != kg.n_entities:
@@ -156,23 +151,23 @@ def compute_ranks(params, kg: KnowledgeGraph, fold: str = "test") -> list:
         ranks[:, rows] = _ranks(scores, targets[rows], drop)
         last = rels[rows[-1]]
         matrices = {rel: m for rel, m in matrices.items() if rel == last}
-    raw, filtered = ranks.tolist()
-    return [RankRecord(h, r, t, direction, *pair)
-            for (h, r, t), direction, *pair in zip(np.repeat(triples, 2, axis=0).tolist(),
-                                                   ("tail", "head") * len(triples), raw, filtered)]
+    return np.rec.fromarrays(
+        [*np.repeat(triples, 2, axis=0).T, np.tile(["tail", "head"], len(triples)), *ranks],
+        names="h,r,t,direction,raw_rank,filtered_rank")
 
 
-def summarize(records, mode: str = "filtered") -> MetricsReport:
-    if not records:
-        raise ValueError("no rank records to summarize")
-    ranks = np.array([rec.rank(mode) for rec in records])
+def summarize(table, mode: str = "filtered") -> MetricsReport:
+    """MetricsReport over the rows of a compute_ranks table."""
+    ranks = ranks_of(table, mode)
+    if not ranks.size:
+        raise ValueError("no ranks to summarize")
     hist = [int(np.count_nonzero(ranks == k)) for k in range(1, HIST_MAX_RANK + 1)]
     return MetricsReport(
         hits1=hits_at(ranks, 1),
         hits3=hits_at(ranks, 3),
         hits10=hits_at(ranks, 10),
         mrr=mrr(ranks),
-        n=len(records),
+        n=ranks.size,
         hits_per_rank=hist,
     )
 
@@ -180,14 +175,10 @@ def summarize(records, mode: str = "filtered") -> MetricsReport:
 def evaluate(params, kg: KnowledgeGraph, mode: str = "filtered",
              fold: str = "test") -> MetricsReport:
     """MetricsReport over a fold, with per-relation sub-reports by base label."""
-    records = compute_ranks(params, kg, fold)
-    report = summarize(records, mode)
-    by_relation: dict = {}
-    for rec in records:
-        by_relation.setdefault(kg.relations.label_of(rec.r), []).append(rec)
-    report.per_relation = {
-        label: summarize(recs, mode) for label, recs in by_relation.items()
-    }
+    table = compute_ranks(params, kg, fold)
+    report = summarize(table, mode)
+    report.per_relation = {kg.relations.label_of(r): summarize(table[table.r == r], mode)
+                           for r in np.unique(table.r).tolist()}
     return report
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from affinitykg.evaluator import check_mode
+from affinitykg.evaluator import ranks_of
 from affinitykg.kg import KnowledgeGraph, neighbour_index
 from affinitykg.models import ModelParams, relation_matrix
 from affinitykg.trainer import one_blas_thread
@@ -135,16 +135,11 @@ class SNNReport:
         return csv_text([columns] + [[getattr(row, c) for c in columns] for row in self.deciles])
 
 
-def select_hits(records, cutoff: int = 10, mode: str = "filtered") -> list:
-    """Distinct fold triples whose rank in either direction is within cutoff."""
-    check_mode(mode)
-    hits = []
-    seen = set()
-    for rec in records:
-        if rec.rank(mode) <= cutoff and (rec.h, rec.r, rec.t) not in seen:
-            seen.add((rec.h, rec.r, rec.t))
-            hits.append((rec.h, rec.r, rec.t))
-    return hits
+def select_hits(table, cutoff: int = 10, mode: str = "filtered") -> list:
+    """Distinct fold triples (h, r, t) of a compute_ranks table whose rank in
+    either direction is within cutoff, in fold order."""
+    within = table[ranks_of(table, mode) <= cutoff]
+    return list(dict.fromkeys(within[["h", "r", "t"]].tolist()))
 
 
 def analyze_predictions(params: ModelParams, kg: KnowledgeGraph, hits,

@@ -319,6 +319,8 @@ def _decode(raw, at, where, spec: PopulationSpec, pairs: np.ndarray, centers) ->
     x = np.where(((z >> 8) & 1).astype(bool), -x, x)
     ses = np.array(centers)[community] + (0.0 + spec.ses_noise * x)
     return community, paternal, maternal, ses, _bounded(bits("block"), _BLOCKS)
+
+
 def two_block_kg(
     seed: int = 0,
     n_entities: int = 200,

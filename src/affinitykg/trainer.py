@@ -450,7 +450,8 @@ def load_params(directory: str):
 
     A meta.json that is not UTF-8 or not JSON is a ParseError naming its line;
     one that is not an object, or lacks a key or holds it with the wrong type,
-    is a ConsistencyError naming the file and the key.
+    is a ConsistencyError naming the file and the key. 'blocks' maps each of the
+    model's blocks to its shape: 2 positive integers for E and R, 3 for G.
     """
     path = os.path.join(directory, META_FILE)
     with open_text(path) as fh:
@@ -460,12 +461,19 @@ def load_params(directory: str):
             raise ParseError(f"{err.msg} (column {err.colno})", err.lineno, path) from None
     if not isinstance(meta, dict):
         raise ConsistencyError(f"{path}: not a JSON object")
-    model, blocks = meta.get("model"), meta.get("blocks") or {}
+    model, blocks = meta.get("model"), meta.get("blocks")
     if model not in models.MODELS:
         raise ConsistencyError(f"{directory}: unknown model {model!r} in {META_FILE}")
-    if sorted(blocks) != sorted(models.block_names(model)):
-        raise ConsistencyError(f"{directory}: {META_FILE} lists blocks {sorted(blocks)}, "
-                               f"but {model} has {sorted(models.block_names(model))}")
+    names = sorted(models.block_names(model))
+    if not isinstance(blocks, dict) or sorted(blocks) != names:
+        raise ConsistencyError(f"{path}: key 'blocks' is {blocks!r}, not an object "
+                               f"keyed by the {model} blocks {names}")
+    for name, shape in blocks.items():
+        rank = 3 if name == "G" else 2
+        if not (isinstance(shape, list) and len(shape) == rank
+                and all(type(n) is int and n > 0 for n in shape)):
+            raise ConsistencyError(f"{path}: key 'blocks' gives {name} the shape {shape!r}, "
+                                   f"not {rank} positive integers")
     for key, kind, noun in (("adam_step", int, "an integer"), ("vocab_hash", dict, "an object")):
         if not isinstance(meta.get(key), kind):
             raise ConsistencyError(f"{path}: key {key!r} is missing or not {noun}")

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from affinitykg import evaluator, models
 from affinitykg.errors import ConsistencyError
 from affinitykg.evaluator import (
-    RankRecord,
     compute_ranks,
     evaluate,
     hits_at,
@@ -20,10 +19,12 @@ from affinitykg.evaluator import (
     per_relation_csv,
     random_top_n_probability,
     rank_of_target,
+    ranks_of,
     summarize,
 )
 from affinitykg.kg import KnownTrueSet
 from affinitykg.models import MODELS, ModelParams, init_params, relation_matrix, score_all_tails
+from affinitykg.snn import select_hits
 from affinitykg.synthetic import two_block_kg
 
 
@@ -62,7 +63,7 @@ def scores_oracle(params, h, r):
 
 def ranks_oracle(params, kg, fold="test"):
     """compute_ranks written out query by query, through scores_oracle,
-    rank_oracle and KnownTrueSet.tails_of."""
+    rank_oracle and KnownTrueSet.tails_of: a row tuple per query."""
     known = KnownTrueSet(kg)
     n_base = kg.n_base_relations
     records = []
@@ -70,9 +71,9 @@ def ranks_oracle(params, kg, fold="test"):
         for direction, query, rel, target in (("tail", h, r, t), ("head", t, r + n_base, h)):
             scores = scores_oracle(params, query, rel)
             filter_set = known.tails_of(query, rel)
-            records.append(RankRecord(h, r, t, direction,
-                                      rank_oracle(scores, target, filter_set, "raw"),
-                                      rank_oracle(scores, target, filter_set, "filtered")))
+            records.append((h, r, t, direction,
+                            rank_oracle(scores, target, filter_set, "raw"),
+                            rank_oracle(scores, target, filter_set, "filtered")))
     return records
 
 
@@ -136,12 +137,16 @@ class TestRankOfTarget:
 
 class TestModes:
     def test_misspelled_mode_rejected(self):
-        record = RankRecord(0, 0, 1, "tail", raw_rank=5, filtered_rank=2)
-        assert record.rank("filtered") == 2 and record.rank("raw") == 5
+        table = np.rec.fromrecords([(0, 0, 1, "tail", 5, 2)],
+                                   names="h,r,t,direction,raw_rank,filtered_rank")
+        assert ranks_of(table, "filtered").tolist() == [2]
+        assert ranks_of(table, "raw").tolist() == [5]
         with pytest.raises(ValueError):
-            record.rank("filterd")
+            ranks_of(table, "filterd")
         with pytest.raises(ValueError):
-            summarize([record], mode="filterd")
+            summarize(table, mode="filterd")
+        with pytest.raises(ValueError):
+            select_hits(table, cutoff=10, mode="filterd")
         with pytest.raises(ValueError):
             rank_of_target([0.0, 1.0], 0, mode="filterd")
 
@@ -249,6 +254,8 @@ class TestEvaluate:
         lines = text.strip().split("\n")
         assert lines[0] == "relation,hits1,hits3,hits10,mrr,n"
         assert all(len(line.split(",")) == 6 for line in lines[1:])
+        report = evaluate(params, kg)
+        assert sum(sub.n for sub in report.per_relation.values()) == report.n
 
     def test_summarize_histogram_counts_every_direction(self):
         kg = two_block_kg(seed=6, n_entities=40, clique_size=6, valid_size=20, test_size=20)
@@ -270,7 +277,9 @@ class TestComputeRanksOracle:
         kg = self.kg
         params = init_params(kg.n_entities, 2 * kg.n_base_relations, 6, 3, seed=5, model=model)
         for fold in ("test", "valid"):
-            assert compute_ranks(params, kg, fold) == ranks_oracle(params, kg, fold)
+            table = compute_ranks(params, kg, fold)
+            assert table.dtype.names == ("h", "r", "t", "direction", "raw_rank", "filtered_rank")
+            assert table.tolist() == ranks_oracle(params, kg, fold)
 
     def test_one_relation_matrix_per_relation(self, monkeypatch):
         kg = self.kg
@@ -304,7 +313,7 @@ class TestComputeRanksOracle:
         params = self.params("tucker")
         params.G[:] = 0.0
         records = compute_ranks(params, self.kg)
-        assert records == ranks_oracle(params, self.kg)
+        assert records.tolist() == ranks_oracle(params, self.kg)
         known = KnownTrueSet(self.kg)
         n_base = self.kg.n_base_relations
         for rec in records:
@@ -320,7 +329,7 @@ class TestComputeRanksOracle:
         nan_entity = int(self.kg.test[0, 0])
         params.E[nan_entity] = np.nan  # after the finite check, as a diverged run would
         records = compute_ranks(params, self.kg)
-        assert records == ranks_oracle(params, self.kg)
+        assert records.tolist() == ranks_oracle(params, self.kg)
         # As the first triple's head, the NaN entity is a NaN target: it ranks last.
         assert records[1].raw_rank == self.kg.n_entities
 
@@ -339,7 +348,7 @@ class TestComputeRanksOracle:
         monkeypatch.setattr(models, "relation_matrix", counted)
         per_relation = Counter(int(r) for r in kg.test[:, 1])
         assert max(per_relation.values()) > per_block  # a relation spans blocks
-        assert compute_ranks(params, kg) == ranks_oracle(params, kg)
+        assert compute_ranks(params, kg).tolist() == ranks_oracle(params, kg)
         if model == "tucker":
             assert len(calls) == 2 * len(per_relation) and max(calls.values()) == 1
 

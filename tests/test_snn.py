@@ -370,16 +370,20 @@ class TestAnalyzePredictions:
             assert row.snn_grounded == pytest.approx(float(np.mean(grounded)))
 
     def test_select_hits_dedupes_directions(self):
-        class Rec:
-            def __init__(self, h, r, t, rank):
-                self.h, self.r, self.t = h, r, t
-                self._rank = rank
-
-            def rank(self, mode):
-                return self._rank
-
-        records = [Rec(0, 1, 2, 3), Rec(0, 1, 2, 1), Rec(3, 1, 4, 40)]
-        assert select_hits(records, cutoff=10) == [(0, 1, 2)]
+        # Fold order: (5, 1, 6) hits by its head row only, (0, 1, 2) by both
+        # rows, (3, 1, 4) by neither, (1, 0, 7) by its tail row only.
+        table = np.rec.fromrecords([
+            (5, 1, 6, "tail", 40, 40), (5, 1, 6, "head", 9, 9),
+            (0, 1, 2, "tail", 3, 3), (0, 1, 2, "head", 1, 1),
+            (3, 1, 4, "tail", 40, 40), (3, 1, 4, "head", 11, 11),
+            (1, 0, 7, "tail", 2, 2), (1, 0, 7, "head", 20, 20),
+        ], names="h,r,t,direction,raw_rank,filtered_rank")
+        hits = select_hits(table, cutoff=10)
+        assert hits == [(5, 1, 6), (0, 1, 2), (1, 0, 7)]
+        assert all(type(x) is int for hit in hits for x in hit)
+        table.raw_rank[4] = 1
+        assert select_hits(table, cutoff=10, mode="raw") == [(5, 1, 6), (0, 1, 2), (3, 1, 4),
+                                                             (1, 0, 7)]
 
 
 class TestDecileVocabulary:

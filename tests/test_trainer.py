@@ -615,8 +615,16 @@ class TestCheckpoint:
         (lambda meta: meta.update(model="transe"), "blocks"),
         (lambda meta: meta.pop("adam_step"), "'adam_step'"),
         (lambda meta: meta.update(vocab_hash=["entities"]), "'vocab_hash'"),
+        (lambda meta: meta.update(blocks=list(meta["blocks"])), "'blocks'"),
+        (lambda meta: meta["blocks"].update(E="x"), "'blocks'"),
+        (lambda meta: meta["blocks"].update(E=[5.0, 4]), "'blocks'"),
+        (lambda meta: meta["blocks"].update(E=[True, 20]), "'blocks'"),
+        (lambda meta: meta["blocks"].update(E=[20]), "'blocks'"),
+        (lambda meta: meta["blocks"].update(E=[[5], 4]), "'blocks'"),
+        (lambda meta: meta["blocks"].update(E=[-1, 4]), "'blocks'"),
     ], ids=["missing-core", "extra-block", "unknown-model", "wrong-model",
-            "missing-adam-step", "vocab-hash-not-object"])
+            "missing-adam-step", "vocab-hash-not-object", "blocks-a-list", "shape-a-string",
+            "float-dim", "bool-dim", "too-few-dims", "nested-dim", "negative-dim"])
     def test_bad_meta_is_a_consistency_error(self, tmp_path, edit, named):
         params = init_params(5, 2, 4, 3, seed=0)
         save_checkpoint(str(tmp_path), params, AdamState.for_params(params),
