@@ -10,9 +10,9 @@ ranked above it, so a constant scorer cannot look good.
 
 compute_ranks scores a fold in blocks of queries, in relation order, bounded
 by RANK_BLOCK_BYTES, and ranks each block with array operations: one
-comparison with the targets' scores, and one boolean filter block filled
-from KnownTrueSet. It returns one rank table, a record array with a row per
-query; ranks_of picks a mode's rank column, which summarize, evaluate and
+comparison with the targets' scores, and one boolean filter block from
+KnownTrueSet.drop_block. It returns one rank table, a record array with a row
+per query; ranks_of picks a mode's rank column, which summarize, evaluate and
 snn.select_hits read whole. rank_of_target ranks one score vector by the same rule.
 """
 
@@ -111,11 +111,13 @@ def mrr(ranks) -> float:
     return float(np.mean(1.0 / ranks))
 
 
-def compute_ranks(params, kg: KnowledgeGraph, fold: str = "test") -> np.recarray:
+def compute_ranks(params, kg: KnowledgeGraph, fold: str = "test",
+                  known: KnownTrueSet | None = None) -> np.recarray:
     """Raw and filtered ranks for both directions of every fold triple, tail
     query then head query, in fold order, as a record array with the columns
     h, r (base relation id), t, direction ("tail" ranks t, "head" ranks h),
-    raw_rank and filtered_rank; an empty fold is a ValueError naming its file."""
+    raw_rank and filtered_rank; an empty fold is a ValueError naming its file.
+    known is kg's KnownTrueSet, built here when not given."""
     if not len(getattr(kg, fold)):
         raise ValueError(f"{FOLD_FILES[fold]}: the {fold} fold is empty")
     if params.n_entities != kg.n_entities:
@@ -127,7 +129,8 @@ def compute_ranks(params, kg: KnowledgeGraph, fold: str = "test") -> np.recarray
             f"parameters cover {params.n_relations} relations, expected "
             f"{2 * kg.n_base_relations} (base + reciprocal)"
         )
-    known = KnownTrueSet(kg)
+    if known is None:
+        known = KnownTrueSet(kg)
     triples = getattr(kg, fold)
     h, r, t = triples.T
     # Per triple, the tail query (h, r) ranks t and the head query (t, r + n_base) ranks h.
@@ -143,12 +146,7 @@ def compute_ranks(params, kg: KnowledgeGraph, fold: str = "test") -> np.recarray
     for start in range(0, order.size, per_block):
         rows = order[start:start + per_block]
         scores = score_queries(params, heads[rows], rels[rows], matrices)
-        drop = np.zeros(scores.shape, dtype=bool)
-        filters = [list(known.tails_of(q, rel))
-                   for q, rel in zip(heads[rows].tolist(), rels[rows].tolist())]
-        drop[np.repeat(np.arange(rows.size), [len(f) for f in filters]),
-             [c for f in filters for c in f]] = True
-        ranks[:, rows] = _ranks(scores, targets[rows], drop)
+        ranks[:, rows] = _ranks(scores, targets[rows], known.drop_block(heads[rows], rels[rows]))
         last = rels[rows[-1]]
         matrices = {rel: m for rel, m in matrices.items() if rel == last}
     return np.rec.fromarrays(
@@ -172,10 +170,11 @@ def summarize(table, mode: str = "filtered") -> MetricsReport:
     )
 
 
-def evaluate(params, kg: KnowledgeGraph, mode: str = "filtered",
-             fold: str = "test") -> MetricsReport:
-    """MetricsReport over a fold, with per-relation sub-reports by base label."""
-    table = compute_ranks(params, kg, fold)
+def evaluate(params, kg: KnowledgeGraph, mode: str = "filtered", fold: str = "test",
+             known: KnownTrueSet | None = None) -> MetricsReport:
+    """MetricsReport over a fold, with per-relation sub-reports by base label;
+    known is passed to compute_ranks."""
+    table = compute_ranks(params, kg, fold, known)
     report = summarize(table, mode)
     report.per_relation = {kg.relations.label_of(r): summarize(table[table.r == r], mode)
                            for r in np.unique(table.r).tolist()}

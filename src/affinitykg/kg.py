@@ -10,8 +10,16 @@ labels; a reciprocal relation has an id and no label.
 File format (one triple per line, TAB separated, ``#`` starts a comment)::
 
     perez\td3\tsoto
+
+load_kg_dir reads each file of a split directory whole: a fold's lines are
+checked at once with array operations over its encoded text, cut into fields
+with one str.split, and its labels mapped to ids in one pass. A file the bulk
+reading refuses is read again line by line, which raises the ParseError that
+names its first bad line. KnownTrueSet holds the filter of filtered ranking as
+sorted arrays and answers a block of queries with one boolean block.
 """
 
+import itertools
 import os
 import re
 from dataclasses import dataclass, replace
@@ -28,6 +36,14 @@ UNSTORABLE_LABEL = re.compile(r"^#|[\t\r\n]")
 UNSTORABLE_WHY = "starts with '#' or contains TAB, CR or LF"
 
 
+def _all_storable(labels: tuple) -> bool:
+    """Whether no label matches UNSTORABLE_LABEL, checked on the labels joined
+    by LF: no TAB or CR, no LF but the joins, and no '#' that starts a label."""
+    text = "\n".join(labels)
+    return not ("\t" in text or "\r" in text or text.startswith("#") or "\n#" in text
+                or text.count("\n") != max(len(labels) - 1, 0))
+
+
 class Vocab:
     """Bijection between labels and dense 0-based ids, in first-appearance order.
 
@@ -41,8 +57,9 @@ class Vocab:
         self.index = {label: i for i, label in enumerate(self.labels)}
         if len(self.index) != len(self.labels):
             raise ValueError("duplicate labels in vocabulary")
-        for label in filter(UNSTORABLE_LABEL.search, self.labels):
-            raise ValueError(f"label {label!r} {UNSTORABLE_WHY}")
+        if not _all_storable(self.labels):
+            for label in filter(UNSTORABLE_LABEL.search, self.labels):
+                raise ValueError(f"label {label!r} {UNSTORABLE_WHY}")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -207,16 +224,37 @@ class KnownTrueSet:
 
     Queries accept reciprocal relation ids (>= n_base_relations), answered as
     their base relation; the graph is undirected, so (a, r, b) known means b
-    is known for (a, r) and a for (b, r).
+    is known for (a, r) and a for (b, r). The index is two arrays sorted by
+    key, one entry per row orientation: the keys r * n_entities + a and the
+    neighbours b. A reciprocal row of an augmented graph gets a key past every
+    base one, which no query asks for.
     """
 
     def __init__(self, kg: KnowledgeGraph):
-        self.n_base = kg.n_base_relations
-        self._index = neighbour_index(kg.all_triples())
+        self.n_base, self.n_entities = kg.n_base_relations, kg.n_entities
+        h, r, t = kg.all_triples().T
+        keys = np.concatenate([r * self.n_entities + h, r * self.n_entities + t])
+        order = np.argsort(keys)
+        self._keys = keys[order]
+        self._neighbours = np.concatenate([t, h])[order]
+
+    def drop_block(self, entities, relations) -> np.ndarray:
+        """Boolean (n, n_entities) block whose row i marks every entity known
+        to complete the query (entities[i], relations[i])."""
+        entities, relations = np.asarray(entities), np.asarray(relations)
+        base = np.where(relations >= self.n_base, relations - self.n_base, relations)
+        keys = base * self.n_entities + entities
+        lo = np.searchsorted(self._keys, keys, "left")
+        counts = np.searchsorted(self._keys, keys, "right") - lo
+        # Entry j of query i's run sits at lo[i] + j; the runs are laid end to end.
+        at = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        block = np.zeros((counts.size, self.n_entities), dtype=bool)
+        block[np.repeat(np.arange(counts.size), counts), self._neighbours[at]] = True
+        return block
 
     def tails_of(self, entity: int, relation: int) -> frozenset:
-        base = relation - self.n_base if relation >= self.n_base else relation
-        return frozenset(self._index.get((base, entity), ()))
+        """The entities drop_block marks for one query."""
+        return frozenset(np.flatnonzero(self.drop_block([entity], [relation])[0]).tolist())
 
 
 # --- split-directory persistence (vocab files keep ids stable across loads) ---
@@ -243,41 +281,89 @@ def save_kg_dir(directory: str, kg: KnowledgeGraph) -> None:
         atomic_write_text(os.path.join(directory, name), "".join(line + "\n" for line in lines))
 
 
-def _read_vocab_file(path: str) -> dict:
-    """Each label of a one-label-per-line file mapped to its line, blank lines
-    skipped; a repeated label names its line and the first, and a label the
-    fold files could not carry names its line."""
-    first_line: dict[str, int] = {}
+def _read_text(path: str) -> str:
+    """A text input whole, its line ends read as LF (see open_text)."""
     with open_text(path) as fh:
-        for n, raw in enumerate(fh, start=1):
-            label = raw.rstrip("\n")
+        return fh.read()
+
+
+def _read_vocab(path: str) -> Vocab:
+    """The labels of a one-label-per-line file, blank lines skipped. Vocab
+    checks them all at once; if it refuses them, the lines are scanned one by
+    one: a repeated label names its line and the first, and a label the fold
+    files could not carry names its line."""
+    lines = _read_text(path).split("\n")
+    try:
+        return Vocab(filter(None, lines))
+    except ValueError:
+        first_line: dict[str, int] = {}
+        for n, label in enumerate(lines, start=1):
             if label in first_line:
                 raise ParseError(f"label {label!r} repeats line {first_line[label]}", n, path)
             if UNSTORABLE_LABEL.search(label):
                 raise ParseError(f"label {label!r} {UNSTORABLE_WHY}", n, path)
             if label:
                 first_line[label] = n
-    return first_line
+        raise
+
+
+_TAB, _LF, _HASH = b"\t\n#"
+# A blank line, or a comment line, with its LF.
+_SKIPPED_LINE = re.compile(r"^(?:#.*)?\n", re.MULTILINE)
+
+
+def _triple_fields(text: str) -> list | None:
+    """The fields of a fold text's triple lines, in order, its blank and
+    comment lines dropped; None if a triple line is not three TAB-separated
+    fields. The separators are found in the UTF-8 bytes, where TAB and LF
+    occur only as themselves. An empty field is no vocabulary's label."""
+    if not text:
+        return []
+    if not text.endswith("\n"):
+        text += "\n"
+    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    seps = np.flatnonzero((raw == _TAB) | (raw == _LF))
+    kinds = raw[seps]
+    line_starts = np.concatenate([[0], seps[kinds == _LF][:-1] + 1])
+    firsts = raw[line_starts]
+    if ((firsts == _HASH) | (firsts == _LF)).any():
+        return _triple_fields(_SKIPPED_LINE.sub("", text))
+    if kinds.size % 3 or (kinds.reshape(-1, 3) != (_TAB, _TAB, _LF)).any():
+        return None
+    fields = text.replace("\n", "\t").split("\t")
+    fields.pop()  # after the last line's LF
+    return fields
+
+
+def _read_fold(path: str, entities: Vocab, relations: Vocab) -> np.ndarray:
+    """The (n, 3) id rows of a fold file. If its lines are not all triples of
+    known labels, it is scanned line by line for the ParseError naming the
+    first bad one."""
+    text = _read_text(path)
+    fields = _triple_fields(text)
+    if fields is not None:
+        try:
+            # Labels run head, relation, tail, line after line.
+            ids = map(dict.__getitem__, itertools.cycle((entities.index, relations.index,
+                                                         entities.index)), fields)
+            return np.fromiter(ids, dtype=np.int64, count=len(fields)).reshape(-1, 3)
+        except KeyError:
+            pass
+    for n, labels in _parse_triple_lines(text.split("\n"), path):
+        for label, vocab in zip(labels, (entities, relations, entities)):
+            if label not in vocab:
+                raise ParseError(f"label {label!r} not in vocabulary", n, path)
+    raise RuntimeError(f"{path}: refused as a whole, yet no line is at fault")
 
 
 def load_kg_dir(directory: str) -> KnowledgeGraph:
-    entities = Vocab(_read_vocab_file(os.path.join(directory, ENTITIES_FILE)))
-    relations = Vocab(_read_vocab_file(os.path.join(directory, RELATIONS_FILE)))
-    folds = {}
-    for fold, fname in FOLD_FILES.items():
-        path = os.path.join(directory, fname)
-        rows = []
-        with open_text(path) as fh:
-            for n, fields in _parse_triple_lines(fh, path):
-                h_label, r_label, t_label = fields
-                try:
-                    rows.append(
-                        (entities.id_of(h_label), relations.id_of(r_label), entities.id_of(t_label))
-                    )
-                except KeyError as missing:
-                    raise ParseError(f"label {missing} not in vocabulary", n, path) from None
-        folds[fold] = np.array(rows, dtype=np.int64).reshape(-1, 3)
-    kg = KnowledgeGraph(entities, relations, folds["train"], folds["valid"], folds["test"])
+    """The graph save_kg_dir wrote: both vocabularies, then the folds in their
+    files' order, then check_folds. A malformed line is a ParseError naming it."""
+    entities = _read_vocab(os.path.join(directory, ENTITIES_FILE))
+    relations = _read_vocab(os.path.join(directory, RELATIONS_FILE))
+    folds = {fold: _read_fold(os.path.join(directory, fname), entities, relations)
+             for fold, fname in FOLD_FILES.items()}
+    kg = KnowledgeGraph(entities, relations, **folds)
     check_folds(kg)
     return kg
 

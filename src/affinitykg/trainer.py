@@ -38,7 +38,7 @@ import numpy as np
 from affinitykg import evaluator as evalmod
 from affinitykg import models
 from affinitykg.errors import ConsistencyError, ParseError
-from affinitykg.kg import KnowledgeGraph, add_reciprocals
+from affinitykg.kg import KnowledgeGraph, KnownTrueSet, add_reciprocals
 from affinitykg.models import (
     DropoutSpec,
     ModelParams,
@@ -273,12 +273,12 @@ def fit(kg: KnowledgeGraph, config: TrainConfig) -> TrainResult:
     """Train on the augmented training fold with periodic validation.
 
     Validates every `eval_every` epochs, and after the last epoch if no
-    validation has run by then. Keeps the parameters with the best validation
-    MRR (filtered); stops early once `patience` consecutive evaluations fail
-    to improve it. The learning rate is multiplied by decay_rate after every
-    epoch. Each log record counts the probabilities the loss clamped in its
-    epoch. A parameter block left with a non-finite value after an epoch is
-    a RuntimeError.
+    validation has run by then, all against one KnownTrueSet built per fit.
+    Keeps the parameters with the best validation MRR (filtered); stops early
+    once `patience` consecutive evaluations fail to improve it. The learning
+    rate is multiplied by decay_rate after every epoch. Each log record counts
+    the probabilities the loss clamped in its epoch. A parameter block left
+    with a non-finite value after an epoch is a RuntimeError.
     """
     aug = kg if kg.has_reciprocals else add_reciprocals(kg)
     params = init_params(aug.n_entities, aug.n_relations, config.d_e, config.d_r,
@@ -295,6 +295,7 @@ def fit(kg: KnowledgeGraph, config: TrainConfig) -> TrainResult:
     lr = config.learning_rate
     epochs_run = 0
     has_validation = len(kg.valid) > 0
+    known = KnownTrueSet(kg) if has_validation else None
     validated = False
 
     for epoch in range(config.epochs):
@@ -309,7 +310,7 @@ def fit(kg: KnowledgeGraph, config: TrainConfig) -> TrainResult:
         if has_validation and (epochs_run % config.eval_every == 0
                                or (epochs_run == config.epochs and not validated)):
             validated = True
-            report = evalmod.evaluate(params, kg, fold="valid")
+            report = evalmod.evaluate(params, kg, fold="valid", known=known)
             record["val_mrr"] = report.mrr
             if report.mrr > best_mrr:
                 best_mrr = report.mrr
@@ -451,7 +452,9 @@ def load_params(directory: str):
     A meta.json that is not UTF-8 or not JSON is a ParseError naming its line;
     one that is not an object, or lacks a key or holds it with the wrong type,
     is a ConsistencyError naming the file and the key. 'blocks' maps each of the
-    model's blocks to its shape: 2 positive integers for E and R, 3 for G.
+    model's blocks to its shape: 2 positive integers for E and R, 3 for G,
+    which must agree: G is (d_e, d_r, d_e) from E's and R's widths, and a
+    baseline's R is as wide as E.
     """
     path = os.path.join(directory, META_FILE)
     with open_text(path) as fh:
@@ -474,6 +477,11 @@ def load_params(directory: str):
                 and all(type(n) is int and n > 0 for n in shape)):
             raise ConsistencyError(f"{path}: key 'blocks' gives {name} the shape {shape!r}, "
                                    f"not {rank} positive integers")
+    (_, d_e), (n_r, d_r) = blocks["E"], blocks["R"]
+    name, shape = ("G", [d_e, d_r, d_e]) if "G" in blocks else ("R", [n_r, d_e])
+    if blocks[name] != shape:
+        raise ConsistencyError(f"{path}: key 'blocks' gives {name} the shape {blocks[name]!r}, "
+                               f"but E {blocks['E']!r} and R {blocks['R']!r} need {shape!r}")
     for key, kind, noun in (("adam_step", int, "an integer"), ("vocab_hash", dict, "an object")):
         if not isinstance(meta.get(key), kind):
             raise ConsistencyError(f"{path}: key {key!r} is missing or not {noun}")

@@ -349,7 +349,8 @@ class TestEvaluateAnalyzeExport:
         ("vocab-hash-not-object", 3, "meta.json: key 'vocab_hash' is missing or not an object"),
         ("not-json", 2, "meta.json:1: "),
         ("not-utf8", 2, "meta.json:1: not valid UTF-8"),
-    ], ids=["missing-adam-step", "vocab-hash-not-object", "not-json", "not-utf8"])
+        ("swapped-E", 3, "meta.json: key 'blocks' gives G the shape"),
+    ], ids=["missing-adam-step", "vocab-hash-not-object", "not-json", "not-utf8", "swapped-E"])
     def test_checkpoint_meta_fault_is_named(self, pipeline, tmp_path, capsys, fault, code,
                                             named):
         ckpt = tmp_path / "ckpt"
@@ -359,6 +360,8 @@ class TestEvaluateAnalyzeExport:
             del meta["adam_step"]
         elif fault == "vocab-hash-not-object":
             meta["vocab_hash"] = "entities"
+        elif fault == "swapped-E":
+            meta["blocks"]["E"].reverse()
         text = json.dumps(meta)
         (ckpt / "meta.json").write_text(text[:-1] if fault == "not-json" else text)
         if fault == "not-utf8":

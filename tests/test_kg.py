@@ -1,21 +1,31 @@
 """Knowledge-graph storage: ingestion, canonical form, splits, reciprocals."""
 
+import itertools
+import os
+import re
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from affinitykg.errors import ConsistencyError, ParseError
 from affinitykg.kg import (
+    FOLD_FILES,
+    KnowledgeGraph,
     KnownTrueSet,
     Vocab,
     add_reciprocals,
+    check_folds,
     load_kg_dir,
     load_triples,
     save_kg_dir,
     split,
 )
 from affinitykg.synthetic import two_block_kg
+from affinitykg.util import open_text
 
 
 def label_triples(rows):
@@ -84,9 +94,10 @@ class TestIngestion:
         assert "starts with '#' or contains TAB, CR or LF" in str(err.value)
 
     def test_vocab_refuses_a_label_the_split_files_cannot_store(self):
-        for label in ("#x", "a\rb", "a\nb"):
-            with pytest.raises(ValueError, match="starts with '#'"):
-                Vocab(["a0", label])
+        for label in ("#x", "a\rb", "a\nb", "a\tb", "b\n#c"):
+            for labels in (["a0", label], [label, "a0"]):
+                with pytest.raises(ValueError, match=f"label {re.escape(repr(label))} starts"):
+                    Vocab(labels)
         assert Vocab(["x#", "a b"]).labels == ("x#", "a b")
 
     def test_comments_and_blanks_skipped(self):
@@ -209,22 +220,25 @@ class TestKnownTrueSet:
 
     def test_matches_linear_scan(self):
         kg = split(random_kg(1000, seed=3), 100, 100, seed=3)
-        rows = set(map(tuple, kg.all_triples()))
-        rng = np.random.default_rng(0)
+        rows = set(map(tuple, kg.all_triples().tolist()))
+        n_base = kg.n_base_relations
 
         def scan(e, r, x):
-            if r >= kg.n_base_relations:
-                base = r - kg.n_base_relations
-                return (x, base, e) in rows or (e, base, x) in rows
-            return (e, r, x) in rows or (x, r, e) in rows
+            base = r - n_base if r >= n_base else r
+            return (e, base, x) in rows or (x, base, e) in rows
 
+        # Every query, reciprocal relation ids included, in a shuffled order.
+        queries = list(itertools.product(range(kg.n_entities), range(2 * n_base)))
+        queries = [queries[i] for i in np.random.default_rng(0).permutation(len(queries))]
+        expected = np.array([[scan(e, r, x) for x in range(kg.n_entities)] for e, r in queries])
         # The augmented graph's reciprocal rows each repeat a base row, so its
         # known set answers every query as the base graph's does.
         for known in (KnownTrueSet(kg), KnownTrueSet(add_reciprocals(kg))):
-            for _ in range(2000):
-                e, x = rng.integers(0, kg.n_entities, size=2)
-                r = int(rng.integers(0, 2 * kg.n_base_relations))
-                assert (int(x) in known.tails_of(int(e), r)) == scan(int(e), r, int(x))
+            block = known.drop_block(*zip(*queries))
+            assert block.dtype == bool and np.array_equal(block, expected)
+            for (e, r), row in zip(queries, expected):
+                assert known.tails_of(e, r) == frozenset(np.flatnonzero(row).tolist())
+            assert known.drop_block([], []).shape == (0, kg.n_entities)
 
 
 class TestPersistence:
@@ -299,6 +313,15 @@ class TestPersistence:
             load_kg_dir(str(tmp_path))
         assert str(err.value) == f"{fold}.tsv: {message}"
 
+    def test_lines_of_two_and_four_fields_name_the_first(self, tmp_path):
+        # Cut at every TAB alone, these lines would make two triples of known labels.
+        save_kg_dir(str(tmp_path), small_kg([("a", "d1", "b")]))
+        (tmp_path / "train.tsv").write_text("a\td1\tb\na\td1\nb\ta\td1\tb\n")
+        with pytest.raises(ParseError) as err:
+            load_kg_dir(str(tmp_path))
+        assert str(err.value) == (f"{tmp_path / 'train.tsv'}:2: "
+                                  "expected 3 TAB-separated fields, got 2")
+
     @pytest.mark.parametrize("name", ["entities.txt", "relations.txt"])
     def test_unstorable_vocabulary_label_names_its_line(self, tmp_path, name):
         save_kg_dir(str(tmp_path), small_kg([("a", "d1", "b")]))
@@ -313,3 +336,135 @@ class TestPersistence:
         with pytest.raises(ValueError, match="reciprocal"):
             save_kg_dir(str(tmp_path), add_reciprocals(two_block_kg(seed=1)))
         assert list(tmp_path.iterdir()) == []
+
+
+# -- the bulk split-directory reader against the per-line reader it replaced --
+
+_ORACLE_UNSTORABLE = re.compile(r"^#|[\t\r\n]")
+_ORACLE_WHY = "starts with '#' or contains TAB, CR or LF"
+
+
+def oracle_read_vocab(path):
+    first_line = {}
+    with open_text(path) as fh:
+        for n, raw in enumerate(fh, start=1):
+            label = raw.rstrip("\n")
+            if label in first_line:
+                raise ParseError(f"label {label!r} repeats line {first_line[label]}", n, path)
+            if _ORACLE_UNSTORABLE.search(label):
+                raise ParseError(f"label {label!r} {_ORACLE_WHY}", n, path)
+            if label:
+                first_line[label] = n
+    return Vocab(first_line)
+
+
+def oracle_read_fold(path, entities, relations):
+    rows = []
+    with open_text(path) as fh:
+        for n, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ParseError(f"expected 3 TAB-separated fields, got {len(fields)}", n, path)
+            if not all(fields):
+                raise ParseError("empty field in triple", n, path)
+            for label, vocab in zip(fields, (entities, relations, entities)):
+                if label not in vocab:
+                    raise ParseError(f"label {label!r} not in vocabulary", n, path)
+            rows.append((entities.id_of(fields[0]), relations.id_of(fields[1]),
+                         entities.id_of(fields[2])))
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
+def oracle_load_kg_dir(directory):
+    """The line-by-line reader of a split directory that load_kg_dir replaced."""
+    entities = oracle_read_vocab(os.path.join(directory, "entities.txt"))
+    relations = oracle_read_vocab(os.path.join(directory, "relations.txt"))
+    folds = {fold: oracle_read_fold(os.path.join(directory, name), entities, relations)
+             for fold, name in FOLD_FILES.items()}
+    kg = KnowledgeGraph(entities, relations, **folds)
+    check_folds(kg)
+    return kg
+
+
+ENTITIES = ["perez", "de la cruz", "soto", "van der berg", "ñandú"]
+RELATIONS = ["d1", "d 2", "d10"]
+
+
+def rarely(draw) -> bool:
+    """True about once in four draws."""
+    return draw(st.integers(0, 3)) == 0
+
+
+def with_inserted(draw, lines, extras) -> list:
+    """lines with one or two drawn extra lines, each at a drawn position."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(extras))
+    return lines
+
+
+# Extra vocabulary lines: blank, a repeat, unstorable, unused.
+VOCAB_EXTRAS = st.sampled_from(["", ENTITIES[0], RELATIONS[0], "#x", "a\tb", "unused label"])
+# The triples the pools allow, each in a drawn orientation.
+triples = st.tuples(st.sampled_from(list(itertools.combinations(ENTITIES, 2))),
+                    st.sampled_from(RELATIONS), st.booleans()).map(
+    lambda d: (d[0][1], d[1], d[0][0]) if d[2] else (d[0][0], d[1], d[0][1]))
+# Skipped lines, malformed ones, a self-loop, unknown labels, and a triple
+# that likely repeats a row of this fold or another.
+odd_lines = st.one_of(
+    st.sampled_from(["", "# a comment", "#", "#perez\td1\tsoto", " ", "perez\td1",
+                     "perez\td1\tsoto\tsoto", "perez\t\tsoto", "\td1\tsoto",
+                     "perez\td1\t", "perez\td1\tperez", "perez\td1\tzz",
+                     "perez \td1\tsoto", "perez\td3\tsoto"]),
+    triples.map("\t".join))
+
+
+@st.composite
+def split_dirs(draw):
+    """{file name: text} of a split directory, mostly well-formed."""
+    rows = draw(st.lists(st.tuples(triples, st.sampled_from(list(FOLD_FILES.values()))),
+                         max_size=12, unique_by=lambda d: (frozenset(d[0][::2]), d[0][1])))
+    lines = {}
+    for name, pool in (("entities.txt", ENTITIES), ("relations.txt", RELATIONS)):
+        labels = draw(st.permutations(pool))
+        if rarely(draw):
+            labels = labels[1:] if draw(st.booleans()) else with_inserted(draw, labels,
+                                                                          VOCAB_EXTRAS)
+        lines[name] = labels
+    for name in FOLD_FILES.values():
+        body = ["\t".join(row) for row, fold in rows if fold == name]
+        lines[name] = with_inserted(draw, body, odd_lines) if rarely(draw) else body
+    texts = {}
+    for name, file_lines in lines.items():
+        end = draw(st.sampled_from(["\r\n", "\r"])) if rarely(draw) else "\n"
+        text = end.join(file_lines) + ("" if rarely(draw) else end)
+        texts[name] = ("\ufeff" if rarely(draw) else "") + text
+    return texts
+
+
+class TestSplitDirOracle:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(split_dirs())
+    def test_same_graph_or_same_error(self, texts):
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in texts.items():
+                with open(os.path.join(tmp, name), "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            try:
+                expected = oracle_load_kg_dir(tmp)
+            except (ParseError, ConsistencyError) as err:
+                with pytest.raises(type(err)) as got:
+                    load_kg_dir(tmp)
+                assert str(got.value) == str(err)
+                assert getattr(got.value, "line_no", None) == getattr(err, "line_no", None)
+                event(f"{type(err).__name__}")
+                return
+            kg = load_kg_dir(tmp)
+        event("loaded")
+        assert kg.entities == expected.entities and kg.relations == expected.relations
+        for fold in FOLD_FILES:
+            got, want = getattr(kg, fold), getattr(expected, fold)
+            assert got.dtype == want.dtype and np.array_equal(got, want)

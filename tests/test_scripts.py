@@ -1,10 +1,13 @@
 """Smoke runs of the example scripts as separate processes."""
 
+import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
+
+from affinitykg.kg import load_kg_dir, save_kg_dir
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -40,6 +43,19 @@ def test_chain_digests_match_the_golden_manifest(tmp_path):
     differ = sorted(name for name in golden.keys() | digests.keys()
                     if golden.get(name) != digests.get(name))
     assert not differ, f"files that differ from tests/golden/chain_digests.json: {differ}"
+    # The same chain in process, kept: its split directory read and written
+    # back gives the same five files, byte for byte.
+    spec = importlib.util.spec_from_file_location(
+        "chain_digests", os.path.join(ROOT, "scripts", "chain_digests.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.chain_digests(str(tmp_path / "chain")) == digests
+    save_kg_dir(str(tmp_path / "resaved"), load_kg_dir(str(tmp_path / "chain" / "data")))
+    resaved = sorted(os.listdir(tmp_path / "resaved"))
+    assert resaved == ["entities.txt", "relations.txt", "test.tsv", "train.tsv", "valid.tsv"]
+    for name in resaved:
+        assert ((tmp_path / "resaved" / name).read_bytes()
+                == (tmp_path / "chain" / "data" / name).read_bytes()), name
 
 
 def assert_pipeline_byte_identical(tmp_path, env_name, values):

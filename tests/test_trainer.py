@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from affinitykg import cli, models, trainer
+from affinitykg import evaluator as evalmod
 from affinitykg.errors import ConsistencyError, ParseError
-from affinitykg.kg import add_reciprocals, load_triples, save_kg_dir
+from affinitykg.kg import KnownTrueSet, add_reciprocals, load_triples, save_kg_dir
 from affinitykg.models import DropoutSpec, init_params, sample_masks
 from affinitykg.synthetic import two_block_kg
 from affinitykg.trainer import (
@@ -488,6 +489,29 @@ class TestFit:
         assert result.best_epoch == 1 and result.best_val_mrr > 0.0
         assert result.best_val_report is not None
 
+    def test_builds_the_filter_index_once(self, monkeypatch):
+        kg = two_block_kg(seed=4)
+        config = TrainConfig(epochs=6, d_e=8, d_r=4, seed=9, eval_every=2, patience=10)
+        built = []
+
+        class CountedKnownTrueSet(KnownTrueSet):
+            def __init__(self, graph):
+                built.append(graph)
+                super().__init__(graph)
+
+        monkeypatch.setattr(trainer, "KnownTrueSet", CountedKnownTrueSet)
+        monkeypatch.setattr(evalmod, "KnownTrueSet", CountedKnownTrueSet)
+        shared = fit(kg, config)
+        assert sum("val_mrr" in rec for rec in shared.log) == 3 and built == [kg]
+        # The same log and parameters as when each validation builds its own.
+        evaluate = evalmod.evaluate
+        monkeypatch.setattr(evalmod, "evaluate",
+                            lambda params, graph, fold, known: evaluate(params, graph, fold=fold))
+        own = fit(kg, config)
+        assert len(built) == 1 + 1 + 3 and own.log == shared.log
+        for name, arr in own.params.param_blocks().items():
+            np.testing.assert_array_equal(arr, shared.params.param_blocks()[name])
+
     def test_fit_deterministic(self):
         kg = two_block_kg(seed=4)
         config = TrainConfig(epochs=12, d_e=8, d_r=4, seed=9, eval_every=5, patience=10)
@@ -622,9 +646,17 @@ class TestCheckpoint:
         (lambda meta: meta["blocks"].update(E=[20]), "'blocks'"),
         (lambda meta: meta["blocks"].update(E=[[5], 4]), "'blocks'"),
         (lambda meta: meta["blocks"].update(E=[-1, 4]), "'blocks'"),
+        # Each shape well-formed, and the file sizes still match: E (5, 4) read
+        # as (4, 5) and R (2, 3) as (3, 2) disagree with G (4, 3, 4).
+        (lambda meta: meta["blocks"]["E"].reverse(), "'blocks' gives G the shape [4, 3, 4]"),
+        (lambda meta: meta["blocks"]["R"].reverse(), "'blocks' gives G the shape [4, 3, 4]"),
+        # E.bin and R.bin hold 20 and 6 values, as (4, 5) and (2, 3) would.
+        (lambda meta: meta.update(model="distmult", blocks={"E": [4, 5], "R": [2, 3]}),
+         "'blocks' gives R the shape [2, 3], but E [4, 5] and R [2, 3] need [2, 5]"),
     ], ids=["missing-core", "extra-block", "unknown-model", "wrong-model",
             "missing-adam-step", "vocab-hash-not-object", "blocks-a-list", "shape-a-string",
-            "float-dim", "bool-dim", "too-few-dims", "nested-dim", "negative-dim"])
+            "float-dim", "bool-dim", "too-few-dims", "nested-dim", "negative-dim",
+            "swapped-E", "swapped-R", "baseline-widths-differ"])
     def test_bad_meta_is_a_consistency_error(self, tmp_path, edit, named):
         params = init_params(5, 2, 4, 3, seed=0)
         save_checkpoint(str(tmp_path), params, AdamState.for_params(params),
