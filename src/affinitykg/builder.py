@@ -11,8 +11,10 @@ under random pairing, so surviving edges indicate genuine affinity.
 
 import csv
 import math
+from array import array
+from itertools import islice
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -21,6 +23,8 @@ from affinitykg.kg import UNSTORABLE_LABEL, UNSTORABLE_WHY
 from affinitykg.util import open_text
 
 RECORDS_HEADER = ["paternal", "maternal", "ses", "block"]
+# read_records_csv parses SES strings into float64 this many rows at a time.
+RECORD_BLOCK_ROWS = 16_384
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,24 +111,59 @@ class BuildReport:
         }
 
 
-def _check_rows(path: str, raw_names, paternal, maternal, ses_strings) -> None:
-    """Raise the ParseError of the first bad row, rows counted from line 2;
-    paternal and maternal are ids into raw_names, the surnames as read."""
-    rows = zip(map(raw_names.__getitem__, paternal), map(raw_names.__getitem__, maternal),
-               ses_strings)
-    for n, (paternal_raw, maternal_raw, ses) in enumerate(rows, start=2):
-        surnames = (paternal_raw.strip().casefold(), maternal_raw.strip().casefold())
-        if not all(surnames):
-            raise ParseError("empty surname", n, path)
-        for surname in surnames:
-            if UNSTORABLE_LABEL.search(surname):
-                raise ParseError(f"surname {surname!r} {UNSTORABLE_WHY}", n, path)
-        try:
-            ses_value = float(ses)
-        except ValueError:
-            raise ParseError(f"bad SES value {ses!r}", n, path) from None
-        if not math.isfinite(ses_value):
-            raise ParseError(f"non-finite SES value {ses!r}", n, path)
+def _check_row(row, n: int, path: str) -> None:
+    """Raise the ParseError of a records.csv row that starts on line n, if it is bad."""
+    if len(row) != 4:
+        raise ParseError(f"expected 4 fields, got {len(row)}", n, path)
+    surnames = (row[0].strip().casefold(), row[1].strip().casefold())
+    if not all(surnames):
+        raise ParseError("empty surname", n, path)
+    for surname in surnames:
+        if UNSTORABLE_LABEL.search(surname):
+            raise ParseError(f"surname {surname!r} {UNSTORABLE_WHY}", n, path)
+    try:
+        ses_value = float(row[2])
+    except ValueError:
+        raise ParseError(f"bad SES value {row[2]!r}", n, path) from None
+    if not math.isfinite(ses_value):
+        raise ParseError(f"non-finite SES value {row[2]!r}", n, path)
+
+
+def _raise_first_bad_row(path: str) -> NoReturn:
+    """Re-read records.csv row by row and raise the ParseError of its first
+    bad row, naming the physical line the row starts on; the header is known
+    to be good."""
+    with open_text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        while True:
+            n = reader.line_num + 1
+            try:
+                row = next(reader, None)
+            except csv.Error as err:
+                raise ParseError(str(err), n, path) from None
+            if row is None:
+                break
+            _check_row(row, n, path)
+    raise ParseError("file changed while it was read", None, path)
+
+
+def _parse_ses(strings: list) -> np.ndarray | None:
+    """The SES strings as float64, or None when float() refuses one or reads
+    it as non-finite."""
+    try:
+        values = np.fromiter(map(float, strings), np.float64, count=len(strings))
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+class _Ids(dict):
+    """A dict that gives each new key the next id, 0, 1, 2, ..., when it is looked up."""
+
+    def __missing__(self, key):
+        self[key] = value = len(self)
+        return value
 
 
 def read_records_csv(path: str) -> Records:
@@ -133,13 +172,18 @@ def read_records_csv(path: str) -> Records:
     The block cell is required and dropped. An empty surname, one triples.tsv
     could not carry (see kg.UNSTORABLE_LABEL), or an SES value Python's float()
     rejects or reads as non-finite is a ParseError naming its line, as is a row
-    the csv module refuses (say, a field over csv.field_size_limit()). Each raw
-    surname gets an id as it is read; each distinct one is normalized and
-    checked once and the SES column is parsed in one pass. On a failure the
-    rows are rescanned one by one, so the error names the first bad row.
+    the csv module refuses (say, a field over csv.field_size_limit()). A row's
+    line is the physical line it starts on, so a quoted line break counts.
+
+    The file is streamed: each raw surname gets an int64 id as it is read, and
+    the SES strings are parsed into float64 every RECORD_BLOCK_ROWS rows, so
+    no string is held per record. Each distinct surname is normalized and
+    checked once, at the end. On any failure the file is re-read row by row,
+    so the error names the first bad row.
     """
-    ids: dict = {}
-    paternal, maternal, ses = [], [], []
+    ids = _Ids()
+    paternal, maternal = array("q"), array("q")
+    blocks = []
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -149,29 +193,30 @@ def read_records_csv(path: str) -> Records:
         if header is None or [h.strip() for h in header] != RECORDS_HEADER:
             raise ParseError(f"expected header {','.join(RECORDS_HEADER)!r}", 1, path)
         try:
-            for row in reader:
-                if len(row) != 4:
-                    raise ParseError(f"expected 4 fields, got {len(row)}", len(ses) + 2, path)
-                paternal_raw, maternal_raw, ses_raw, _ = row
-                paternal.append(ids.setdefault(paternal_raw, len(ids)))
-                maternal.append(ids.setdefault(maternal_raw, len(ids)))
-                ses.append(ses_raw)
-        except (ParseError, csv.Error, UnicodeDecodeError) as err:
+            while True:
+                ses_strings = []
+                for row in islice(reader, RECORD_BLOCK_ROWS):
+                    if len(row) != 4:
+                        _raise_first_bad_row(path)
+                    paternal_raw, maternal_raw, ses_raw, _ = row
+                    paternal.append(ids[paternal_raw])
+                    maternal.append(ids[maternal_raw])
+                    ses_strings.append(ses_raw)
+                block = _parse_ses(ses_strings)
+                if block is None:
+                    _raise_first_bad_row(path)
+                blocks.append(block)
+                if len(ses_strings) < RECORD_BLOCK_ROWS:
+                    break
+        except (csv.Error, UnicodeDecodeError):
             # A bad row before the one that stopped the reader is reported first.
-            _check_rows(path, list(ids), paternal, maternal, ses)
-            if isinstance(err, csv.Error):
-                raise ParseError(str(err), len(ses) + 2, path) from None
-            raise
+            _raise_first_bad_row(path)
     names = [raw.strip().casefold() for raw in ids]
-    try:
-        ses_values = np.fromiter(map(float, ses), np.float64, count=len(ses))
-        valid = (all(names) and not any(map(UNSTORABLE_LABEL.search, names))
-                 and bool(np.isfinite(ses_values).all()))
-    except ValueError:
-        valid = False
-    if not valid:
-        _check_rows(path, list(ids), paternal, maternal, ses)
-    return Records.intern(names, paternal, maternal, ses_values)
+    if not all(names) or any(map(UNSTORABLE_LABEL.search, names)):
+        _raise_first_bad_row(path)
+    ses = np.concatenate(blocks)
+    blocks.clear()  # freed before interning allocates the id columns
+    return Records.intern(names, paternal, maternal, ses)
 
 
 def normalize_ses(values) -> np.ndarray:
@@ -221,12 +266,28 @@ def count_pairs(records: Records, deciles) -> PairCounts:
     paired = paternal != maternal
     n_s = (np.bincount(paternal, minlength=n_labels)
            + np.bincount(maternal[paired], minlength=n_labels))
-    lo = np.minimum(paternal, maternal)[paired]
-    hi = np.maximum(paternal, maternal)[paired]
-    deciles = np.asarray(deciles, dtype=np.int64)[paired]
+    deciles = np.asarray(deciles, dtype=np.int64)
     radix = int(deciles.max()) + 1 if deciles.size else 1
-    # Label ids follow label order, so sorted codes are in (s1, s2, decile) order.
-    codes, weight = np.unique((lo * n_labels + hi) * radix + deciles, return_counts=True)
+    # Label ids follow label order, so sorted codes are in (s1, s2, decile)
+    # order. Each code (lo * n_labels + hi) * radix + decile is formed in
+    # place, through lo * n_labels + hi == lo * (n_labels - 1) + paternal +
+    # maternal, so no second record-length array is alive beside it. Unpaired
+    # rows get a code above every pair's and are cut off after the sort.
+    codes = np.minimum(paternal, maternal)
+    codes *= n_labels - 1
+    codes += paternal
+    codes += maternal
+    codes *= radix
+    codes += deciles
+    codes[~paired] = np.iinfo(np.int64).max
+    codes.sort()
+    codes = codes[:np.count_nonzero(paired)]
+    first = np.empty(len(codes), dtype=bool)
+    first[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    weight = np.diff(starts, append=len(codes))
+    codes = codes[starts]
     pair, decile = np.divmod(codes, radix)
     s1, s2 = np.divmod(pair, n_labels)
     return PairCounts(n_s, s1, s2, decile, weight)
@@ -285,10 +346,11 @@ def build(records: Records, config: BuilderConfig = BuilderConfig()):
     """
     report = BuildReport(n_records=len(records))
     normalized = normalize_ses(records.ses)
-    boundaries = quantile_boundaries(normalized, config.n_deciles)
-    deciles = assign_deciles(normalized, boundaries)
+    deciles = assign_deciles(normalized, quantile_boundaries(normalized, config.n_deciles))
+    del normalized  # record-length columns are freed as soon as they are spent
 
     counts = count_pairs(records, deciles)
+    del deciles
     n_labels = len(records.labels)
     pair = counts.s1 * n_labels + counts.s2
     first = np.flatnonzero(np.diff(pair, prepend=-1))  # each pair's first row

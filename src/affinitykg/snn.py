@@ -99,16 +99,22 @@ def transform_embeddings(params: ModelParams, relation_id: int) -> np.ndarray:
 def knn_embedding(transformed: np.ndarray, entity: int, k: int = 50) -> set:
     """Ids of the k rows nearest to `entity` in Euclidean distance.
 
-    The query row itself is excluded; distance ties resolve to the lower id.
+    The query row itself is never one of them, even when other distances are
+    infinite. Distance ties resolve to the lower id; a NaN distance ranks
+    after every number.
     """
     n = transformed.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"k must lie in [1, {n - 1}], got {k}")
     diff = transformed - transformed[entity]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    d2[entity] = np.inf
-    order = np.argsort(d2, kind="stable")
-    return set(int(i) for i in order[:k])
+    d2 = np.delete(np.einsum("ij,ij->i", diff, diff), entity)
+    kth = np.partition(d2, k - 1)[k - 1]
+    # The first k of a stable sort of d2 all lie at or below its k-th
+    # smallest value (anywhere, when that is NaN), so only those are sorted.
+    near = np.arange(n - 1) if np.isnan(kth) else np.flatnonzero(d2 <= kth)
+    near = near[np.argsort(d2[near], kind="stable")[:k]]
+    near += near >= entity  # rows after the query were shifted down by the delete
+    return set(near.tolist())
 
 
 @dataclass

@@ -8,12 +8,14 @@ import re
 import tempfile
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from affinitykg import builder
 from affinitykg.builder import (
     RECORDS_HEADER,
     BuilderConfig,
@@ -340,6 +342,25 @@ class TestRecordsCsv:
         assert peak < 4_000_000, f"traced peak {peak} B"
         assert held < 1_000_000, f"{held} B still held after the read"
 
+    def test_read_and_build_peak_per_record(self, tmp_path):
+        # On 50 000 gen-synthetic records, read_records_csv and build together
+        # peaked at 127 B a record when SES was held as one string per row
+        # and the pairs were counted with np.unique; streamed in blocks and
+        # counted in place, they peak at 50.
+        n = 50_000
+        records, blocks, _ = generate_population(PopulationSpec(seed=3, n_individuals=n))
+        path = str(tmp_path / "records.csv")
+        write_records_csv(path, records, blocks)
+        build(records)  # numpy imports some modules on first use; not measured
+        del records, blocks
+        tracemalloc.start()
+        try:
+            build(read_records_csv(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 80, f"traced peak {peak / n:.1f} B a record"
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "records.csv"
         path.write_text("nope,nope,nope,nope\n")
@@ -393,7 +414,8 @@ _ORACLE_UNSTORABLE = re.compile(r"^#|[\t\r\n]")
 
 def oracle_read_records_csv(path):
     """The row-by-row reader, with (paternal, maternal, ses) tuples for its
-    per-row records; the block cell is required and dropped."""
+    per-row records; the block cell is required and dropped. A row is
+    numbered by the physical line it starts on."""
     records = []
     storable = set()
     with open_text(path, newline="") as fh:
@@ -401,7 +423,11 @@ def oracle_read_records_csv(path):
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != RECORDS_HEADER:
             raise ParseError(f"expected header {','.join(RECORDS_HEADER)!r}", 1, path)
-        for n, row in enumerate(reader, start=2):
+        while True:
+            n = reader.line_num + 1
+            row = next(reader, None)
+            if row is None:
+                break
             if len(row) != 4:
                 raise ParseError(f"expected 4 fields, got {len(row)}", n, path)
             paternal, maternal, ses, _ = row
@@ -449,34 +475,90 @@ rows = mostly(st.tuples(surnames, surnames, ses_strings,
               st.lists(st.sampled_from(["perez", "1.5", "b"]), max_size=6), odds=20)
 
 
+def write_rows(path, body):
+    """A records.csv of the header and these rows, as the csv module writes them."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RECORDS_HEADER)
+        writer.writerows(body)
+
+
+def check_against_oracle(body):
+    """read_records_csv on a file of these rows gives the oracle's columns,
+    or raises its exception with the same message and line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "records.csv")
+        write_rows(path, body)
+        try:
+            expected = oracle_read_records_csv(path)
+        except ParseError as err:
+            with pytest.raises(ParseError) as got:
+                read_records_csv(path)
+            assert (str(got.value), got.value.line_no) == (str(err), err.line_no)
+            event(str(err).split(": ", 1)[1].split(" ")[0])
+            return
+        records = read_records_csv(path)
+        labels = records.labels
+        assert labels == sorted({name for p, m, _ in expected for name in (p, m)})
+        assert records.paternal.dtype == records.maternal.dtype == np.int64
+        assert records.ses.dtype == np.float64 and len(records) == len(expected)
+        got_rows = list(zip([labels[i] for i in records.paternal.tolist()],
+                            [labels[i] for i in records.maternal.tolist()],
+                            records.ses.tolist()))
+        assert got_rows == expected
+        event("accepted")
+
+
 class TestReaderOracle:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(rows, max_size=8))
     def test_same_columns_or_same_error(self, body):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "records.csv")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(RECORDS_HEADER)
-                writer.writerows(body)
-            try:
-                expected = oracle_read_records_csv(path)
-            except ParseError as err:
-                with pytest.raises(ParseError) as got:
-                    read_records_csv(path)
-                assert (str(got.value), got.value.line_no) == (str(err), err.line_no)
-                event(str(err).split(": ", 1)[1].split(" ")[0])
-                return
-            records = read_records_csv(path)
-            labels = records.labels
-            assert labels == sorted({name for p, m, _ in expected for name in (p, m)})
-            assert records.paternal.dtype == records.maternal.dtype == np.int64
-            assert records.ses.dtype == np.float64 and len(records) == len(expected)
-            got_rows = list(zip([labels[i] for i in records.paternal.tolist()],
-                                [labels[i] for i in records.maternal.tolist()],
-                                records.ses.tolist()))
-            assert got_rows == expected
-            event("accepted")
+        check_against_oracle(body)
+
+    # The reader parses SES strings every RECORD_BLOCK_ROWS rows; with blocks
+    # of 1 and 3 rows, a file of up to 10 rows crosses several boundaries.
+    @pytest.mark.parametrize("block_rows", [1, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(body=st.lists(rows, max_size=10))
+    def test_same_at_block_boundaries(self, block_rows, body):
+        with mock.patch.object(builder, "RECORD_BLOCK_ROWS", block_rows):
+            check_against_oracle(body)
+
+    def test_bad_ses_in_a_later_block_names_its_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(builder, "RECORD_BLOCK_ROWS", 3)
+        path = tmp_path / "records.csv"
+        write_rows(path, [["perez", "soto", str(i), "b"] for i in range(7)]
+                   + [["ruiz", "diaz", "junk", "b"], ["ruiz", "diaz", "1", "b"]])
+        with pytest.raises(ParseError, match="bad SES value 'junk'") as err:
+            read_records_csv(str(path))
+        assert err.value.line_no == 9
+
+    def test_a_bad_surname_in_block_one_wins_over_bad_ses_in_block_three(self, tmp_path,
+                                                                           monkeypatch):
+        monkeypatch.setattr(builder, "RECORD_BLOCK_ROWS", 3)
+        body = [["perez", "soto", str(i), "b"] for i in range(9)]
+        body[1][0] = " "
+        body[7][2] = "nan"
+        path = tmp_path / "records.csv"
+        write_rows(path, body)
+        with pytest.raises(ParseError, match="empty surname") as err:
+            read_records_csv(str(path))
+        assert err.value.line_no == 3
+
+    def test_a_bad_row_the_rescan_does_not_find_is_a_changed_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "records.csv"
+        path.write_text("paternal,maternal,ses,block\nperez,soto,oops,b\n")
+        monkeypatch.setattr(builder, "_check_row", lambda row, n, path: None)
+        with pytest.raises(ParseError, match="file changed while it was read"):
+            read_records_csv(str(path))
+
+    def test_rows_are_numbered_by_the_line_they_start_on(self, tmp_path):
+        # The first row's quoted SES spans lines 2 and 3; the bad row is on line 4.
+        path = tmp_path / "records.csv"
+        path.write_bytes(b'paternal,maternal,ses,block\na,b,"1\n",c\n,b,2,c\n')
+        with pytest.raises(ParseError, match="empty surname") as err:
+            read_records_csv(str(path))
+        assert err.value.line_no == 4
 
     def test_bad_row_before_a_wrong_field_count_is_reported_first(self, tmp_path):
         path = tmp_path / "records.csv"

@@ -109,7 +109,10 @@ class TestBuildNetwork:
         # A bad row before the one the csv module refuses is named first.
         (["paternal,maternal,ses,block", "perez,soto,oops,b", "x" * 200_000 + ",soto,2,b"],
          "records.csv:2: bad SES value"),
-    ], ids=["header", "row", "earlier-bad-row"])
+        # A row is named by the line it starts on; the row before spans two.
+        (["paternal,maternal,ses,block", 'perez,soto,"1', '",b', "x" * 200_000 + ",soto,2,b"],
+         "records.csv:4: field larger than field limit"),
+    ], ids=["header", "row", "earlier-bad-row", "after-a-quoted-line-break"])
     def test_csv_fault_exits_2_naming_its_line(self, tmp_path, capsys, lines, named):
         records = tmp_path / "records.csv"
         records.write_text("".join(line + "\n" for line in lines))

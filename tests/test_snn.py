@@ -252,6 +252,29 @@ class TestKnnEmbedding:
         X = np.array([[0.0], [1.0], [1.0], [2.0]])
         assert knn_embedding(X, 0, k=1) == {1}
 
+    def test_query_excluded_when_distances_overflow(self):
+        # Both other distances overflow to inf, which the query's own must not tie.
+        assert knn_embedding(np.array([[1e200], [-1e200], [0.0]]), 0, k=2) == {1, 2}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_stable_argsort_over_the_other_rows(self, data):
+        # Small integer grids tie often; 1e200 squares to inf, and inf - inf is NaN.
+        n, dim = data.draw(st.integers(2, 14)), data.draw(st.integers(1, 2))
+        special = data.draw(st.sampled_from([0, 1, 4]))  # in 10 cells
+        cell = st.integers(0, 9).flatmap(
+            lambda i: st.sampled_from([1e200, -1e200, np.inf, -np.inf, np.nan]) if i < special
+            else st.integers(-2, 2).map(float))
+        X = np.array(data.draw(st.lists(st.lists(cell, min_size=dim, max_size=dim),
+                                        min_size=n, max_size=n)))
+        entity, k = data.draw(st.integers(0, n - 1)), data.draw(st.integers(1, n - 1))
+        with np.errstate(invalid="ignore", over="ignore"):
+            diff = X - X[entity]
+            d2 = np.einsum("ij,ij->i", diff, diff)
+            others = np.delete(np.arange(n), entity)
+            expected = set(others[np.argsort(d2[others], kind="stable")[:k]].tolist())
+            assert knn_embedding(X, entity, k=k) == expected
+
     def test_k_out_of_range(self):
         X = np.zeros((5, 2))
         with pytest.raises(ValueError):
